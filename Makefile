@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare repro examples fmt vet cover clean check lint serve-smoke chaos-smoke cluster-smoke scenarios-check api-check
+.PHONY: all build test race fuzz bench bench-compare repro examples fmt vet cover clean check lint serve-smoke chaos-smoke cluster-smoke scenarios-check api-check
 
 all: build vet test
 
 # Full gate: compile, lint, unit tests, the race detector over the
-# concurrent packages, scenario-file validation, and end-to-end boots
-# of the HTTP service (healthy and under chaos injection). Run
-# `make bench-compare` alongside it when touching the analytic hot path.
-check: build lint test race scenarios-check api-check serve-smoke chaos-smoke cluster-smoke
+# concurrent packages, a bounded fuzz run, scenario-file validation, and
+# end-to-end boots of the HTTP service (healthy and under chaos
+# injection). Run `make bench-compare` alongside it when touching the
+# analytic hot path.
+check: build lint test race fuzz scenarios-check api-check serve-smoke chaos-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +21,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/numerics/... ./internal/analytic/... ./internal/scenario/... ./internal/sim/... ./internal/sweep/... ./internal/cache/... ./internal/chaos/... ./internal/service/... ./internal/obs/... ./internal/jobs/... ./internal/compute/... ./internal/cluster/...
+
+# Bounded fuzzing of the wiring-derived Classify path, the one custom,
+# parsed and degraded networks take: arbitrary wiring files must
+# classify without panics into structures that partition the buses and
+# reachable modules. Crashing inputs land in the package's testdata.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the
@@ -68,9 +76,11 @@ cluster-smoke:
 # future PRs have a perf trajectory to compare against. Commit the
 # refreshed file alongside perf-sensitive changes. -count=3: benchjson
 # records the best of the repeated runs, so the committed numbers track
-# the machine's unthrottled speed, not a load spike.
+# the machine's unthrottled speed, not a load spike. -cpu=1 pins
+# GOMAXPROCS, so benchmark names carry no "-N" CPU-count suffix and the
+# record compares across machines with different core counts.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE -count=3 . | $(GO) run ./cmd/benchjson -o BENCH_sim.json
+	$(GO) test -bench=. -benchmem -run=NONE -count=3 -cpu=1 . | $(GO) run ./cmd/benchjson -o BENCH_sim.json
 
 # Benchmark-regression gate: re-runs the pinned analytic and topology
 # benchmarks into a scratch report and diffs it against the committed
@@ -79,9 +89,9 @@ bench:
 # Topology*); run it before committing changes to the analytic hot path
 # or the topology representation. -count=5 because the compare keeps the
 # best of repeated runs, which suppresses scheduler noise on shared
-# machines.
+# machines; -cpu=1 as in `make bench`.
 bench-compare:
-	$(GO) test -bench='BenchmarkTable|BenchmarkAnalytic|BenchmarkBinomialRow|BenchmarkBuildKey|BenchmarkTopology' -benchmem -run=NONE -count=5 . | $(GO) run ./cmd/benchjson -o /tmp/multibus-bench-new.json
+	$(GO) test -bench='BenchmarkTable|BenchmarkAnalytic|BenchmarkBinomialRow|BenchmarkBuildKey|BenchmarkTopology' -benchmem -run=NONE -count=5 -cpu=1 . | $(GO) run ./cmd/benchjson -o /tmp/multibus-bench-new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/multibus-bench-new.json
 
 # Full reproduction verdict: every paper table/figure plus the

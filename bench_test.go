@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"multibus/internal/analytic"
 	"multibus/internal/arbiter"
 	"multibus/internal/design"
 	"multibus/internal/exact"
@@ -241,23 +242,47 @@ func BenchmarkAnalyticFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, err := h.X(1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	nw, err := NewFullNetwork(1024, 1024, 512)
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := h
-	_ = model
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(nw, h, 1.0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	_ = x
+}
+
+// classifySink keeps the compiler from discarding benchmarked results.
+var classifySink *analytic.Structure
+
+// BenchmarkAnalyticClassify512 measures analytic.Classify on the
+// N=M=512, B=64 networks of the service's large-analyze workload, with
+// the scenario defaults for partial (g=2) and kclass (K=B) networks.
+func BenchmarkAnalyticClassify512(b *testing.B) {
+	for _, tc := range []struct {
+		scheme string
+		build  func() (*topology.Network, error)
+	}{
+		{"full", func() (*topology.Network, error) { return topology.Full(512, 512, 64) }},
+		{"single", func() (*topology.Network, error) { return topology.SingleBus(512, 512, 64) }},
+		{"partial", func() (*topology.Network, error) { return topology.PartialGroups(512, 512, 64, 2) }},
+		{"kclass", func() (*topology.Network, error) { return topology.EvenKClasses(512, 512, 64, 64) }},
+	} {
+		b.Run(tc.scheme, func(b *testing.B) {
+			nw, err := tc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if classifySink, err = analytic.Classify(nw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBinomialRow measures one full Binomial(n, p) row fill (PMF,

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"multibus/internal/cliutil"
+	"multibus/internal/scenario"
 	"multibus/internal/sim"
 	"multibus/internal/workload"
 )
@@ -44,7 +44,7 @@ func run(w *os.File, wl string, n, m int, r, s float64, cycles int, seed int64) 
 	if wl == "zipf" {
 		gen, err = workload.NewZipf(n, m, r, s)
 	} else {
-		gen, err = cliutil.BuildWorkload(wl, n, m, r)
+		gen, err = scenario.Model{Kind: wl}.BuildWorkload(n, m, r)
 	}
 	if err != nil {
 		return err

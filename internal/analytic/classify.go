@@ -55,11 +55,19 @@ type Structure struct {
 	BusOrder []int
 }
 
-// Classify inspects a topology's wiring and determines which closed-form
-// bandwidth formula applies. It returns ErrNoClosedForm for wirings that
-// are neither complete-bipartite-decomposable nor nested-prefix; those
-// require the Monte-Carlo simulator.
+// Classify determines which closed-form bandwidth formula applies to a
+// topology. A pristine Full, SingleBus, PartialGroups or KClasses
+// network is classified from its constructor parameters in O(M+B),
+// without re-validating or scanning the wiring. Custom, parsed
+// (ReadWiring) and degraded (WithoutBus) networks are validated and
+// classified from their wiring in O(connections). It returns
+// ErrNoClosedForm for wirings that are neither
+// complete-bipartite-decomposable nor nested-prefix; those require the
+// Monte-Carlo simulator.
 func Classify(nw *topology.Network) (*Structure, error) {
+	if s := classifyScheme(nw); s != nil {
+		return s, nil
+	}
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
@@ -86,6 +94,91 @@ func Bandwidth(nw *topology.Network, x float64) (float64, error) {
 // per (rate, model) point.
 func BandwidthStructure(s *Structure, buses int, x float64) (float64, error) {
 	return pooledEval(func(e *Evaluator) (float64, error) { return e.BandwidthStructure(s, buses, x) })
+}
+
+// classifyScheme builds the Structure of a pristine scheme network from
+// its constructor parameters, or returns nil when the wiring must be
+// inspected (custom, parsed and degraded networks). The result equals
+// what classifyGroups or classifyPrefix derive from the wiring, down to
+// group and class order: BandwidthIndependentGroups sums per group, so
+// the order is part of the answer.
+func classifyScheme(nw *topology.Network) *Structure {
+	if nw.FailedBuses() != nil {
+		return nil
+	}
+	m, b := nw.M(), nw.B()
+	switch nw.Scheme() {
+	case topology.SchemeFull:
+		return groupStructure(m, b, 1, func(int) int { return 0 }, func(int) int { return 0 })
+	case topology.SchemeSingleBus:
+		// Every bus is its own group, possibly with no modules (B > M).
+		return groupStructure(m, b, b,
+			func(j int) int { return nw.BusesForModule(j)[0] }, func(i int) int { return i })
+	case topology.SchemePartialGroups:
+		perGroup := b / nw.Groups()
+		return groupStructure(m, b, nw.Groups(),
+			func(j int) int { return nw.BusesForModule(j)[0] / perGroup },
+			func(i int) int { return i / perGroup })
+	case topology.SchemeKClasses:
+		return kClassStructure(m, b, nw.ClassSizes())
+	}
+	return nil
+}
+
+// groupStructure assembles an independent-groups Structure from each
+// module's and each bus's group index. Groups must be numbered by their
+// smallest bus, as classifyGroups numbers them.
+func groupStructure(m, b, groups int, moduleGroup, busGroup func(int) int) *Structure {
+	s := &Structure{
+		Kind:         StructureIndependentGroups,
+		Groups:       make([]GroupSpec, groups),
+		ModuleGroups: make([]int, m),
+		BusGroups:    make([]int, b),
+	}
+	for j := range s.ModuleGroups {
+		s.ModuleGroups[j] = moduleGroup(j)
+		s.Groups[s.ModuleGroups[j]].Modules++
+	}
+	for i := range s.BusGroups {
+		s.BusGroups[i] = busGroup(i)
+		s.Groups[s.BusGroups[i]].Buses++
+	}
+	return s
+}
+
+// kClassStructure classifies a pristine K-class network with class
+// sizes M_1 … M_K: class C_c is wired to buses 1 … c+B−K. Empty classes
+// are dropped. With a single non-empty class the wiring is one
+// complete-bipartite group plus a dead bus group for each bus past its
+// prefix, which classifyGroups claims before classifyPrefix runs.
+func kClassStructure(m, b int, sizes []int) *Structure {
+	k := len(sizes)
+	classes := make([]PrefixClass, 0, k)
+	for c, size := range sizes {
+		if size > 0 {
+			classes = append(classes, PrefixClass{Size: size, PrefixLen: c + 1 + b - k})
+		}
+	}
+	if len(classes) == 1 {
+		p := classes[0].PrefixLen
+		return groupStructure(m, b, 1+b-p,
+			func(int) int { return 0 }, func(i int) int { return max(0, i+1-p) })
+	}
+	s := &Structure{
+		Kind:          StructurePrefixClasses,
+		Classes:       classes,
+		ModuleClasses: make([]int, 0, m),
+		BusOrder:      make([]int, b),
+	}
+	for ci, c := range classes {
+		for range c.Size {
+			s.ModuleClasses = append(s.ModuleClasses, ci)
+		}
+	}
+	for i := range s.BusOrder {
+		s.BusOrder[i] = i
+	}
+	return s
 }
 
 // classifyGroups attempts the complete-bipartite-components decomposition.

@@ -10,107 +10,7 @@ import (
 	"testing"
 
 	"multibus/internal/scenario"
-	"multibus/internal/topology"
 )
-
-func TestBuildNetworkSchemes(t *testing.T) {
-	tests := []struct {
-		scheme string
-		want   topology.Scheme
-	}{
-		{"full", topology.SchemeFull},
-		{"single", topology.SchemeSingleBus},
-		{"partial", topology.SchemePartialGroups},
-		{"kclass", topology.SchemeKClasses},
-	}
-	for _, tt := range tests {
-		nw, err := BuildNetwork(tt.scheme, 16, 16, 8, 2, 8)
-		if err != nil {
-			t.Fatalf("BuildNetwork(%s): %v", tt.scheme, err)
-		}
-		if nw.Scheme() != tt.want {
-			t.Errorf("scheme %s built %v", tt.scheme, nw.Scheme())
-		}
-	}
-	if _, err := BuildNetwork("mesh", 16, 16, 8, 2, 8); !errors.Is(err, scenario.ErrInvalid) {
-		t.Errorf("unknown scheme: %v, want scenario.ErrInvalid", err)
-	}
-	if _, err := BuildNetwork("partial", 16, 16, 8, 3, 8); err == nil {
-		t.Error("bad g should propagate a constraint error")
-	}
-}
-
-func TestBuildModel(t *testing.T) {
-	h, err := BuildModel("hier", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N() != 16 {
-		t.Errorf("hier model N=%d", h.N())
-	}
-	u, err := BuildModel("unif", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != 8 {
-		t.Errorf("unif model N=%d", u.N())
-	}
-	if _, err := BuildModel("zipf", 8); !errors.Is(err, scenario.ErrInvalid) {
-		t.Errorf("unknown model: %v", err)
-	}
-	if _, err := BuildModel("hier", 7); err == nil {
-		t.Error("hier with odd N should error")
-	}
-}
-
-func TestBuildWorkload(t *testing.T) {
-	for _, name := range []string{"hier", "unif", "hotspot"} {
-		gen, err := BuildWorkload(name, 16, 16, 0.5)
-		if err != nil {
-			t.Fatalf("BuildWorkload(%s): %v", name, err)
-		}
-		if gen.NProcessors() != 16 || gen.MModules() != 16 {
-			t.Errorf("%s dims %d×%d", name, gen.NProcessors(), gen.MModules())
-		}
-	}
-	if _, err := BuildWorkload("hier", 16, 8, 0.5); !errors.Is(err, scenario.ErrUnsatisfiable) {
-		t.Errorf("hier with N≠M: %v, want scenario.ErrUnsatisfiable", err)
-	}
-	if _, err := BuildWorkload("nope", 16, 16, 0.5); !errors.Is(err, scenario.ErrInvalid) {
-		t.Errorf("unknown workload: %v", err)
-	}
-}
-
-func TestHierClustersFallback(t *testing.T) {
-	// N=4 falls back to 2 clusters of 2.
-	h, err := BuildModel("hier", 4)
-	if err != nil {
-		t.Fatalf("N=4 hier: %v", err)
-	}
-	if got := h.Shape()[0]; got != 2 {
-		t.Errorf("N=4 clusters = %d, want 2", got)
-	}
-	// N=16 keeps the paper's 4 clusters.
-	h, err = BuildModel("hier", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Shape()[0]; got != 4 {
-		t.Errorf("N=16 clusters = %d, want 4", got)
-	}
-	// Odd N cannot form the workload at all.
-	if _, err := BuildModel("hier", 5); err == nil {
-		t.Error("N=5 hier should error")
-	}
-	// N=10: divisible by 2 but not 4 → 2 clusters of 5.
-	h, err = BuildModel("hier", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Shape()[0]; got != 2 {
-		t.Errorf("N=10 clusters = %d, want 2", got)
-	}
-}
 
 // TestScenarioFlagsAssembly: flags become a scenario verbatim, and the
 // scheme-irrelevant ones vanish under canonicalization rather than

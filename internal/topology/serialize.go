@@ -100,8 +100,9 @@ func ReadWiring(r io.Reader) (*Network, error) {
 			if n < 1 || b < 1 || m < 1 {
 				return fmt.Errorf("%w: line %d: n=%d b=%d m=%d (all must be ≥ 1)", ErrBadWiring, line, n, b, m)
 			}
+			// No capacity hint from b: the header is untrusted input, and
+			// the row checks below bound the row count by the file's length.
 			sawHeader = true
-			busLists = make([][]int, 0, b)
 			return nil
 		}
 		if len(busLists) >= b {

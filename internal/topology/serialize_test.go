@@ -44,6 +44,7 @@ func TestReadWiringMalformed(t *testing.T) {
 		{"bad flag", "n=2 b=1 m=2\n1 2\n"},
 		{"too many rows", "n=2 b=1 m=2\n1 1\n1 1\n"},
 		{"too few rows", "n=2 b=2 m=2\n1 1\n"},
+		{"huge bus count", "n=1 b=9223372036854775807 m=1\n1\n"},
 		{"rows before header", "1 1\nn=2 b=1 m=2\n"},
 		{"disconnected module", "n=2 b=2 m=2\n1 0\n1 0\n"},
 		// Strict header parsing: the old fmt.Sscanf accepted trailing

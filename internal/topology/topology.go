@@ -566,8 +566,12 @@ func (nw *Network) InaccessibleModules() []int {
 	return out
 }
 
-// Validate re-checks structural invariants. Constructors always return
-// valid networks; Validate exists for defensive use after surgery.
+// Validate re-checks structural invariants in O(connections).
+// Constructors always return valid networks; Validate exists for
+// defensive use after surgery. analytic.Classify calls it only for
+// custom, parsed (ReadWiring) and degraded (WithoutBus) wirings; a
+// pristine scheme network is classified from its constructor parameters
+// without it.
 func (nw *Network) Validate() error {
 	if nw.n < 1 || nw.m < 1 || nw.b < 1 {
 		return fmt.Errorf("%w: N=%d M=%d B=%d", ErrBadDimensions, nw.n, nw.m, nw.b)
