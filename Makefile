@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-compare repro examples fmt vet cover clean check lint serve-smoke chaos-smoke cluster-smoke scenarios-check api-check
+.PHONY: all build test race fuzz bench bench-compare repro examples fmt vet cover clean check lint serve-smoke chaos-smoke cluster-smoke scenarios-check api-check perfbench-check
 
 all: build vet test
 
 # Full gate: compile, lint, unit tests, the race detector over the
-# concurrent packages, a bounded fuzz run, scenario-file validation, and
-# end-to-end boots of the HTTP service (healthy and under chaos
-# injection). Run `make bench-compare` alongside it when touching the
-# analytic hot path.
-check: build lint test race fuzz scenarios-check api-check serve-smoke chaos-smoke cluster-smoke
+# concurrent packages, bounded fuzz runs, scenario-file validation, the
+# benchmark module's own build and tests, and end-to-end boots of the
+# HTTP service (healthy, under chaos injection, and as a cluster). Run
+# `make bench-compare` alongside it when touching the analytic hot path.
+check: build lint test race fuzz scenarios-check api-check perfbench-check serve-smoke chaos-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -22,18 +22,30 @@ test:
 race:
 	$(GO) test -race ./internal/numerics/... ./internal/analytic/... ./internal/scenario/... ./internal/sim/... ./internal/sweep/... ./internal/cache/... ./internal/chaos/... ./internal/service/... ./internal/obs/... ./internal/jobs/... ./internal/compute/... ./internal/cluster/...
 
-# Bounded fuzzing of the wiring-derived Classify path, the one custom,
-# parsed and degraded networks take: arbitrary wiring files must
-# classify without panics into structures that partition the buses and
-# reachable modules. Crashing inputs land in the package's testdata.
+# Bounded fuzzing of the two parsers of outside bytes on the hot paths.
+# FuzzClassifyWiring: arbitrary wiring files must classify without
+# panics into structures that partition the buses and reachable modules.
+# FuzzSweepShardStream: arbitrary peer shard streams must merge into a
+# complete sweep with no grid index emitted twice; each of its inputs
+# runs a whole HTTP round trip, so new-coverage minimization is capped
+# to keep the 20s budget for exploring. Crashing inputs land in each
+# package's testdata.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepShardStream$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/cluster/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the
 # example fixtures must round-trip through the real handlers.
 api-check:
 	$(GO) run ./cmd/apicheck
+
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root `go build ./...` skips it: build, vet and test it against the
+# current internal packages here, so an internal API change cannot break
+# the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Validate every committed example scenario against the canonical
 # scenario layer (strict parse + build + key derivation).
@@ -63,10 +75,11 @@ chaos-smoke:
 	$(GO) build -o /tmp/mbserve-smoke ./cmd/mbserve
 	./scripts/serve-smoke.sh /tmp/mbserve-smoke chaos
 
-# Cluster smoke test: boots a 3-peer cluster (peer 1 coordinator) plus
-# a standalone reference, asserts forwarded answers are byte-identical
-# and locally cached, and that a partitioned sweep merge equals the
-# standalone sweep byte for byte.
+# Cluster smoke test: boots a 3-peer cluster plus a standalone
+# reference, asserts forwarded answers are byte-identical and locally
+# cached, that a partitioned sweep merge equals the standalone sweep
+# byte for byte, and that a killed peer is evicted and rejoins with
+# byte-identical answers.
 cluster-smoke:
 	$(GO) build -o /tmp/mbserve-smoke ./cmd/mbserve
 	./scripts/cluster-smoke.sh /tmp/mbserve-smoke

@@ -36,15 +36,13 @@
 // key's consistent-hash owner, joining the owner's singleflight so
 // identical requests anywhere in the cluster compute once. Membership
 // is elastic: a background prober (period -probe-interval) suspects,
-// confirms, and evicts peers that stop answering /healthz, joiners
-// announce themselves into the ring, and every ring transition warms
-// the new owners via cache handoff (bounded by -handoff-max). Any
-// instance partitions the sweep grids it serves across the ring;
-// -coordinator is accepted for compatibility. GET /readyz answers 503
-// until the initial membership snapshot and handoff pull are done —
-// point load-balancer readiness there, liveness at /healthz. A
-// single-instance deployment omits the cluster flags and pays no
-// cluster overhead.
+// confirms, and evicts peers that stop answering /healthz, and joiners
+// announce themselves into the ring. Any instance partitions the sweep
+// grids it serves across the ring. GET /readyz answers 503 until the
+// instance holds its initial membership view (with -join: until the
+// seed's view is adopted) — point load-balancer readiness there,
+// liveness at /healthz. A single-instance deployment omits the cluster
+// flags and pays no cluster overhead.
 // The hidden -chaos flag injects seeded faults (latency, errors,
 // panics) into every computation for resilience testing — e.g.
 // -chaos "latency=2s,latencyRate=1,seed=7" — and must never be set in
@@ -88,9 +86,7 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
 		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
 		join          = flag.String("join", "", "base URL of a running cluster member to join through (alternative to -peers)")
-		coord         = flag.Bool("coordinator", false, "accepted for compatibility; every instance now partitions the sweeps it serves")
 		probeInterval = flag.Duration("probe-interval", 0, "membership health-probe period, jittered ±25% (0 = default 1s)")
-		handoffMax    = flag.Int("handoff-max", 0, "max cache entries per warm handoff transfer (0 = default, negative = disabled)")
 		logFlags      = cliutil.RegisterLogFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -104,7 +100,6 @@ func main() {
 				peers:         *peers,
 				self:          *self,
 				join:          *join,
-				coordinator:   *coord,
 				probeInterval: *probeInterval,
 			})
 		}
@@ -126,7 +121,6 @@ func main() {
 				Chaos:         injector,
 				JobsMax:       *jobsMax,
 				JobResultsCap: *jobResults,
-				HandoffMax:    *handoffMax,
 			})
 		}
 	}
@@ -160,7 +154,6 @@ type clusterFlags struct {
 	peers         string
 	self          string
 	join          string
-	coordinator   bool
 	probeInterval time.Duration
 }
 
@@ -174,8 +167,8 @@ type clusterFlags struct {
 // has built it.
 func buildCluster(logger *slog.Logger, cf clusterFlags) (*cluster.Backend, error) {
 	if cf.peers == "" && cf.join == "" {
-		if cf.self != "" || cf.coordinator {
-			return nil, errors.New("-self and -coordinator need -peers or -join")
+		if cf.self != "" {
+			return nil, errors.New("-self needs -peers or -join")
 		}
 		return nil, nil
 	}
@@ -244,9 +237,8 @@ func run(logger *slog.Logger, addr string, drain time.Duration, join string, bac
 
 	if backend != nil {
 		// Cluster startup, in order: join through the seed member (if
-		// -join), arm the handoff-on-transition subscription plus the
-		// initial pull that opens /readyz, then start the health prober.
-		// All after the listener is up — peers probe and pull back.
+		// -join), open /readyz, then start the health prober. All after
+		// the listener is up — peers probe back.
 		if join != "" {
 			joinCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 			if err := backend.Manager().Join(joinCtx, join); err != nil {
@@ -263,9 +255,8 @@ func run(logger *slog.Logger, addr string, drain time.Duration, join string, bac
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful departure first: push the hot working set to the ring
-	// successors and announce the leave while this instance still
-	// answers probes — then flip /healthz to 503 draining before
+	// Graceful departure first: announce the leave while this instance
+	// still answers probes — then flip /healthz to 503 draining before
 	// Shutdown so load balancers stop sending new work while in-flight
 	// requests finish. The lame-duck pause keeps the listener accepting
 	// while health checks fail — Shutdown closes the listener

@@ -349,72 +349,6 @@ func (c *Cache) Refresh(key string, compute func() (any, error)) bool {
 	return true
 }
 
-// Entry is one resident key/value pair as exported by Hot — the warm
-// cache handoff unit (DESIGN.md §16). Age is how old the value is now;
-// the importer re-ages it so TTL policy keeps applying across the move.
-type Entry struct {
-	Key   string
-	Value any
-	Age   time.Duration
-	Gen   uint64
-}
-
-// Hot returns up to limit resident entries in recency order (most
-// recently used first) — the bounded hot-entry iterator cluster handoff
-// streams to a key range's new owner. limit ≤ 0 means every resident
-// entry. The snapshot is taken under the lock but does not touch LRU
-// order: exporting the cache must not perturb its eviction policy.
-func (c *Cache) Hot(limit int) []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.ll.Len()
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]Entry, 0, n)
-	now := c.now()
-	for el := c.ll.Front(); el != nil && len(out) < n; el = el.Next() {
-		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, Value: e.val, Age: now.Sub(e.at), Gen: e.gen})
-	}
-	return out
-}
-
-// Absorb imports an externally computed value (a peer's handoff entry)
-// aged age at the source. The entry is inserted — and moved to the
-// front, like any fresh insert — unless a value at least as fresh is
-// already resident: handoff must never replace newer local work with an
-// older copy. Determinism makes equal keys byte-interchangeable, so
-// "fresher wins" is purely a TTL concern, never a correctness one.
-// Reports whether the value was absorbed.
-func (c *Cache) Absorb(key string, val any, age time.Duration) bool {
-	if age < 0 {
-		age = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	at := c.now().Add(-age)
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		if !e.at.Before(at) {
-			return false
-		}
-		e.val = val
-		e.gen++
-		e.at = at
-		c.ll.MoveToFront(el)
-		return true
-	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, gen: 1, at: at})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry).key)
-		c.stats.Evictions++
-	}
-	return true
-}
-
 // Get returns the cached value for key without computing anything.
 // Both outcomes count: a hit increments Stats.Hits, a lookup miss
 // increments Stats.Misses, so the hit rate dashboards derive from the

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,12 +12,13 @@ import (
 	"multibus/internal/sweep"
 )
 
-// Breaker defaults: a peer is declared unhealthy faster than a compute
-// route would be (threshold 3 vs the service's 5) because every failed
-// forward already cost a round trip before the local fallback ran.
+// Peer breaker tuning: a peer is declared unhealthy faster than a
+// compute route would be (threshold 3 vs the service's 5) because every
+// failed forward already cost a round trip before the local fallback
+// ran.
 const (
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 5 * time.Second
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
 )
 
 // maxShardChunk bounds one shard request to a peer; larger shards are
@@ -29,32 +28,11 @@ const maxShardChunk = 2048
 
 // Options configures a cluster Backend.
 type Options struct {
-	// Self is this instance's own base URL exactly as it appears in
-	// Peers — byte-equal, since ownership comparison is string equality.
-	Self string
-	// Peers seeds the initial membership, Self included. With elastic
-	// membership the set is a starting point, not a contract: peers that
-	// die are evicted by the prober and instances started with -join
-	// announce themselves into a running cluster.
-	Peers []string
-	// Vnodes is the ring's virtual-node count per peer (0 = DefaultVnodes).
-	Vnodes int
-	// Coordinator is accepted for compatibility and ignored: since
-	// coordinator failover, every instance partitions the sweeps it
-	// serves (the hop guard alone prevents forwarding loops).
-	Coordinator bool
+	// Manager is the membership manager routing reads its ring from
+	// (NewManager; seeded from -peers or grown by -join). Required.
+	Manager *Manager
 	// Local is the fallback/owned-key backend (nil = compute.Local()).
 	Local compute.Backend
-	// HTTP overrides the peer transport (nil = http.DefaultClient).
-	HTTP *http.Client
-	// BreakerThreshold/BreakerCooldown tune the per-peer breakers
-	// (0 = the defaults above).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Manager supplies an externally built membership manager (the
-	// -join / health-probing path). Nil builds a static-seeded one from
-	// Self/Peers/Vnodes/HTTP.
-	Manager *Manager
 }
 
 // Backend is the routing compute.Backend: every evaluation is keyed by
@@ -84,60 +62,27 @@ type Backend struct {
 	local   compute.Backend
 	client  *Client
 
-	brThreshold int
-	brCooldown  time.Duration
-	bmu         sync.Mutex
-	breakers    map[string]*breaker
+	bmu      sync.Mutex
+	breakers map[string]*breaker
 
 	reg atomic.Pointer[registryHook]
 }
 
-// New builds the routing backend. Without an external Manager, Self
-// must be a member of Peers (byte-equal) — the historical static
-// contract, kept to catch address typos early.
+// New builds the routing backend over opts.Manager.
 func New(opts Options) (*Backend, error) {
-	mgr := opts.Manager
-	if mgr == nil {
-		member := false
-		for _, p := range opts.Peers {
-			if p == opts.Self {
-				member = true
-			}
-		}
-		if !member {
-			return nil, fmt.Errorf("cluster: self %q is not in the peer list", opts.Self)
-		}
-		var err error
-		mgr, err = NewManager(ManagerOptions{
-			Self:   opts.Self,
-			Peers:  opts.Peers,
-			Vnodes: opts.Vnodes,
-			HTTP:   opts.HTTP,
-		})
-		if err != nil {
-			return nil, err
-		}
+	if opts.Manager == nil {
+		return nil, errors.New("cluster: backend needs a membership manager")
 	}
 	local := opts.Local
 	if local == nil {
 		local = compute.Local()
 	}
-	threshold := opts.BreakerThreshold
-	if threshold == 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	cooldown := opts.BreakerCooldown
-	if cooldown == 0 {
-		cooldown = DefaultBreakerCooldown
-	}
 	return &Backend{
-		self:        mgr.Self(),
-		manager:     mgr,
-		local:       local,
-		client:      mgr.Client(),
-		brThreshold: threshold,
-		brCooldown:  cooldown,
-		breakers:    make(map[string]*breaker),
+		self:     opts.Manager.Self(),
+		manager:  opts.Manager,
+		local:    local,
+		client:   opts.Manager.Client(),
+		breakers: make(map[string]*breaker),
 	}, nil
 }
 
@@ -153,7 +98,7 @@ func (b *Backend) breakerFor(peer string) *breaker {
 	b.bmu.Lock()
 	br, ok := b.breakers[peer]
 	if !ok {
-		br = &breaker{threshold: b.brThreshold, cooldown: b.brCooldown}
+		br = &breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
 		b.breakers[peer] = br
 		b.bmu.Unlock()
 		b.registerBreakerGauge(peer)
@@ -230,15 +175,12 @@ func (b *Backend) Simulate(ctx context.Context, built *scenario.Built) (*compute
 	return b.local.Simulate(ctx, built)
 }
 
-// SweepPoint implements compute.Backend: a single grid point forwards
-// to its owner as a one-element shard (the owner memoizes it under the
-// same canonical key its own sweeps use).
+// SweepPoint implements compute.Backend by evaluating locally. Sweep
+// points cross instances only as shards: the sweep engine drives a
+// BatchSweeper through SweepBatch, and the one other caller — the
+// /v1/cluster/sweep worker — runs under the hop guard, which always
+// routes locally.
 func (b *Backend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.Point, error) {
-	if peer, ok := b.route(ctx, jb.Key()); ok {
-		if pt, err := b.client.SweepPoint(ctx, peer, specFromJob(jb)); b.settle(peer, err) {
-			return pt, nil
-		}
-	}
 	return b.local.SweepPoint(ctx, jb)
 }
 
@@ -337,10 +279,9 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 // indices a peer failed to deliver are retried. If the ring transitions
 // mid-sweep — a peer evicted, joined, or left while shards were in
 // flight — the failed indices are re-partitioned once under the new
-// ring (their new owners are warm by handoff), then anything still
-// missing recomputes locally. Either way the merged result is complete
-// and byte-identical to a single-instance sweep, and no grid index is
-// ever emitted twice.
+// ring, then anything still missing recomputes locally. Either way the
+// merged result is complete and byte-identical to a single-instance
+// sweep, and no grid index is ever emitted twice.
 func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) error {
 	if compute.Forwarded(ctx) {
 		return b.evalLocal(ctx, batch, nil, true)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"multibus/internal/compute"
@@ -175,39 +174,6 @@ func (c *Client) post(ctx context.Context, peer, path string, body any) (*http.R
 	return resp, nil
 }
 
-// get sends a hop-guarded GET to peer+path (query included in path),
-// retrying once on transport failure like post. Any non-200 is drained,
-// closed, and returned as a *StatusError.
-func (c *Client) get(ctx context.Context, peer, path string) (*http.Response, error) {
-	var (
-		resp *http.Response
-		err  error
-	)
-	for attempt := 0; ; attempt++ {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
-		if rerr != nil {
-			return nil, rerr
-		}
-		req.Header.Set(compute.ForwardedHeader, c.Self)
-		resp, err = c.httpClient().Do(req)
-		if err == nil {
-			break
-		}
-		if attempt > 0 || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(retryBackoff):
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, newStatusError(resp)
-	}
-	return resp, nil
-}
-
 // postJSON posts and decodes a single JSON response body into dst.
 func (c *Client) postJSON(ctx context.Context, peer, path string, body, dst any) error {
 	resp, err := c.post(ctx, peer, path, body)
@@ -281,35 +247,6 @@ func (c *Client) SweepShard(ctx context.Context, peer string, points []PointSpec
 	}
 }
 
-// SweepPoint forwards a single grid point as a one-element shard.
-func (c *Client) SweepPoint(ctx context.Context, peer string, spec PointSpec) (compute.Point, error) {
-	var (
-		pt    compute.Point
-		found bool
-		pErr  json.RawMessage
-	)
-	err := c.SweepShard(ctx, peer, []PointSpec{spec}, func(rec PointRecord) {
-		if rec.Index != 0 {
-			return
-		}
-		if rec.Point != nil {
-			pt, found = *rec.Point, true
-		} else {
-			pErr = rec.Error
-		}
-	})
-	if err != nil {
-		return compute.Point{}, err
-	}
-	if pErr != nil {
-		return compute.Point{}, fmt.Errorf("cluster: peer %s failed the point: %s", peer, pErr)
-	}
-	if !found {
-		return compute.Point{}, fmt.Errorf("cluster: peer %s returned no record for the point", peer)
-	}
-	return pt, nil
-}
-
 // Probe checks peer's liveness with one GET /healthz — deliberately
 // without the transport retry, so the membership state machine sees
 // every wire fault (hysteresis, not retries, is the flap filter). Any
@@ -355,51 +292,4 @@ func (c *Client) ApplyMembership(ctx context.Context, peer, op, subject string, 
 	err := c.postJSON(ctx, peer, "/v1/cluster/membership",
 		membershipRequest{Op: op, Peer: subject, Propagate: propagate}, &view)
 	return view, err
-}
-
-// PullHandoff streams peer's warm handoff entries for the given ring
-// fingerprint, invoking onEntry per NDJSON record, and returns how many
-// records arrived. The source filters to keys this client's instance
-// owns (the hop-guard header identifies the requester) and bounds the
-// stream by count and bytes; a fingerprint mismatch is a 409
-// *StatusError with code ring_mismatch.
-func (c *Client) PullHandoff(ctx context.Context, peer, ring string, onEntry func(compute.HandoffEntry)) (int, error) {
-	resp, err := c.get(ctx, peer, "/v1/cluster/handoff?ring="+url.QueryEscape(ring))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	n := 0
-	for {
-		var e compute.HandoffEntry
-		if err := dec.Decode(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, fmt.Errorf("cluster: handoff stream from %s: %w", peer, err)
-		}
-		n++
-		onEntry(e)
-	}
-}
-
-// handoffPush is the body of POST /v1/cluster/handoff.
-type handoffPush struct {
-	Entries []compute.HandoffEntry `json:"entries"`
-}
-
-// PushHandoff ships entries to peer's handoff import surface (the
-// graceful-leave drain path) and returns how many the peer absorbed.
-func (c *Client) PushHandoff(ctx context.Context, peer string, entries []compute.HandoffEntry) (int, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	var out struct {
-		Absorbed int `json:"absorbed"`
-	}
-	if err := c.postJSON(ctx, peer, "/v1/cluster/handoff", handoffPush{Entries: entries}, &out); err != nil {
-		return 0, err
-	}
-	return out.Absorbed, nil
 }

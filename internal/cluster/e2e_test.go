@@ -70,11 +70,11 @@ func (h *localHook) SweepPoint(ctx context.Context, jb compute.PointJob) (comput
 // must exist up front because every instance's -peers set names all of
 // them. wrapAnalyze, when non-nil, decorates each instance's analyze
 // seam (compute counting is always installed underneath it).
-func startCluster(t *testing.T, n, coordIdx int, wrapAnalyze func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc) []*instance {
-	return startClusterH(t, n, coordIdx, clusterHarness{wrapAnalyze: wrapAnalyze})
+func startCluster(t *testing.T, n int, wrapAnalyze func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc) []*instance {
+	return startClusterH(t, n, clusterHarness{wrapAnalyze: wrapAnalyze})
 }
 
-func startClusterH(t *testing.T, n, coordIdx int, hz clusterHarness) []*instance {
+func startClusterH(t *testing.T, n int, hz clusterHarness) []*instance {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -108,11 +108,7 @@ func startClusterH(t *testing.T, n, coordIdx int, hz clusterHarness) []*instance
 		if err != nil {
 			t.Fatal(err)
 		}
-		backend, err := cluster.New(cluster.Options{
-			Coordinator: i == coordIdx,
-			Local:       local,
-			Manager:     mgr,
-		})
+		backend, err := cluster.New(cluster.Options{Manager: mgr, Local: local})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,15 +142,15 @@ func evictUntil(t *testing.T, m *cluster.Manager, peer string) {
 	}
 }
 
-// waitFingerprintsEqual polls until every manager reports the same
-// membership fingerprint — the converged-ring precondition for handoff.
-func waitFingerprintsEqual(t *testing.T, ms ...*cluster.Manager) {
+// waitPeersEqual polls until every manager's ring has the same member
+// set — the converged-ring precondition for identical routing.
+func waitPeersEqual(t *testing.T, ms ...*cluster.Manager) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		fp, same := ms[0].Fingerprint(), true
+		want, same := strings.Join(ms[0].Peers(), ","), true
 		for _, m := range ms[1:] {
-			if m.Fingerprint() != fp {
+			if strings.Join(m.Peers(), ",") != want {
 				same = false
 			}
 		}
@@ -163,9 +159,9 @@ func waitFingerprintsEqual(t *testing.T, ms ...*cluster.Manager) {
 		}
 		if time.Now().After(deadline) {
 			for _, m := range ms {
-				t.Logf("manager %s fingerprint %s peers %v", m.Self(), m.Fingerprint(), m.Peers())
+				t.Logf("manager %s peers %v", m.Self(), m.Peers())
 			}
-			t.Fatal("membership fingerprints never converged")
+			t.Fatal("membership views never converged")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -243,7 +239,7 @@ func analyzeScenarioAt(t *testing.T, r float64) (string, string) {
 // (repeats are served from the owner's cache through the forward), and
 // a repeat on the first instance must be a local cache hit.
 func TestClusterForwardedAnswersByteIdenticalAndComputeOnce(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+	insts := startCluster(t, 3, nil)
 
 	var bodies [][]byte
 	for _, inst := range insts {
@@ -290,7 +286,7 @@ func TestClusterForwardedAnswersByteIdenticalAndComputeOnce(t *testing.T) {
 func TestClusterConcurrentIdenticalRequestsDedup(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 3)
-	insts := startCluster(t, 3, -1, func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
+	insts := startCluster(t, 3, func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
 		return func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
 			started <- struct{}{}
 			<-release
@@ -372,7 +368,7 @@ func TestCoordinatorSweepByteIdenticalToSingleInstance(t *testing.T) {
 	sts := httptest.NewServer(standalone.Handler())
 	defer sts.Close()
 
-	insts := startCluster(t, 3, 0, nil)
+	insts := startCluster(t, 3, nil)
 
 	status, _, want := post(t, sts.URL, "/v1/sweep", clusterSweepBody)
 	if status != http.StatusOK {
@@ -414,7 +410,7 @@ func TestCoordinatorSweepJobStreamsMergedGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	insts := startCluster(t, 3, 0, nil)
+	insts := startCluster(t, 3, nil)
 	status, _, jobBody := post(t, insts[0].url, "/v1/jobs", `{"sweep":`+clusterSweepBody+`}`)
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("job submit = %d: %s", status, jobBody)
@@ -478,7 +474,7 @@ func TestCoordinatorSweepJobStreamsMergedGrid(t *testing.T) {
 // threshold so later requests skip the dead hop, and keys owned by the
 // surviving peer keep forwarding normally.
 func TestPeerDeathDegradesOnlyItsShard(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+	insts := startCluster(t, 3, nil)
 	dead := insts[2]
 	dead.ts.Close()
 
@@ -562,7 +558,7 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var startOnce sync.Once
-	insts := startClusterH(t, 3, 0, clusterHarness{
+	insts := startClusterH(t, 3, clusterHarness{
 		wrapLocal: func(i int, b compute.Backend) compute.Backend {
 			if i != victimIdx {
 				return b
@@ -657,19 +653,18 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 	}
 }
 
-// TestEvictedPeerRejoinsWithWarmHandoff is the elastic-membership
-// acceptance test: a key's owner dies and is evicted, a fresh instance
-// on the same address joins back through a seed member, pulls the warm
-// handoff for the keys it now owns (a surviving peer still holds the
-// forwarded copy), and then serves a repeat of the previously cached
-// request as a byte-identical X-Cache hit without recomputing.
-func TestEvictedPeerRejoinsWithWarmHandoff(t *testing.T) {
-	insts := startCluster(t, 3, -1, nil)
+// TestEvictedPeerRejoins is the elastic-membership acceptance test: a
+// key's owner dies and is evicted, a fresh instance on the same address
+// joins back through a seed member, every view converges on the full
+// ring, and a repeat of the pre-death request — now owned by the cold
+// rejoined instance again — answers byte-identical to the pre-death
+// answer.
+func TestEvictedPeerRejoins(t *testing.T) {
+	insts := startCluster(t, 3, nil)
 	victim := insts[2]
 
-	// A body whose analyze key the victim owns, warmed through a
-	// non-owner: the forward caches the answer on both the entry
-	// instance and the owner.
+	// A body whose analyze key the victim owns, answered through a
+	// non-owner before the victim dies.
 	var body string
 	for i := 1; i < 1000 && body == ""; i++ {
 		b, key := analyzeScenarioAt(t, float64(i)/1000)
@@ -682,7 +677,7 @@ func TestEvictedPeerRejoinsWithWarmHandoff(t *testing.T) {
 	}
 	status, _, want := post(t, insts[1].url, "/v1/analyze", body)
 	if status != http.StatusOK {
-		t.Fatalf("warming analyze = %d: %s", status, want)
+		t.Fatalf("pre-death analyze = %d: %s", status, want)
 	}
 
 	victim.ts.Close()
@@ -726,30 +721,24 @@ func TestEvictedPeerRejoinsWithWarmHandoff(t *testing.T) {
 	t.Cleanup(ts2.Close)
 
 	// Join through a seed member; the seed's response view (adopted
-	// locally) and its gossip fan-out converge all three fingerprints.
+	// locally) and its gossip fan-out converge all three views.
 	if err := mgr2.Join(context.Background(), insts[0].url); err != nil {
 		t.Fatal(err)
 	}
-	waitFingerprintsEqual(t, insts[0].mgr, insts[1].mgr, mgr2)
-
-	// The initial warm pull — what StartCluster runs at boot, before
-	// opening /readyz.
-	if err := srv2.PullClusterHandoff(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := metricSum(t, srv2, "mbserve_handoff_entries_total", `dir="received"`); got < 1 {
-		t.Errorf("rejoined instance absorbed %v handoff entries, want >= 1", got)
+	waitPeersEqual(t, insts[0].mgr, insts[1].mgr, mgr2)
+	if got := len(mgr2.Peers()); got != 3 {
+		t.Fatalf("rejoined ring has %d members, want 3", got)
 	}
 
 	status, xc, got := post(t, victim.url, "/v1/analyze", body)
-	if status != http.StatusOK || xc != "hit" {
-		t.Fatalf("post-rejoin repeat = %d X-Cache %q, want 200 hit", status, xc)
+	if status != http.StatusOK || xc != "miss" {
+		t.Fatalf("post-rejoin repeat = %d X-Cache %q, want 200 miss on the cold instance", status, xc)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("post-rejoin answer differs from the pre-death one:\n%s\n%s", want, got)
 	}
-	if computes2.Load() != 0 {
-		t.Errorf("rejoined instance recomputed %d times; the handoff should have made it a pure hit", computes2.Load())
+	if computes2.Load() != 1 {
+		t.Errorf("rejoined owner computed %d times, want 1 (it owns the key again)", computes2.Load())
 	}
 }
 
@@ -764,7 +753,7 @@ func TestProbeChaosHysteresisKeepsRingStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insts := startClusterH(t, 3, -1, clusterHarness{
+	insts := startClusterH(t, 3, clusterHarness{
 		httpFor: func(i int) *http.Client {
 			if i != 0 {
 				return nil

@@ -16,8 +16,8 @@ import (
 // suspicion without a ring change; evictAfter confirm it and evict),
 // and recovery must accumulate before it moves back (rejoinAfter
 // consecutive successes re-admit an evicted peer) — hysteresis in both
-// directions, so a flapping peer cannot thrash the ring and re-trigger
-// handoff on every blip. Left members are not probed: a deliberate
+// directions, so a flapping peer cannot thrash the ring on every blip.
+// Left members are not probed: a deliberate
 // departure returns only via an explicit join.
 
 // newJitterRand builds the seeded jitter stream (repo-wide seed rule).
@@ -103,11 +103,7 @@ func (m *Manager) observeProbe(peer string, ok bool) bool {
 		}
 	}
 	transitioned := m.rebuildLocked(false)
-	snap := m.snap.Load()
 	m.mu.Unlock()
-	if transitioned {
-		m.notify(snap.Version)
-	}
 	return transitioned
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"multibus/internal/compute"
 )
 
 // Membership states (DESIGN.md §16). Alive and suspect members are in
@@ -30,8 +27,7 @@ const (
 // Prober defaults. Two consecutive probe failures raise suspicion, two
 // more confirm it into eviction, and an evicted peer must answer three
 // consecutive probes before it re-enters the ring — the hysteresis that
-// keeps a flapping peer from thrashing the ring (and re-triggering
-// handoff) on every blip.
+// keeps a flapping peer from thrashing the ring on every blip.
 const (
 	DefaultProbeInterval = time.Second
 	DefaultProbeTimeout  = time.Second
@@ -90,10 +86,9 @@ type ManagerOptions struct {
 // Manager owns the mutable, versioned membership view: seeded from the
 // static peer list, mutated by join/leave applications (the
 // POST /v1/cluster/membership surface) and by the health prober, and
-// published as immutable Snapshots through an atomic pointer. It also
-// owns the peer-side handoff client calls, so everything that crosses
-// the peer wire — probes, membership gossip, handoff pulls and pushes —
-// shares one Client (and one injectable transport).
+// published as immutable Snapshots through an atomic pointer. Its
+// Client is the one every peer call shares — forwards, shards, probes,
+// and membership gossip ride one injectable transport.
 type Manager struct {
 	self   string
 	vnodes int
@@ -109,7 +104,6 @@ type Manager struct {
 	members map[string]*member
 	version uint64
 	jitter  func() float64 // seeded uniform [0,1) draw, under mu
-	subs    []func(version uint64)
 
 	snap atomic.Pointer[Snapshot]
 	reg  atomic.Pointer[registryHook]
@@ -170,7 +164,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 }
 
 // Client exposes the manager's peer client (the Backend shares it, so
-// forwards, probes, gossip, and handoff ride one transport).
+// forwards, shards, probes, and gossip ride one transport).
 func (m *Manager) Client() *Client { return m.client }
 
 // Self returns this instance's own URL.
@@ -188,44 +182,6 @@ func (m *Manager) Peers() []string { return m.Snapshot().Ring.Peers() }
 // Owner returns the current ring owner of key.
 func (m *Manager) Owner(key string) string { return m.Snapshot().Ring.Owner(key) }
 
-// Fingerprint identifies the ring's member set independent of any
-// instance's local version counter: two instances that agree on
-// membership produce the same fingerprint, which is what the handoff
-// endpoints compare (local version numbers diverge across instances by
-// construction). It is the FNV-1a hash of the sorted member list.
-func (m *Manager) Fingerprint() string {
-	return RingFingerprint(m.Peers())
-}
-
-// RingFingerprint renders a peer set's membership fingerprint.
-func RingFingerprint(peers []string) string {
-	sorted := append([]string(nil), peers...)
-	sort.Strings(sorted)
-	return fmt.Sprintf("%016x", fnv64a(strings.Join(sorted, "\n")))
-}
-
-// Successor returns the owner of key in a ring without self — the peer
-// that inherits the key when this instance departs. Empty when no other
-// in-ring member exists.
-func (m *Manager) Successor(key string) string {
-	m.mu.Lock()
-	var others []string
-	for p, mb := range m.members {
-		if p != m.self && (mb.state == StateAlive || mb.state == StateSuspect) {
-			others = append(others, p)
-		}
-	}
-	m.mu.Unlock()
-	if len(others) == 0 {
-		return ""
-	}
-	ring, err := NewRing(others, m.vnodes)
-	if err != nil {
-		return ""
-	}
-	return ring.Owner(key)
-}
-
 // MemberStates returns every known member's lifecycle state, self
 // included — the mbserve_membership_peers{state} view.
 func (m *Manager) MemberStates() map[string]string {
@@ -236,15 +192,6 @@ func (m *Manager) MemberStates() map[string]string {
 		out[p] = mb.state
 	}
 	return out
-}
-
-// Subscribe registers fn to be called (synchronously, without the
-// membership lock) after every ring transition, with the new version.
-// The serving layer hooks warm handoff pulls here.
-func (m *Manager) Subscribe(fn func(version uint64)) {
-	m.mu.Lock()
-	m.subs = append(m.subs, fn)
-	m.mu.Unlock()
 }
 
 // rebuildLocked recomputes the ring over the in-ring member set and, if
@@ -290,17 +237,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// notify runs the subscribers for a transition. Never called under mu.
-func (m *Manager) notify(version uint64) {
-	m.mu.Lock()
-	subs := make([]func(uint64), len(m.subs))
-	copy(subs, m.subs)
-	m.mu.Unlock()
-	for _, fn := range subs {
-		fn(version)
-	}
-}
-
 // Apply mutates the membership: op is "join" or "leave", peer the
 // subject. Applications are idempotent — a no-change apply reports
 // changed=false, which is what terminates gossip propagation. When
@@ -339,16 +275,12 @@ func (m *Manager) Apply(ctx context.Context, op, peer string, propagate bool) (v
 		m.mu.Unlock()
 		return 0, nil, false, fmt.Errorf("cluster: unknown membership op %q (want join|leave)", op)
 	}
-	transitioned := false
 	if changed {
-		transitioned = m.rebuildLocked(false)
+		m.rebuildLocked(false)
 	}
 	snap := m.snap.Load()
 	m.mu.Unlock()
 
-	if transitioned {
-		m.notify(snap.Version)
-	}
 	if changed && propagate {
 		m.propagate(op, peer)
 	}
@@ -376,15 +308,10 @@ func (m *Manager) Adopt(peers []string) {
 			changed = true
 		}
 	}
-	transitioned := false
 	if changed {
-		transitioned = m.rebuildLocked(false)
+		m.rebuildLocked(false)
 	}
-	snap := m.snap.Load()
 	m.mu.Unlock()
-	if transitioned {
-		m.notify(snap.Version)
-	}
 }
 
 // propagate fans one membership change out to every other in-ring
@@ -418,26 +345,11 @@ func (m *Manager) Join(ctx context.Context, seed string) error {
 	return nil
 }
 
-// Leave is the graceful departure drain: the instance's hottest cache
-// entries (collected by the serving layer) are pushed to the peers that
-// inherit their keys, then the departure is announced to every member —
-// all before healthz flips to draining, so successors are warm by the
-// time load balancers and peers stop routing here. Best-effort
-// throughout: a dead successor just cold-starts its share.
-func (m *Manager) Leave(ctx context.Context, entries []compute.HandoffEntry) {
-	byPeer := make(map[string][]compute.HandoffEntry)
-	for _, e := range entries {
-		succ := m.Successor(e.Key)
-		if succ == "" {
-			continue
-		}
-		byPeer[succ] = append(byPeer[succ], e)
-	}
-	for peer, batch := range byPeer {
-		if n, err := m.client.PushHandoff(ctx, peer, batch); err == nil {
-			m.countHandoff("sent", n)
-		}
-	}
+// Leave announces this instance's graceful departure to every other
+// in-ring member — before healthz flips to draining, so peers stop
+// routing here while this instance still answers. Best-effort: a peer
+// that misses the announcement evicts this instance through its prober.
+func (m *Manager) Leave(ctx context.Context) {
 	m.mu.Lock()
 	var others []string
 	for p, mb := range m.members {
@@ -450,40 +362,4 @@ func (m *Manager) Leave(ctx context.Context, entries []compute.HandoffEntry) {
 	for _, peer := range others {
 		_, _ = m.client.ApplyMembership(ctx, peer, "leave", m.self, false)
 	}
-}
-
-// PullHandoff pulls warm entries from every other in-ring member for
-// the current ring, invoking absorb for each received record. Sources
-// filter by ownership under their own (agreeing) ring, so this instance
-// receives exactly the hot keys it now owns. A fingerprint mismatch
-// (409) means membership is still converging — skipped, the next
-// transition retries. Returns the first hard error after trying every
-// peer.
-func (m *Manager) PullHandoff(ctx context.Context, absorb func(compute.HandoffEntry)) error {
-	snap := m.Snapshot()
-	fp := RingFingerprint(snap.Ring.Peers())
-	var firstErr error
-	for _, peer := range snap.Ring.Peers() {
-		if peer == m.self {
-			continue
-		}
-		n, err := m.client.PullHandoff(ctx, peer, fp, absorb)
-		m.countHandoff("received", n)
-		if err != nil && firstErr == nil {
-			var se *StatusError
-			if !(errors.As(err, &se) && se.Status == http.StatusConflict) {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// PushHandoff ships entries to one peer's handoff import endpoint.
-func (m *Manager) PushHandoff(ctx context.Context, peer string, entries []compute.HandoffEntry) (int, error) {
-	n, err := m.client.PushHandoff(ctx, peer, entries)
-	if err == nil {
-		m.countHandoff("sent", n)
-	}
-	return n, err
 }

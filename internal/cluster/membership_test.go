@@ -170,44 +170,6 @@ func TestApplyJoinLeaveIdempotent(t *testing.T) {
 	}
 }
 
-// TestFingerprintAgreesAcrossInstances pins why handoff compares
-// fingerprints, not versions: two managers that took different mutation
-// paths to the same member set agree on the fingerprint while their
-// local version counters differ.
-func TestFingerprintAgreesAcrossInstances(t *testing.T) {
-	ctx := context.Background()
-	a := newTestManager(t, testPeers[0], testPeers)
-	b := newTestManager(t, testPeers[1], testPeers[:2])
-	b.Apply(ctx, "join", testPeers[2], false)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("same member set, different fingerprints: %s vs %s", a.Fingerprint(), b.Fingerprint())
-	}
-	if a.Version() == b.Version() {
-		t.Log("local versions happen to agree; fingerprint is still the only cross-instance comparator")
-	}
-	a.Apply(ctx, "leave", testPeers[2], false)
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("diverged member sets share a fingerprint")
-	}
-}
-
-// TestSuccessorExcludesSelf pins the leave-drain routing rule: the
-// successor of a key is its owner in a ring without self, and never
-// self or an out-of-ring member.
-func TestSuccessorExcludesSelf(t *testing.T) {
-	m := newTestManager(t, testPeers[0], testPeers)
-	for _, key := range testKeys(500) {
-		succ := m.Successor(key)
-		if succ == m.Self() || succ == "" {
-			t.Fatalf("successor of %q = %q", key, succ)
-		}
-	}
-	solo := newTestManager(t, testPeers[0], nil)
-	if succ := solo.Successor("k"); succ != "" {
-		t.Fatalf("singleton ring produced successor %q, want none", succ)
-	}
-}
-
 // TestStatusErrorEnvelopeParse pins the satellite fix: a peer's non-200
 // carrying the v1 error envelope surfaces its machine-readable code,
 // while plain bodies degrade to http_<status>.

@@ -16,7 +16,6 @@ const (
 	metricRingVersion   = "mbserve_ring_version"
 	metricMembership    = "mbserve_membership_peers"
 	metricProbeFailures = "mbserve_probe_failures_total"
-	metricHandoff       = "mbserve_handoff_entries_total"
 )
 
 // registryHook is the late-bound metrics sink: the backend is built
@@ -27,9 +26,8 @@ type registryHook struct {
 }
 
 // Register binds the manager's metrics into reg: the monotonic ring
-// version, the per-state membership census, probe failures by peer, the
-// handoff traffic counter, and each current ring member's hash-space
-// share. Share gauges for peers that enter the ring later are
+// version, the per-state membership census, probe failures by peer,
+// and each current ring member's hash-space share. Share gauges for peers that enter the ring later are
 // registered by the ring rebuild itself (GaugeFunc re-registration
 // replaces the sampling fn, so rebuild-time re-registration is safe and
 // evicted peers simply read 0).
@@ -65,21 +63,6 @@ func (m *Manager) registerShareGauge(h *registryHook, peer string) {
 		func() float64 { return m.Snapshot().Ring.Share(p) }, obs.L("peer", p))
 }
 
-// countHandoff ticks the warm-handoff traffic counter (dir is "sent" or
-// "received"); a no-op until Register has bound a registry.
-func (m *Manager) countHandoff(dir string, n int) {
-	if n <= 0 {
-		return
-	}
-	h := m.reg.Load()
-	if h == nil {
-		return
-	}
-	h.reg.Counter(metricHandoff,
-		"cache entries moved by warm handoff, by direction (sent, received)",
-		obs.L("dir", dir)).Add(int64(n))
-}
-
 // countProbeFailure ticks the per-peer probe failure counter.
 func (m *Manager) countProbeFailure(peer string) {
 	h := m.reg.Load()
@@ -94,7 +77,7 @@ func (m *Manager) countProbeFailure(peer string) {
 // instance's own registry, so cluster families appear on GET /metrics):
 // per-peer forward counters by result, the ring membership gauge, each
 // remote peer's breaker state, and — through the shared manager — the
-// membership, version, probe, handoff, and share families.
+// membership, version, probe, and share families.
 func (b *Backend) Register(reg *obs.Registry) {
 	b.reg.Store(&registryHook{reg: reg})
 	b.manager.Register(reg)

@@ -95,10 +95,9 @@ func TestNewRingRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestNewRejectsSelfOutsidePeers(t *testing.T) {
-	_, err := New(Options{Self: "http://127.0.0.1:9999", Peers: testPeers})
-	if err == nil {
-		t.Fatal("self outside the peer list accepted")
+func TestNewRequiresManager(t *testing.T) {
+	if _, err := New(Options{}); err == nil {
+		t.Fatal("backend without a membership manager accepted")
 	}
 }
 

@@ -71,15 +71,12 @@ func (e *circuitOpenError) RetryAfter() time.Duration { return e.retryAfter }
 // not_found, draining, and lagged). Retryable tells clients whether
 // backing off and resending the identical request can succeed;
 // RetryAfterS mirrors the Retry-After header in whole seconds when the
-// error carries a backoff hint. LegacyCode carries the pre-v1 code
-// spelling (invalid_json, body_too_large) for one release while
-// clients migrate — see the README's deprecation note.
+// error carries a backoff hint.
 type apiError struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
 	Retryable   bool   `json:"retryable"`
 	RetryAfterS int64  `json:"retry_after_s,omitempty"`
-	LegacyCode  string `json:"legacy_code,omitempty"`
 }
 
 type errorResponse struct {
@@ -93,9 +90,9 @@ type errorResponse struct {
 func retryableCode(code string) bool {
 	switch code {
 	case "overloaded", "circuit_open", "deadline_exceeded", "internal_error", "draining",
-		"not_ready", "ring_mismatch":
-		// not_ready and ring_mismatch resolve as membership converges;
-		// forbidden (the hop-guard refusal) never does and stays false.
+		"not_ready":
+		// not_ready resolves as membership converges; forbidden (the
+		// hop-guard refusal) never does and stays false.
 		return true
 	}
 	return false

@@ -2,54 +2,32 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"multibus/internal/compute"
-	"multibus/internal/obs"
 )
 
-// Elastic membership surface (DESIGN.md §16). The service exposes three
-// cluster control-plane endpoints — membership applications, warm
-// handoff pull (source side), and warm handoff push (import side) — and
-// a readiness probe split from liveness. All three cluster endpoints
-// are authenticated by the hop guard: only requests carrying
-// X-Mb-Forwarded (which only peers send) are accepted; everything else
-// is a 403, including on instances where cluster mode is enabled.
-// Fronting proxies must strip the header, exactly as they must for the
-// forwarding loop guard — one invariant, two protections.
-
-// DefaultHandoffMax bounds one warm handoff transfer, in entries: deep
-// enough to move an instance's genuinely hot working set, shallow
-// enough that a transfer never stalls a ring transition.
-const DefaultHandoffMax = 512
-
-// maxHandoffBytes bounds one handoff pull response's payload bytes
-// (values as wire JSON), independent of the entry bound.
-const maxHandoffBytes = 4 << 20
+// Elastic membership surface (DESIGN.md §16). The service exposes one
+// cluster control-plane endpoint — membership applications — and a
+// readiness probe split from liveness. The endpoint is authenticated by
+// the hop guard: only requests carrying X-Mb-Forwarded (which only peers
+// send) are accepted; everything else is a 403, including on instances
+// where cluster mode is enabled. Fronting proxies must strip the header,
+// exactly as they must for the forwarding loop guard — one invariant,
+// two protections.
 
 // ClusterControl is the seam between the service and the cluster
 // membership manager (implemented by *cluster.Manager; the service
 // never imports internal/cluster). Methods mirror the manager's
-// public surface using only builtin and compute types.
+// public surface using only builtin types.
 type ClusterControl interface {
 	// Apply mutates membership: op is "join" or "leave", peer the
 	// subject. Idempotent; changed=false means the view already agreed.
 	Apply(ctx context.Context, op, peer string, propagate bool) (version uint64, peers []string, changed bool, err error)
-	// Version is the local monotonic ring version.
-	Version() uint64
 	// MemberStates lists every known member's lifecycle state.
 	MemberStates() map[string]string
-	// Owner returns key's current ring owner.
-	Owner(key string) string
-	// Fingerprint identifies the ring's member set across instances.
-	Fingerprint() string
-	// Subscribe registers a ring-transition callback.
-	Subscribe(fn func(version uint64))
-	// PullHandoff pulls warm entries from every ring peer.
-	PullHandoff(ctx context.Context, absorb func(compute.HandoffEntry)) error
-	// Leave drains hot entries to successors and announces departure.
-	Leave(ctx context.Context, entries []compute.HandoffEntry)
+	// Leave announces this instance's departure to every ring peer.
+	Leave(ctx context.Context)
 }
 
 // membershipRequest is the body of POST /v1/cluster/membership.
@@ -111,95 +89,11 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 	})
 }
 
-// handleClusterHandoffPull serves GET /v1/cluster/handoff: the source
-// side of warm handoff. The requesting peer (identified by the hop
-// guard header) receives this instance's hot cache entries whose keys
-// the requester now owns under this instance's current ring, as NDJSON,
-// MRU-first, bounded by entries and bytes and filtered to entries still
-// within StaleTTL. The ring query parameter must carry the current
-// membership fingerprint — a mismatch is a 409 ring_mismatch telling
-// the puller the views have not converged yet.
-func (s *Server) handleClusterHandoffPull(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterGuard(w, r) {
-		return
-	}
-	requester := r.Header.Get(compute.ForwardedHeader)
-	if ring := r.URL.Query().Get("ring"); ring != s.cluster.Fingerprint() {
-		writeError(w, http.StatusConflict, "ring_mismatch",
-			"handoff ring fingerprint does not match this instance's membership view")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	sent, bytes := 0, 0
-	for _, e := range s.cache.Hot(0) {
-		if sent >= s.handoffMax || bytes >= maxHandoffBytes {
-			break
-		}
-		if s.staleFor > 0 && e.Age > s.staleFor {
-			continue
-		}
-		if s.cluster.Owner(e.Key) != requester {
-			continue
-		}
-		he, ok := compute.EncodeHandoff(e)
-		if !ok {
-			continue
-		}
-		if err := enc.Encode(he); err != nil {
-			// The puller hung up; it will retry on its next transition.
-			return
-		}
-		sent++
-		bytes += len(he.Value)
-	}
-	s.countHandoff("sent", sent)
-}
-
-// handoffPushRequest is the body of POST /v1/cluster/handoff.
-type handoffPushRequest struct {
-	Entries []compute.HandoffEntry `json:"entries"`
-}
-
-// handleClusterHandoffPush serves POST /v1/cluster/handoff: the import
-// side of warm handoff, used by gracefully leaving peers to drain their
-// hottest entries to the successors. Entries absorb under fresher-wins:
-// a resident entry newer than the pushed one stays. Malformed entries
-// are skipped, not fatal — handoff is warmup, never correctness.
-func (s *Server) handleClusterHandoffPush(w http.ResponseWriter, r *http.Request) {
-	if !s.clusterGuard(w, r) {
-		return
-	}
-	var req handoffPushRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	absorbed := 0
-	for _, he := range req.Entries {
-		if absorbed >= s.handoffMax {
-			break
-		}
-		val, age, ok := compute.DecodeHandoff(he)
-		if !ok {
-			continue
-		}
-		if s.staleFor > 0 && age > s.staleFor {
-			continue
-		}
-		if s.cache.Absorb(he.Key, val, age) {
-			absorbed++
-		}
-	}
-	s.countHandoff("received", absorbed)
-	writeJSON(w, http.StatusOK, map[string]int{"absorbed": absorbed})
-}
-
 // handleReadyz serves GET /readyz — readiness, split from /healthz
 // liveness. A standalone instance is ready as soon as it serves; a
-// cluster instance is not ready until its first membership snapshot and
-// warm handoff pull have completed (StartCluster), and stops being
-// ready when draining begins. Liveness stays green through the
+// cluster instance is not ready until StartCluster has run — after
+// -join has adopted the peer view — and stops being ready when
+// draining begins. Liveness stays green through the
 // not-ready window — the process is healthy, just not routable.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -209,7 +103,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cluster != nil && !s.clusterReady.Load() {
 		writeError(w, http.StatusServiceUnavailable, "not_ready",
-			"cluster membership is still converging (initial handoff pull pending)")
+			"cluster membership is not initialized yet")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -221,78 +115,19 @@ func (s *Server) ClusterReady() bool {
 	return s.cluster == nil || s.clusterReady.Load()
 }
 
-// StartCluster arms the cluster serving loop: ring transitions trigger
-// warm handoff pulls (the new owner pulls the hot entries it just
-// inherited), and the initial pull — which opens the readiness gate —
-// runs immediately. Call once, after the listener is up (peers answer
-// the pull with requests of their own).
-func (s *Server) StartCluster(ctx context.Context) {
-	if s.cluster == nil {
-		s.clusterReady.Store(true)
-		return
-	}
-	s.cluster.Subscribe(func(version uint64) {
-		// Detached: notify runs on the prober/apply path, which must not
-		// block on peer round trips.
-		go s.PullClusterHandoff(ctx)
-	})
-	go func() {
-		s.PullClusterHandoff(ctx)
-		s.clusterReady.Store(true)
-	}()
+// StartCluster opens the readiness gate of a cluster instance. Call it
+// once the instance holds its initial membership view: after the
+// listener is up and, with -join, after the seed's view was adopted.
+// It does no I/O and returns at once.
+func (s *Server) StartCluster(_ context.Context) {
+	s.clusterReady.Store(true)
 }
 
-// PullClusterHandoff synchronously pulls warm entries this instance now
-// owns from every ring peer and absorbs them (fresher-wins). Returns
-// the first hard peer error; converging-ring (409) responses are
-// skipped upstream. Safe to call concurrently — absorption is
-// idempotent under fresher-wins.
-func (s *Server) PullClusterHandoff(ctx context.Context) error {
-	if s.cluster == nil {
-		return nil
-	}
-	return s.cluster.PullHandoff(ctx, func(he compute.HandoffEntry) {
-		val, age, ok := compute.DecodeHandoff(he)
-		if !ok {
-			return
-		}
-		if s.staleFor > 0 && age > s.staleFor {
-			return
-		}
-		s.cache.Absorb(he.Key, val, age)
-	})
-}
-
-// LeaveCluster runs the graceful departure drain: this instance's
-// hottest still-fresh entries are encoded and handed to the membership
-// layer, which pushes each to the peer inheriting its key and then
-// announces the departure. Call before BeginDrain, so successors are
-// warm before healthz flips and peers stop routing here.
+// LeaveCluster announces this instance's graceful departure to the ring.
+// Call before BeginDrain, so peers stop routing here while this instance
+// still answers.
 func (s *Server) LeaveCluster(ctx context.Context) {
-	if s.cluster == nil {
-		return
+	if s.cluster != nil {
+		s.cluster.Leave(ctx)
 	}
-	var entries []compute.HandoffEntry
-	for _, e := range s.cache.Hot(0) {
-		if len(entries) >= s.handoffMax {
-			break
-		}
-		if s.staleFor > 0 && e.Age > s.staleFor {
-			continue
-		}
-		if he, ok := compute.EncodeHandoff(e); ok {
-			entries = append(entries, he)
-		}
-	}
-	s.cluster.Leave(ctx, entries)
-}
-
-// countHandoff ticks this instance's side of the handoff traffic
-// counter (the cluster layer ticks the transfers it initiates into the
-// same family; see metrics.go).
-func (s *Server) countHandoff(dir string, n int) {
-	if n <= 0 {
-		return
-	}
-	s.metrics.reg.Counter(metricHandoffEntries, handoffEntriesHelp, obs.L("dir", dir)).Add(int64(n))
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"multibus/internal/compute"
 )
@@ -19,16 +17,12 @@ import (
 // fakeCluster is a scriptable ClusterControl for handler tests: the
 // service seam is exercised without booting real cluster instances.
 type fakeCluster struct {
-	mu          sync.Mutex
-	version     uint64
-	fp          string
-	states      map[string]string
-	owner       func(key string) string
-	applyErr    error
-	applied     []string
-	pullEntries []compute.HandoffEntry
-	pullErr     error
-	leaveGot    []compute.HandoffEntry
+	mu       sync.Mutex
+	version  uint64
+	states   map[string]string
+	applyErr error
+	applied  []string
+	leaves   int
 }
 
 func (f *fakeCluster) Apply(_ context.Context, op, peer string, propagate bool) (uint64, []string, bool, error) {
@@ -40,25 +34,10 @@ func (f *fakeCluster) Apply(_ context.Context, op, peer string, propagate bool) 
 	f.applied = append(f.applied, fmt.Sprintf("%s %s propagate=%v", op, peer, propagate))
 	return f.version, []string{"http://seed", peer}, true, nil
 }
-func (f *fakeCluster) Version() uint64                { return f.version }
 func (f *fakeCluster) MemberStates() map[string]string { return f.states }
-func (f *fakeCluster) Owner(key string) string {
-	if f.owner != nil {
-		return f.owner(key)
-	}
-	return ""
-}
-func (f *fakeCluster) Fingerprint() string      { return f.fp }
-func (f *fakeCluster) Subscribe(func(uint64))   {}
-func (f *fakeCluster) PullHandoff(_ context.Context, absorb func(compute.HandoffEntry)) error {
-	for _, e := range f.pullEntries {
-		absorb(e)
-	}
-	return f.pullErr
-}
-func (f *fakeCluster) Leave(_ context.Context, entries []compute.HandoffEntry) {
+func (f *fakeCluster) Leave(context.Context) {
 	f.mu.Lock()
-	f.leaveGot = entries
+	f.leaves++
 	f.mu.Unlock()
 }
 
@@ -118,11 +97,11 @@ func TestReadyzStandalone(t *testing.T) {
 }
 
 // TestReadyzClusterGate pins the startup gate: a cluster instance
-// answers 503 not_ready until StartCluster's initial handoff pull has
-// completed, then flips to 200 — liveness (/healthz) is green the whole
+// answers 503 not_ready until StartCluster runs, and StartCluster opens
+// the gate before it returns — liveness (/healthz) is green the whole
 // time.
 func TestReadyzClusterGate(t *testing.T) {
-	fc := &fakeCluster{fp: "feed", states: map[string]string{}}
+	fc := &fakeCluster{states: map[string]string{}}
 	s := newTestServer(t, Options{Cluster: fc})
 	h := s.Handler()
 
@@ -137,13 +116,12 @@ func TestReadyzClusterGate(t *testing.T) {
 		t.Fatalf("liveness went red during the not-ready window: /healthz = %d", rec.Code)
 	}
 
+	if s.ClusterReady() {
+		t.Fatal("ClusterReady() = true before StartCluster")
+	}
 	s.StartCluster(context.Background())
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.ClusterReady() {
-		if time.Now().After(deadline) {
-			t.Fatal("readiness gate never opened after StartCluster")
-		}
-		time.Sleep(time.Millisecond)
+	if !s.ClusterReady() {
+		t.Fatal("readiness gate still closed after StartCluster returned")
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
@@ -153,31 +131,22 @@ func TestReadyzClusterGate(t *testing.T) {
 }
 
 // TestClusterGuardOrder pins the control-plane authentication contract:
-// without the hop-guard header the endpoints are 403 forbidden — even
-// on instances that do run cluster mode — and with the header a
-// standalone instance answers 404 not_found. The guard refuses before
-// it reveals.
+// without the hop-guard header the membership endpoint is 403
+// forbidden — even on instances that do run cluster mode — and with the
+// header a standalone instance answers 404 not_found. The guard refuses
+// before it reveals.
 func TestClusterGuardOrder(t *testing.T) {
 	clustered := newTestServer(t, Options{Cluster: &fakeCluster{states: map[string]string{}}}).Handler()
 	standalone := newTestServer(t, Options{}).Handler()
-	paths := []struct {
-		method, path string
-	}{
-		{http.MethodPost, "/v1/cluster/membership"},
-		{http.MethodGet, "/v1/cluster/handoff"},
-		{http.MethodPost, "/v1/cluster/handoff"},
+	const path = "/v1/cluster/membership"
+	rec := httptest.NewRecorder()
+	clustered.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}")))
+	if rec.Code != http.StatusForbidden || errCode(t, rec) != "forbidden" {
+		t.Errorf("POST %s without hop header = %d %s, want 403 forbidden", path, rec.Code, rec.Body)
 	}
-	for _, p := range paths {
-		req := httptest.NewRequest(p.method, p.path, strings.NewReader("{}"))
-		rec := httptest.NewRecorder()
-		clustered.ServeHTTP(rec, req)
-		if rec.Code != http.StatusForbidden || errCode(t, rec) != "forbidden" {
-			t.Errorf("%s %s without hop header = %d %s, want 403 forbidden", p.method, p.path, rec.Code, rec.Body)
-		}
-		rec = doForwarded(t, standalone, p.method, p.path, "{}", "http://peer")
-		if rec.Code != http.StatusNotFound || errCode(t, rec) != "not_found" {
-			t.Errorf("%s %s on standalone = %d %s, want 404 not_found", p.method, p.path, rec.Code, rec.Body)
-		}
+	rec = doForwarded(t, standalone, http.MethodPost, path, "{}", "http://peer")
+	if rec.Code != http.StatusNotFound || errCode(t, rec) != "not_found" {
+		t.Errorf("POST %s on standalone = %d %s, want 404 not_found", path, rec.Code, rec.Body)
 	}
 }
 
@@ -215,137 +184,14 @@ func TestMembershipApply(t *testing.T) {
 	}
 }
 
-// TestHandoffPullFingerprintAndFiltering pins the source side of warm
-// handoff: a stale ring fingerprint is refused with 409 ring_mismatch,
-// and a matching pull streams exactly the requester-owned, still-fresh
-// entries as NDJSON.
-func TestHandoffPullFingerprintAndFiltering(t *testing.T) {
-	requester := "http://puller"
-	fc := &fakeCluster{fp: "00ab", states: map[string]string{}}
-	fc.owner = func(key string) string {
-		if strings.Contains(key, "mine") {
-			return requester
-		}
-		return "http://elsewhere"
-	}
-	s := newTestServer(t, Options{Cluster: fc})
-	h := s.Handler()
-
-	s.Cache().Absorb("mine-1", &compute.Analysis{Bandwidth: 3.5}, 0)
-	s.Cache().Absorb("theirs-1", &compute.Analysis{Bandwidth: 9}, 0)
-	s.Cache().Absorb("mine-stale", &compute.Analysis{Bandwidth: 1}, DefaultStaleTTL+time.Hour)
-	s.Cache().Absorb("mine-unknown-shape", 42, 0) // not a handoff-able value
-
-	rec := doForwarded(t, h, http.MethodGet, "/v1/cluster/handoff?ring=beef", "", requester)
-	if rec.Code != http.StatusConflict || errCode(t, rec) != "ring_mismatch" {
-		t.Fatalf("mismatched fingerprint = %d %s, want 409 ring_mismatch", rec.Code, rec.Body)
-	}
-
-	rec = doForwarded(t, h, http.MethodGet, "/v1/cluster/handoff?ring=00ab", "", requester)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("handoff pull = %d: %s", rec.Code, rec.Body)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var got []compute.HandoffEntry
-	sc := bufio.NewScanner(rec.Body)
-	for sc.Scan() {
-		var he compute.HandoffEntry
-		if err := json.Unmarshal(sc.Bytes(), &he); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		got = append(got, he)
-	}
-	if len(got) != 1 || got[0].Key != "mine-1" || got[0].Kind != compute.HandoffKindAnalysis {
-		t.Fatalf("pull streamed %+v, want exactly the fresh requester-owned analysis", got)
-	}
-	var val compute.Analysis
-	if err := json.Unmarshal(got[0].Value, &val); err != nil || val.Bandwidth != 3.5 {
-		t.Errorf("handed-off value = %s (err %v), want bandwidth 3.5", got[0].Value, err)
-	}
-}
-
-// TestHandoffPushAbsorbs pins the import side: pushed entries land in
-// the cache under fresher-wins, malformed and stale entries are skipped
-// without failing the push, and the response reports the absorbed
-// count.
-func TestHandoffPushAbsorbs(t *testing.T) {
+// TestLeaveClusterAnnouncesDeparture pins the graceful-departure path:
+// LeaveCluster hands off to the membership layer's Leave exactly once,
+// and is a no-op on a standalone instance.
+func TestLeaveClusterAnnouncesDeparture(t *testing.T) {
 	fc := &fakeCluster{states: map[string]string{}}
-	s := newTestServer(t, Options{Cluster: fc})
-	h := s.Handler()
-
-	val, _ := json.Marshal(&compute.Analysis{Bandwidth: 2.25})
-	push := struct {
-		Entries []compute.HandoffEntry `json:"entries"`
-	}{Entries: []compute.HandoffEntry{
-		{Key: "k1", Kind: compute.HandoffKindAnalysis, Value: val},
-		{Key: "k2", Kind: "mystery", Value: val},
-		{Key: "k3", Kind: compute.HandoffKindAnalysis, AgeS: (DefaultStaleTTL + time.Hour).Seconds(), Value: val},
-	}}
-	body, _ := json.Marshal(push)
-	rec := doForwarded(t, h, http.MethodPost, "/v1/cluster/handoff", string(body), "http://leaver")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("handoff push = %d: %s", rec.Code, rec.Body)
+	newTestServer(t, Options{Cluster: fc}).LeaveCluster(context.Background())
+	if fc.leaves != 1 {
+		t.Errorf("LeaveCluster called Leave %d times, want 1", fc.leaves)
 	}
-	var resp struct {
-		Absorbed int `json:"absorbed"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Absorbed != 1 {
-		t.Fatalf("push response %s (err %v), want absorbed=1", rec.Body, err)
-	}
-	v, ok := s.Cache().Get("k1")
-	if !ok {
-		t.Fatal("pushed entry not resident")
-	}
-	if a, ok := v.(*compute.Analysis); !ok || a.Bandwidth != 2.25 {
-		t.Errorf("resident value = %#v, want the pushed analysis", v)
-	}
-	if _, ok := s.Cache().Get("k2"); ok {
-		t.Error("unknown-kind entry absorbed")
-	}
-	if _, ok := s.Cache().Get("k3"); ok {
-		t.Error("stale entry absorbed")
-	}
-}
-
-// TestLeaveClusterDrainsHotEntries pins the graceful-departure drain:
-// LeaveCluster hands the still-fresh hot entries to the membership
-// layer, respecting the handoff bound.
-func TestLeaveClusterDrainsHotEntries(t *testing.T) {
-	fc := &fakeCluster{states: map[string]string{}}
-	s := newTestServer(t, Options{Cluster: fc, HandoffMax: 2})
-	s.Cache().Absorb("a", &compute.Analysis{X: 1}, 0)
-	s.Cache().Absorb("b", &compute.Analysis{X: 2}, 0)
-	s.Cache().Absorb("c", &compute.Analysis{X: 3}, 0)
-	s.LeaveCluster(context.Background())
-	if len(fc.leaveGot) != 2 {
-		t.Fatalf("leave drained %d entries, want the HandoffMax bound of 2", len(fc.leaveGot))
-	}
-	for _, he := range fc.leaveGot {
-		if he.Kind != compute.HandoffKindAnalysis {
-			t.Errorf("drained entry %q has kind %q", he.Key, he.Kind)
-		}
-	}
-}
-
-// TestPullClusterHandoffAbsorbs pins the destination side of the
-// transition pull: entries arriving from PullHandoff land in the cache,
-// with undecodable ones skipped.
-func TestPullClusterHandoffAbsorbs(t *testing.T) {
-	val, _ := json.Marshal(&compute.Analysis{Bandwidth: 8})
-	fc := &fakeCluster{states: map[string]string{}, pullEntries: []compute.HandoffEntry{
-		{Key: "warm", Kind: compute.HandoffKindAnalysis, Value: val},
-		{Key: "", Kind: compute.HandoffKindAnalysis, Value: val},
-	}}
-	s := newTestServer(t, Options{Cluster: fc})
-	if err := s.PullClusterHandoff(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Cache().Get("warm"); !ok {
-		t.Error("pulled entry not resident")
-	}
-	if s.Cache().Len() != 1 {
-		t.Errorf("cache has %d entries, want 1 (keyless record skipped)", s.Cache().Len())
-	}
+	newTestServer(t, Options{}).LeaveCluster(context.Background())
 }

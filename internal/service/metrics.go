@@ -48,14 +48,6 @@ const (
 	// (mbserve_peer_requests_total, ring gauges) are registered by
 	// internal/cluster into this same registry.
 	metricPeerDedup = "mbserve_peer_dedup_total"
-
-	// Warm-handoff traffic (DESIGN.md §16). The same family is ticked by
-	// internal/cluster for the transfers it initiates (pull receipts,
-	// leave pushes) and by the service handlers for the transfers it
-	// serves (pull sources, push imports) — each instance counts what it
-	// sent and what it received, never a peer's side.
-	metricHandoffEntries = "mbserve_handoff_entries_total"
-	handoffEntriesHelp   = "cache entries moved by warm handoff, by direction (sent, received)"
 )
 
 // serverMetrics bundles one Server's obs registry and the instruments

@@ -167,16 +167,11 @@ type Options struct {
 	Chaos *chaos.Injector
 
 	// Cluster, when non-nil, enables the elastic-membership surface:
-	// POST /v1/cluster/membership (join/leave applications), the warm
-	// handoff endpoints, and the cluster-aware GET /readyz. cmd/mbserve
-	// injects the cluster membership manager here; the service itself
-	// never imports internal/cluster (see ClusterControl).
+	// POST /v1/cluster/membership (join/leave applications) and the
+	// cluster-aware GET /readyz. cmd/mbserve injects the cluster
+	// membership manager here; the service itself never imports
+	// internal/cluster (see ClusterControl).
 	Cluster ClusterControl
-	// HandoffMax bounds warm handoff transfers, in cache entries per
-	// transfer (a pull response or a leave push). 0 means
-	// DefaultHandoffMax; negative disables handoff (endpoints stay
-	// registered but transfer nothing).
-	HandoffMax int
 
 	// JobsMax bounds resident async jobs (queued + running + terminal
 	// kept for pagination). 0 means jobs.DefaultMaxJobs; negative
@@ -203,11 +198,9 @@ type Server struct {
 	adm      *admission
 	jobs     *jobs.Store // nil when the jobs surface is disabled
 	breakers map[string]*breaker
-	// cluster/handoffMax mirror Options (normalized); clusterReady
-	// gates GET /readyz until the initial membership snapshot and warm
-	// handoff pull have happened.
+	// cluster mirrors Options; clusterReady gates GET /readyz until
+	// StartCluster has run.
 	cluster      ClusterControl
-	handoffMax   int
 	clusterReady atomic.Bool
 	// freshFor/staleFor are the normalized TTLs (0 = disabled), kept
 	// apart from opts so the zero-means-default dance happens once.
@@ -296,25 +289,17 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	handoffMax := opts.HandoffMax
-	switch {
-	case handoffMax == 0:
-		handoffMax = DefaultHandoffMax
-	case handoffMax < 0:
-		handoffMax = 0 // handoff disabled
-	}
 	s := &Server{
-		opts:       opts,
-		cache:      c,
-		backend:    opts.Backend,
-		logger:     logger,
-		metrics:    newServerMetrics(c),
-		adm:        newAdmission(int64(opts.AdmissionLimit), queueDepth),
-		breakers:   make(map[string]*breaker),
-		cluster:    opts.Cluster,
-		handoffMax: handoffMax,
-		freshFor:   freshFor,
-		staleFor:   staleFor,
+		opts:     opts,
+		cache:    c,
+		backend:  opts.Backend,
+		logger:   logger,
+		metrics:  newServerMetrics(c),
+		adm:      newAdmission(int64(opts.AdmissionLimit), queueDepth),
+		breakers: make(map[string]*breaker),
+		cluster:  opts.Cluster,
+		freshFor: freshFor,
+		staleFor: staleFor,
 	}
 	s.metrics.bindAdmission(s.adm)
 	for _, route := range []string{"analyze", "simulate", "sweep", "jobs"} {
@@ -384,8 +369,6 @@ func Routes() []Route {
 		{"POST", "/v1/batch"},
 		{"POST", "/v1/cluster/sweep"},
 		{"POST", "/v1/cluster/membership"},
-		{"GET", "/v1/cluster/handoff"},
-		{"POST", "/v1/cluster/handoff"},
 		{"POST", "/v1/jobs"},
 		{"GET", "/v1/jobs"},
 		{"GET", "/v1/jobs/{id}"},
@@ -407,8 +390,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
 	mux.HandleFunc("POST /v1/cluster/sweep", s.instrument("cluster_sweep", s.handleClusterSweep))
 	mux.HandleFunc("POST /v1/cluster/membership", s.instrument("cluster_membership", s.handleClusterMembership))
-	mux.HandleFunc("GET /v1/cluster/handoff", s.instrument("cluster_handoff", s.handleClusterHandoffPull))
-	mux.HandleFunc("POST /v1/cluster/handoff", s.instrument("cluster_handoff", s.handleClusterHandoffPush))
 	if s.jobs != nil {
 		mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_submit", s.handleJobSubmit))
 		mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
@@ -532,21 +513,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	}
 	if err != nil {
 		// Body-shape failures classify as invalid_request like every
-		// other client fault; the pre-v1 code spellings ride along in
-		// legacy_code for one release (README deprecation note).
+		// other client fault.
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeEnvelope(w, http.StatusRequestEntityTooLarge, apiError{
-				Code:       "invalid_request",
-				Message:    fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				LegacyCode: "body_too_large",
+				Code:    "invalid_request",
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
 			})
 			return false
 		}
 		writeEnvelope(w, http.StatusBadRequest, apiError{
-			Code:       "invalid_request",
-			Message:    err.Error(),
-			LegacyCode: "invalid_json",
+			Code:    "invalid_request",
+			Message: err.Error(),
 		})
 		return false
 	}

@@ -217,26 +217,25 @@ func TestValidationMapsToTyped400(t *testing.T) {
 	cases := []struct {
 		name, path, body string
 		wantCode         string
-		wantLegacy       string
+		bodyShape        bool
 	}{
-		{"unknown scheme", "/v1/analyze", `{"network":{"scheme":"mesh","n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"missing scheme", "/v1/analyze", `{"network":{"n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"bad dimensions", "/v1/analyze", `{"network":{"scheme":"full","n":0,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"bad grouping", "/v1/analyze", `{"network":{"scheme":"partial","n":8,"b":4,"groups":3},"model":{"kind":"uniform"},"r":1}`, "invalid_request", ""},
-		{"unknown model", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"zipf"},"r":1}`, "invalid_request", ""},
-		{"rate out of range", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1.5}`, "invalid_request", ""},
-		{"bad hier clusters", "/v1/analyze", `{"network":{"scheme":"full","n":9,"b":4},"model":{"kind":"hier"},"r":1}`, "invalid_request", ""},
-		{"bad q", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"dasbhuyan","q":1.5},"r":1}`, "invalid_request", ""},
-		{"bad sim cycles", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":-5}}`, "invalid_request", ""},
-		{"bad sim batches", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"batches":-1}}`, "invalid_request", ""},
-		{"sweep empty grid", "/v1/sweep", `{"ns":[],"bs":[4],"rs":[1],"schemes":["full"]}`, "invalid_request", ""},
-		{"sweep bad scheme", "/v1/sweep", `{"ns":[8],"bs":[4],"rs":[1],"schemes":["hypercube"]}`, "invalid_request", ""},
+		{"unknown scheme", "/v1/analyze", `{"network":{"scheme":"mesh","n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", false},
+		{"missing scheme", "/v1/analyze", `{"network":{"n":8,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", false},
+		{"bad dimensions", "/v1/analyze", `{"network":{"scheme":"full","n":0,"b":4},"model":{"kind":"uniform"},"r":1}`, "invalid_request", false},
+		{"bad grouping", "/v1/analyze", `{"network":{"scheme":"partial","n":8,"b":4,"groups":3},"model":{"kind":"uniform"},"r":1}`, "invalid_request", false},
+		{"unknown model", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"zipf"},"r":1}`, "invalid_request", false},
+		{"rate out of range", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1.5}`, "invalid_request", false},
+		{"bad hier clusters", "/v1/analyze", `{"network":{"scheme":"full","n":9,"b":4},"model":{"kind":"hier"},"r":1}`, "invalid_request", false},
+		{"bad q", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"dasbhuyan","q":1.5},"r":1}`, "invalid_request", false},
+		{"bad sim cycles", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":-5}}`, "invalid_request", false},
+		{"bad sim batches", "/v1/simulate", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"batches":-1}}`, "invalid_request", false},
+		{"sweep empty grid", "/v1/sweep", `{"ns":[],"bs":[4],"rs":[1],"schemes":["full"]}`, "invalid_request", false},
+		{"sweep bad scheme", "/v1/sweep", `{"ns":[8],"bs":[4],"rs":[1],"schemes":["hypercube"]}`, "invalid_request", false},
 		// Body-shape failures classify as invalid_request under the
-		// unified envelope; the pre-v1 spelling rides in legacy_code for
-		// one release.
-		{"unknown field", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"frobnicate":true}`, "invalid_request", "invalid_json"},
-		{"malformed json", "/v1/analyze", `{"network":`, "invalid_request", "invalid_json"},
-		{"trailing garbage", "/v1/analyze", analyzeBody + `{"again":true}`, "invalid_request", "invalid_json"},
+		// unified envelope, with no pre-v1 legacy_code alongside.
+		{"unknown field", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"frobnicate":true}`, "invalid_request", true},
+		{"malformed json", "/v1/analyze", `{"network":`, "invalid_request", true},
+		{"trailing garbage", "/v1/analyze", analyzeBody + `{"again":true}`, "invalid_request", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,8 +250,8 @@ func TestValidationMapsToTyped400(t *testing.T) {
 			if er.Error.Code != tc.wantCode {
 				t.Errorf("error code = %q, want %q (message: %s)", er.Error.Code, tc.wantCode, er.Error.Message)
 			}
-			if er.Error.LegacyCode != tc.wantLegacy {
-				t.Errorf("legacy_code = %q, want %q", er.Error.LegacyCode, tc.wantLegacy)
+			if tc.bodyShape {
+				assertNoLegacyCode(t, rec.Body.Bytes())
 			}
 			if er.Error.Retryable {
 				t.Error("client-fault 400 marked retryable")
@@ -267,6 +266,21 @@ func TestValidationMapsToTyped400(t *testing.T) {
 	}
 }
 
+// assertNoLegacyCode fails when an error envelope still carries the
+// pre-v1 legacy_code key, whose deprecation window has closed.
+func assertNoLegacyCode(t *testing.T, body []byte) {
+	t.Helper()
+	var env struct {
+		Error map[string]json.RawMessage `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("error body is not JSON: %v: %s", err, body)
+	}
+	if v, ok := env.Error["legacy_code"]; ok {
+		t.Errorf("error envelope carries legacy_code %s; body: %s", v, body)
+	}
+}
+
 func TestBodySizeLimit(t *testing.T) {
 	h := newTestServer(t, Options{MaxBodyBytes: 64}).Handler()
 	big := `{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":1.0,` +
@@ -275,6 +289,7 @@ func TestBodySizeLimit(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d, want 413; %s", rec.Code, rec.Body.String())
 	}
+	assertNoLegacyCode(t, rec.Body.Bytes())
 	if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
 		t.Errorf("Cache-Control = %q, want no-store on error responses", cc)
 	}
