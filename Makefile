@@ -22,17 +22,21 @@ test:
 race:
 	$(GO) test -race ./internal/numerics/... ./internal/analytic/... ./internal/scenario/... ./internal/sim/... ./internal/sweep/... ./internal/cache/... ./internal/chaos/... ./internal/service/... ./internal/obs/... ./internal/jobs/... ./internal/compute/... ./internal/cluster/...
 
-# Bounded fuzzing of the two parsers of outside bytes on the hot paths.
+# Bounded fuzzing of the parsers of outside bytes on the hot paths.
 # FuzzClassifyWiring: arbitrary wiring files must classify without
 # panics into structures that partition the buses and reachable modules.
 # FuzzSweepShardStream: arbitrary peer shard streams must merge into a
 # complete sweep with no grid index emitted twice; each of its inputs
 # runs a whole HTTP round trip, so new-coverage minimization is capped
-# to keep the 20s budget for exploring. Crashing inputs land in each
-# package's testdata.
+# to keep the 20s budget for exploring.
+# FuzzScenarioCanonical: arbitrary scenario JSON must canonicalize
+# idempotently and key identically across a re-marshal; its minimization
+# is capped too, because uncapped it can stall the exec counter for the
+# whole budget. Crashing inputs land in each package's testdata.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepShardStream$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioCanonical$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/scenario/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the

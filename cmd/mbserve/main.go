@@ -26,9 +26,10 @@
 // running jobs given the remaining budget).
 //
 // The robustness layer is tunable: -admit bounds concurrent compute (in
-// admission units — see the README's Robustness section), -queue bounds
-// the wait queue behind it (full queue sheds 429 + Retry-After),
-// -fresh-ttl and -stale-ttl control stale-while-revalidate degradation.
+// admission units — see the README's Robustness section) and -queue
+// bounds the wait queue behind it (full queue sheds 429 + Retry-After).
+// Cached answers never age, so a resident key keeps answering while
+// compute is failing or shedding.
 //
 // Cluster mode (README "Cluster mode", DESIGN.md §14, §16): start each
 // instance with its own -self URL plus either a shared -peers seed list
@@ -78,8 +79,6 @@ func main() {
 		drain         = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		admit         = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
 		queue         = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
-		freshTTL      = flag.Duration("fresh-ttl", 0, "cache freshness horizon before revalidation (0 = default, negative = never)")
-		staleTTL      = flag.Duration("stale-ttl", 0, "max age of stale answers served on compute failure (0 = default, negative = disabled)")
 		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default, negative = disable the /v1/jobs surface)")
 		jobResults    = flag.Int("job-results-cap", 0, "retained result records per job for pagination/replay (0 = default)")
 		chaosSpec     = flag.String("chaos", "", "fault injection spec, e.g. \"latency=2s,latencyRate=1,seed=7\" (testing only)")
@@ -116,8 +115,6 @@ func main() {
 					return *admit
 				}(),
 				QueueDepth:    *queue,
-				FreshTTL:      *freshTTL,
-				StaleTTL:      *staleTTL,
 				Chaos:         injector,
 				JobsMax:       *jobsMax,
 				JobResultsCap: *jobResults,

@@ -33,13 +33,13 @@ func TestDoHitMiss(t *testing.T) {
 	calls := 0
 	compute := func() (any, error) { calls++; return 42, nil }
 
-	v, hit, err := c.Do(ctx, "k", compute)
-	if err != nil || hit || v.(int) != 42 {
-		t.Fatalf("cold Do = (%v, %v, %v), want (42, false, nil)", v, hit, err)
+	v, out, err := c.Do(ctx, "k", compute)
+	if err != nil || out.Hit || v.(int) != 42 {
+		t.Fatalf("cold Do = (%v, %+v, %v), want (42, miss, nil)", v, out, err)
 	}
-	v, hit, err = c.Do(ctx, "k", compute)
-	if err != nil || !hit || v.(int) != 42 {
-		t.Fatalf("warm Do = (%v, %v, %v), want (42, true, nil)", v, hit, err)
+	v, out, err = c.Do(ctx, "k", compute)
+	if err != nil || !out.Hit || v.(int) != 42 {
+		t.Fatalf("warm Do = (%v, %+v, %v), want (42, hit, nil)", v, out, err)
 	}
 	if calls != 1 {
 		t.Errorf("compute ran %d times, want 1", calls)
@@ -382,5 +382,100 @@ func TestKeyCanonicality(t *testing.T) {
 			t.Errorf("key collision between cases %d and %d: %q", prev, i, k)
 		}
 		seen[k] = i
+	}
+}
+
+// TestPanickingComputeReleasesWaiters: a panic inside compute must not
+// strand the flight's waiters — they get ErrComputePanicked, the leader
+// re-panics up its own stack, and the key stays usable.
+func TestPanickingComputeReleasesWaiters(t *testing.T) {
+	c := mustNew(t, 4)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _, _ = c.Do(context.Background(), "k", func() (any, error) {
+			close(entered)
+			<-release
+			panic("kaboom")
+		})
+	}()
+	<-entered
+
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func() (any, error) {
+			t.Error("waiter recomputed while the panicking flight was active")
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	deadline := time.After(5 * time.Second)
+	for c.Stats().SharedFlights == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("waiter never joined the flight")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+
+	if err := <-waiterErr; !errors.Is(err, ErrComputePanicked) {
+		t.Fatalf("waiter got %v, want ErrComputePanicked", err)
+	}
+	if r := <-leaderPanic; r != "kaboom" {
+		t.Fatalf("leader recovered %v, want the original panic value", r)
+	}
+	// Nothing cached, key not poisoned: the next Do computes normally.
+	v, _, err := c.Do(context.Background(), "k", func() (any, error) { return "fine", nil })
+	if err != nil || v.(string) != "fine" {
+		t.Fatalf("Do after panic = (%v, %v), want (fine, nil)", v, err)
+	}
+}
+
+// TestEvictionNeverStarvesInflightWaiters is the LRU-vs-singleflight
+// race test: concurrent Do calls on distinct keys exceeding capacity
+// churn the LRU with evictions while waiters are joining flights.
+// Every caller must receive the value its key computes — a waiter's
+// result comes from the flight, never from an entry an eviction could
+// snatch away. Run under -race (make race covers internal/cache).
+func TestEvictionNeverStarvesInflightWaiters(t *testing.T) {
+	c := mustNew(t, 2) // far smaller than the live keyspace
+	const (
+		goroutines = 16
+		rounds     = 50
+		keyspace   = 8
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := fmt.Sprintf("k%d", (g*rounds+i)%keyspace)
+				v, _, err := c.Do(context.Background(), k, func() (any, error) {
+					// Hold the flight open long enough for waiters to
+					// join and for other keys to evict through the LRU.
+					time.Sleep(100 * time.Microsecond)
+					return "value-" + k, nil
+				})
+				if err != nil {
+					t.Errorf("Do(%s): %v", k, err)
+					return
+				}
+				if v.(string) != "value-"+k {
+					t.Errorf("Do(%s) returned %v — waiter received another key's value", k, v)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.Len(); n > 2 {
+		t.Errorf("cache grew to %d entries, capacity 2", n)
+	}
+	if s := c.Stats(); s.Evictions == 0 {
+		t.Error("test never evicted; increase churn (keyspace must exceed capacity)")
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// TestDoFreshOutcomeJoined pins the observability contract cluster
+// TestDoOutcomeJoined pins the observability contract cluster
 // dedup metrics ride on: the flight leader reports neither Hit nor
 // Joined, a concurrent caller that waits on the leader's computation
 // reports Joined, and a later repeat reports Hit.
-func TestDoFreshOutcomeJoined(t *testing.T) {
+func TestDoOutcomeJoined(t *testing.T) {
 	c, err := New(8)
 	if err != nil {
 		t.Fatal(err)
@@ -32,13 +32,13 @@ func TestDoFreshOutcomeJoined(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, leaderOut, _ = c.DoFreshOutcome(context.Background(), "k", time.Minute, compute)
+		_, leaderOut, _ = c.Do(context.Background(), "k", compute)
 	}()
 	<-started
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, joinerOut, _ = c.DoFreshOutcome(context.Background(), "k", time.Minute, func() (any, error) {
+		_, joinerOut, _ = c.Do(context.Background(), "k", func() (any, error) {
 			t.Error("joiner ran its own compute")
 			return nil, nil
 		})
@@ -62,7 +62,7 @@ func TestDoFreshOutcomeJoined(t *testing.T) {
 		t.Errorf("joiner outcome = %+v, want Joined only", joinerOut)
 	}
 
-	_, out, err := c.DoFreshOutcome(context.Background(), "k", time.Minute, func() (any, error) {
+	_, out, err := c.Do(context.Background(), "k", func() (any, error) {
 		t.Error("repeat ran compute")
 		return nil, nil
 	})

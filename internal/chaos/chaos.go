@@ -1,15 +1,15 @@
 // Package chaos is the fault-injection harness of the serving stack: a
 // seeded, deterministic injector that perturbs compute paths with
 // latency spikes, errors, and panics so the robustness layer —
-// admission control, stale serving, circuit breaking, panic recovery —
+// admission control, circuit breaking, panic recovery —
 // can be exercised on demand instead of waiting for production to
 // misbehave.
 //
 // The injector sits on the compute seam: the service calls Inject at
 // the top of every (singleflight-deduplicated) computation, so injected
 // latency holds an admission slot exactly like a slow simulation would,
-// injected errors flow through the same classification and
-// stale-fallback paths as real failures, and injected panics unwind
+// injected errors flow through the same classification and breaker
+// accounting as real failures, and injected panics unwind
 // through the same recovery middleware as a real bug.
 //
 // Determinism: every Inject call draws the same fixed number of

@@ -240,6 +240,9 @@ func (n Network) canonical() (Network, error) {
 				if sz > 0 {
 					positive = true
 				}
+				if sz > math.MaxInt-sum {
+					return Network{}, fmt.Errorf("%w: classSizes sum overflows", ErrInvalid)
+				}
 				sum += sz
 			}
 			if !positive {

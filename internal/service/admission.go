@@ -118,20 +118,6 @@ func (a *admission) Acquire(ctx context.Context, weight int64) (release func(), 
 	}
 }
 
-// TryAcquire admits weight units only if capacity is free right now —
-// no queuing, no shedding error. Background refreshes use it so
-// degraded-mode repair work never competes with foreground requests.
-func (a *admission) TryAcquire(weight int64) (release func(), ok bool) {
-	weight = a.clampWeight(weight)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.queue.Len() > 0 || a.inflight+weight > a.capacity {
-		return nil, false
-	}
-	a.inflight += weight
-	return a.releaseFunc(weight, a.now()), true
-}
-
 // releaseFunc returns the idempotent release for one acquisition.
 func (a *admission) releaseFunc(weight int64, acquiredAt time.Time) func() {
 	var once sync.Once

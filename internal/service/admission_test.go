@@ -155,26 +155,6 @@ func TestAdmissionAbandonedHeadUnblocksNext(t *testing.T) {
 	}
 }
 
-func TestTryAcquireNeverQueues(t *testing.T) {
-	a := newAdmission(2, 8)
-	release, ok := a.TryAcquire(2)
-	if !ok {
-		t.Fatal("TryAcquire on empty semaphore failed")
-	}
-	if _, ok := a.TryAcquire(1); ok {
-		t.Fatal("TryAcquire granted units beyond capacity")
-	}
-	if got := a.Queued(); got != 0 {
-		t.Fatalf("TryAcquire queued: Queued = %d", got)
-	}
-	release()
-	if rel, ok := a.TryAcquire(1); !ok {
-		t.Fatal("TryAcquire after release failed")
-	} else {
-		rel()
-	}
-}
-
 func waitForQueued(t *testing.T, a *admission, n int) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)

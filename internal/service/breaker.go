@@ -31,8 +31,8 @@ func (s breakerState) String() string {
 // failures trip it open, open fast-fails for cooldown, then a single
 // half-open probe decides — success closes the circuit, failure re-opens
 // it for another cooldown. Tripping converts a failing backend's
-// timeout-per-request cost into an immediate circuit_open (which the
-// serving layer degrades to a stale answer when one is resident).
+// timeout-per-request cost into an immediate circuit_open (cache hits
+// never reach the breaker, so resident keys keep answering).
 type breaker struct {
 	threshold    int // ≤ 0 disables the breaker entirely
 	cooldown     time.Duration

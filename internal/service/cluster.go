@@ -100,7 +100,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	// One gate for the whole shard, on the sweep route: shard work is
 	// sweep work, and a worker saturated by local traffic sheds the
 	// coordinator with the same 429/503 envelopes as any client.
-	_, err := s.gate(r.Context(), "sweep", weight, false, func(ctx context.Context) (any, error) {
+	_, err := s.gate(r.Context(), "sweep", weight, func(ctx context.Context) (any, error) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		var mu sync.Mutex

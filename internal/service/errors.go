@@ -193,15 +193,3 @@ func breakerFailure(err error) bool {
 	status, _ := classify(err)
 	return status >= http.StatusInternalServerError
 }
-
-// servableStale decides which failures the degraded path may paper over
-// with a resident stale answer: only the service's own faults — compute
-// errors, deadlines, sheds, open circuits. Client faults (4xx) surface
-// unchanged, and a client that hung up gets nothing at all.
-func servableStale(err error) bool {
-	if errors.Is(err, context.Canceled) {
-		return false
-	}
-	status, _ := classify(err)
-	return status == http.StatusTooManyRequests || status >= http.StatusInternalServerError
-}

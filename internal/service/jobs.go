@@ -131,7 +131,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 		Backend:      s.backend,
 	}
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {
-		v, err := s.gate(ctx, "jobs", sweepWeight(spec), false,
+		v, err := s.gate(ctx, "jobs", sweepWeight(spec),
 			func(ctx context.Context) (any, error) {
 				pub.Started()
 				sp := spec

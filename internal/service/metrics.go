@@ -29,14 +29,13 @@ const (
 	metricAdmissionCapacity  = "mbserve_admission_capacity"
 	metricQueueWaitSeconds   = "mbserve_queue_wait_seconds"
 	metricShedTotal          = "mbserve_shed_total"
-	metricStaleServedTotal   = "mbserve_stale_served_total"
 	metricBreakerState       = "mbserve_breaker_state"
 	metricBreakerTransitions = "mbserve_breaker_transitions_total"
 	metricPanicsTotal        = "mbserve_panics_total"
 
 	// Async-job families (DESIGN.md §13).
 	metricJobsTotal         = "mbserve_jobs_total"
-	metricJobsActive        = "mbserve_jobs_active"
+	metricJobsRunning       = "mbserve_jobs_active"
 	metricJobsQueued        = "mbserve_jobs_queued"
 	metricJobsResident      = "mbserve_jobs_resident"
 	metricJobRecords        = "mbserve_job_records_total"
@@ -70,13 +69,6 @@ type serverMetrics struct {
 func (m *serverMetrics) shed(route string) *obs.Counter {
 	return m.reg.Counter(metricShedTotal,
 		"requests shed by admission control (429 overloaded)", obs.L("route", route))
-}
-
-// stale resolves the per-route stale-served counter (degraded answers
-// handed out on compute failure or shed).
-func (m *serverMetrics) stale(route string) *obs.Counter {
-	return m.reg.Counter(metricStaleServedTotal,
-		"degraded responses served from stale cache entries", obs.L("route", route))
 }
 
 // bindAdmission registers the semaphore's live gauges and the queue
@@ -139,7 +131,7 @@ func (m *serverMetrics) jobHooks() jobs.Hooks {
 
 // bindJobs registers live gauges over the job store's counters.
 func (m *serverMetrics) bindJobs(st *jobs.Store) {
-	m.reg.GaugeFunc(metricJobsActive,
+	m.reg.GaugeFunc(metricJobsRunning,
 		"async jobs currently running (admitted compute)",
 		func() float64 { return float64(st.Stats().Running) })
 	m.reg.GaugeFunc(metricJobsQueued,
@@ -161,7 +153,7 @@ func newServerMetrics(c *cache.Cache) *serverMetrics {
 		sweepPoints: reg.Counter(metricSweepPoints,
 			"sweep grid points evaluated on the worker pool"),
 		panics: reg.Counter(metricPanicsTotal,
-			"panics recovered by the middleware or background refresh"),
+			"panics recovered by the middleware"),
 		peerDedup: reg.Counter(metricPeerDedup,
 			"forwarded peer requests that joined an in-flight local computation"),
 	}
@@ -182,12 +174,6 @@ func newServerMetrics(c *cache.Cache) *serverMetrics {
 		func(s cache.Stats) int64 { return int64(s.Size) })
 	stat("mbserve_cache_capacity", "configured cache capacity",
 		func(s cache.Stats) int64 { return int64(s.Capacity) })
-	stat("mbserve_cache_revalidations", "cumulative entries recomputed after aging past the freshness horizon",
-		func(s cache.Stats) int64 { return s.Revalidations })
-	stat("mbserve_cache_stale_hits", "cumulative stale probes served from resident entries",
-		func(s cache.Stats) int64 { return s.StaleHits })
-	stat("mbserve_cache_refreshes", "cumulative background refresh computations dispatched",
-		func(s cache.Stats) int64 { return s.Refreshes })
 	return m
 }
 
@@ -231,7 +217,7 @@ func (r *statusRecorder) Flush() {
 // access log record. It runs after the handler, outside the request's
 // critical path only in the sense that the response bytes are already
 // flushed.
-func (s *Server) observe(route string, r *http.Request, rec *statusRecorder, elapsed time.Duration, latency *obs.Histogram, cacheHit, cacheMiss, cacheStale *obs.Counter) {
+func (s *Server) observe(route string, r *http.Request, rec *statusRecorder, elapsed time.Duration, latency *obs.Histogram, cacheHit, cacheMiss *obs.Counter) {
 	latency.Observe(elapsed.Seconds())
 	s.metrics.reg.Counter(metricResponsesTotal, "HTTP responses by route and status",
 		obs.L("route", route), obs.L("status", strconv.Itoa(rec.status))).Inc()
@@ -241,8 +227,6 @@ func (s *Server) observe(route string, r *http.Request, rec *statusRecorder, ela
 		cacheHit.Inc()
 	case cacheMissState:
 		cacheMiss.Inc()
-	case cacheStaleState:
-		cacheStale.Inc()
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 		slog.String("method", r.Method),

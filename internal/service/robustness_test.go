@@ -33,118 +33,105 @@ func getPath(h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestStaleServingUnderTotalComputeFailure is the acceptance scenario:
-// warm the cache, then flip chaos to 100% compute failure. /v1/analyze
-// must keep answering — X-Cache: stale, Warning header set, body
-// byte-identical to the fresh original — while the breaker walks
-// closed→open, and must recover (half-open probe → closed, fresh
-// answers) once the faults stop.
-func TestStaleServingUnderTotalComputeFailure(t *testing.T) {
+// TestBreakerTripsAndRecoversUnderComputeFailure is the end-to-end
+// breaker scenario: warm one key, then flip chaos to 100% compute
+// failure and request distinct (missing) keys. The first threshold
+// misses fail as typed 500s, the next fast-fails 503 circuit_open with
+// Retry-After, and /metrics shows the open circuit. Once the faults stop
+// and the cooldown passes, a half-open probe closes the circuit. All
+// along, the warmed key answers 200 X-Cache: hit with its cold bytes:
+// hits are served before any gate, so they never see the outage.
+func TestBreakerTripsAndRecoversUnderComputeFailure(t *testing.T) {
+	const threshold = 2
 	in := mustInjector(t, chaos.Config{Seed: 1}) // quiet: warm-up succeeds
 	s := newTestServer(t, Options{
-		Chaos: in,
-		// Nanosecond freshness: every repeat request revalidates through
-		// compute, so injected failures are actually exercised.
-		FreshTTL:         time.Nanosecond,
-		StaleTTL:         time.Hour,
-		BreakerThreshold: 2,
-		BreakerCooldown:  500 * time.Millisecond,
+		Chaos:            in,
+		BreakerThreshold: threshold,
+		BreakerCooldown:  250 * time.Millisecond,
 	})
 	h := s.Handler()
+	missing := func(i int) string {
+		return fmt.Sprintf(`{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":0.%d}`, i+1)
+	}
 
 	warm := postJSON(t, h, "/v1/analyze", analyzeBody)
 	if warm.Code != http.StatusOK || warm.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("warm-up = %d (X-Cache %q), want 200 miss", warm.Code, warm.Header().Get("X-Cache"))
 	}
-	freshBody := warm.Body.Bytes()
+	coldBody := warm.Body.Bytes()
+	assertWarmHit := func(stage string) {
+		t.Helper()
+		rec := postJSON(t, h, "/v1/analyze", analyzeBody)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("%s: warmed key = %d (X-Cache %q), want 200 hit; %s",
+				stage, rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
+		}
+		if !bytes.Equal(rec.Body.Bytes(), coldBody) {
+			t.Fatalf("%s: warmed key body differs from its cold answer:\ncold: %s\nhit:  %s",
+				stage, coldBody, rec.Body.Bytes())
+		}
+	}
 
 	if err := in.Configure(chaos.Config{Seed: 1, ErrorRate: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		rec := postJSON(t, h, "/v1/analyze", analyzeBody)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("degraded request %d = %d: %s", i, rec.Code, rec.Body.String())
+	for i := 0; i < threshold; i++ {
+		rec := postJSON(t, h, "/v1/analyze", missing(i))
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusInternalServerError ||
+			err != nil || er.Error.Code != "internal_error" {
+			t.Fatalf("failing miss %d = %d %s, want 500 internal_error", i, rec.Code, rec.Body.String())
 		}
-		if got := rec.Header().Get("X-Cache"); got != "stale" {
-			t.Fatalf("degraded request %d X-Cache = %q, want stale", i, got)
-		}
-		if w := rec.Header().Get("Warning"); !strings.Contains(w, "110") || !strings.Contains(w, "stale") {
-			t.Fatalf("degraded request %d Warning = %q, want a 110 stale warning", i, w)
-		}
-		if !bytes.Equal(rec.Body.Bytes(), freshBody) {
-			t.Fatalf("stale body differs from fresh original:\nfresh: %s\nstale: %s", freshBody, rec.Body.Bytes())
-		}
+		assertWarmHit(fmt.Sprintf("after failure %d", i))
+	}
+	rec := postJSON(t, h, "/v1/analyze", missing(threshold))
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusServiceUnavailable ||
+		err != nil || er.Error.Code != "circuit_open" {
+		t.Fatalf("miss on open circuit = %d %s, want 503 circuit_open", rec.Code, rec.Body.String())
+	}
+	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("circuit_open Retry-After = %q, want integer seconds ≥ 1", rec.Header().Get("Retry-After"))
+	}
+	assertWarmHit("circuit open")
+	// Only the threshold misses reached compute: the open circuit
+	// refused the third before chaos, and hits never got that far.
+	if got := in.Stats().Errors; got != threshold {
+		t.Errorf("injected errors = %d, want %d", got, threshold)
 	}
 
-	// Two genuine failures tripped the breaker: open is observable in
-	// /metrics, as is the closed→open transition.
 	mBody := scrapeMetrics(t, h)
 	if got := metricValue(t, mBody, `mbserve_breaker_state{route="analyze"}`); got != 2 {
 		t.Errorf("breaker state gauge = %v, want 2 (open)", got)
 	}
-	if got := metricValue(t, mBody, `mbserve_breaker_transitions_total{route="analyze",to="open"}`); got < 1 {
-		t.Errorf("transitions to=open = %v, want ≥ 1", got)
-	}
-	if got := metricValue(t, mBody, `mbserve_stale_served_total{route="analyze"}`); got != 4 {
-		t.Errorf("stale served counter = %v, want 4", got)
+	if got := metricValue(t, mBody, `mbserve_breaker_transitions_total{route="analyze",to="open"}`); got != 1 {
+		t.Errorf("transitions to=open = %v, want 1", got)
 	}
 
-	// Recovery: faults stop, the cooldown elapses, and the next
-	// revalidation is the half-open probe that closes the circuit. A
-	// request may still join a failing background-refresh flight, so
-	// retry until a fresh (non-stale) 200 lands.
+	// Recovery: faults stop, the cooldown elapses, and the next miss is
+	// the half-open probe that closes the circuit.
 	if err := in.Configure(chaos.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(600 * time.Millisecond)
-	deadline := time.After(5 * time.Second)
-	for {
-		rec := postJSON(t, h, "/v1/analyze", analyzeBody)
-		if rec.Code == http.StatusOK && rec.Header().Get("X-Cache") != "stale" {
-			if !bytes.Equal(rec.Body.Bytes(), freshBody) {
-				t.Fatalf("recovered body differs from original: %s", rec.Body.Bytes())
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("service never recovered: %d %s", rec.Code, rec.Body.String())
-		case <-time.After(10 * time.Millisecond):
-		}
+	time.Sleep(400 * time.Millisecond)
+	if rec := postJSON(t, h, "/v1/analyze", missing(threshold+1)); rec.Code != http.StatusOK ||
+		rec.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("half-open probe = %d (X-Cache %q), want 200 miss; %s",
+			rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
 	}
+	assertWarmHit("after recovery")
 	mBody = scrapeMetrics(t, h)
 	if got := metricValue(t, mBody, `mbserve_breaker_state{route="analyze"}`); got != 0 {
 		t.Errorf("breaker state after recovery = %v, want 0 (closed)", got)
 	}
-	for _, to := range []string{"half_open", "closed"} {
+	for _, to := range []string{"open", "half_open", "closed"} {
 		series := fmt.Sprintf(`mbserve_breaker_transitions_total{route="analyze",to=%q}`, to)
-		if got := metricValue(t, mBody, series); got < 1 {
-			t.Errorf("transitions %s = %v, want ≥ 1", series, got)
+		if got := metricValue(t, mBody, series); got != 1 {
+			t.Errorf("%s = %v, want 1", series, got)
 		}
 	}
-}
-
-// TestStaleServingDisabledSurfacesErrors: with StaleTTL < 0 the
-// degraded path is off and compute failures reach the client.
-func TestStaleServingDisabledSurfacesErrors(t *testing.T) {
-	in := mustInjector(t, chaos.Config{})
-	s := newTestServer(t, Options{
-		Chaos:            in,
-		FreshTTL:         time.Nanosecond,
-		StaleTTL:         -1,
-		BreakerThreshold: -1,
-	})
-	h := s.Handler()
-	if rec := postJSON(t, h, "/v1/analyze", analyzeBody); rec.Code != http.StatusOK {
-		t.Fatalf("warm-up = %d", rec.Code)
-	}
-	if err := in.Configure(chaos.Config{ErrorRate: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rec := postJSON(t, h, "/v1/analyze", analyzeBody)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("with stale serving disabled, failure = %d, want 500; %s", rec.Code, rec.Body.String())
+	if got := metricValue(t, mBody, `mbserve_cache_requests_total{result="hit",route="analyze"}`); got != threshold+2 {
+		t.Errorf("analyze hits = %v, want %d (one per warmed-key check)", got, threshold+2)
 	}
 }
 

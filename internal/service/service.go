@@ -28,7 +28,8 @@
 // points share the same key space across requests. Evaluation results
 // are deterministic functions of the request, so a cache hit is
 // byte-identical to a cold computation; the X-Cache response header
-// (hit|miss|stale) is the only difference.
+// (hit|miss) is the only difference. For the same reason cached answers
+// never age: a resident key is answered from memory until LRU eviction.
 //
 // Request handling is defensive by construction: bodies are
 // size-limited, JSON is decoded with unknown fields rejected, every
@@ -44,12 +45,10 @@
 // sheds 429 overloaded + Retry-After; weights come from the canonical
 // scenario, see weights.go), and the optional chaos injector
 // (internal/chaos — the fault harness the robustness tests drive).
-// When the gated compute fails for a reason that is the service's
-// fault, a within-StaleTTL resident answer is served instead —
-// X-Cache: stale plus a Warning header, body byte-identical to the
-// fresh original — and a background refresh is dispatched on spare
-// capacity. Handler panics are recovered by the instrument middleware
-// into 500s and counted. GET /healthz flips to 503 draining once
+// Cache hits are answered before any gate, so a resident key keeps
+// answering 200 while compute fails, sheds, or the circuit is open.
+// Handler panics are recovered by the instrument middleware into 500s
+// and counted. GET /healthz flips to 503 draining once
 // shutdown begins, so load balancers stop routing into the drain
 // window.
 package service
@@ -88,12 +87,6 @@ const (
 	// not units): deep enough to absorb a burst, shallow enough that
 	// queued requests still meet typical deadlines.
 	DefaultQueueDepth = 64
-	// DefaultFreshTTL is the age past which a resident entry is
-	// revalidated through compute instead of served as a hit.
-	DefaultFreshTTL = 10 * time.Minute
-	// DefaultStaleTTL is how old a resident answer may be and still be
-	// served as a degraded response when compute fails or is shed.
-	DefaultStaleTTL = 2 * time.Hour
 	// DefaultBreakerThreshold is the consecutive-failure streak that
 	// trips a route's circuit breaker open.
 	DefaultBreakerThreshold = 5
@@ -146,13 +139,6 @@ type Options struct {
 	// DefaultQueueDepth; negative means no queue (shed immediately
 	// when the semaphore is full).
 	QueueDepth int
-	// FreshTTL is the freshness horizon: resident answers older than
-	// this are revalidated through compute instead of served as hits.
-	// 0 means DefaultFreshTTL; negative means entries never go stale.
-	FreshTTL time.Duration
-	// StaleTTL bounds how old a degraded (stale-served) answer may be.
-	// 0 means DefaultStaleTTL; negative disables stale serving.
-	StaleTTL time.Duration
 	// BreakerThreshold is the consecutive compute failures that trip a
 	// route's circuit breaker. 0 means DefaultBreakerThreshold;
 	// negative disables the breakers.
@@ -177,9 +163,6 @@ type Options struct {
 	// kept for pagination). 0 means jobs.DefaultMaxJobs; negative
 	// disables the /v1/jobs surface entirely (the routes 404).
 	JobsMax int
-	// JobsActive bounds concurrently dispatched jobs; queued jobs wait
-	// FIFO in the store. 0 means jobs.DefaultMaxActive.
-	JobsActive int
 	// JobResultsCap bounds retained result records per job — the
 	// pagination/replay window; records past it are spilled (streamed
 	// live, counted, not retained). 0 means jobs.DefaultResultsCap.
@@ -202,11 +185,7 @@ type Server struct {
 	// StartCluster has run.
 	cluster      ClusterControl
 	clusterReady atomic.Bool
-	// freshFor/staleFor are the normalized TTLs (0 = disabled), kept
-	// apart from opts so the zero-means-default dance happens once.
-	freshFor time.Duration
-	staleFor time.Duration
-	draining atomic.Bool
+	draining     atomic.Bool
 }
 
 // metrics are process-global expvar counters kept for /debug/vars
@@ -259,20 +238,6 @@ func New(opts Options) (*Server, error) {
 	case queueDepth < 0:
 		queueDepth = 0
 	}
-	freshFor := opts.FreshTTL
-	switch {
-	case freshFor == 0:
-		freshFor = DefaultFreshTTL
-	case freshFor < 0:
-		freshFor = 0 // never revalidate
-	}
-	staleFor := opts.StaleTTL
-	switch {
-	case staleFor == 0:
-		staleFor = DefaultStaleTTL
-	case staleFor < 0:
-		staleFor = 0 // stale serving disabled
-	}
 	threshold := opts.BreakerThreshold
 	if threshold == 0 {
 		threshold = DefaultBreakerThreshold
@@ -298,8 +263,6 @@ func New(opts Options) (*Server, error) {
 		adm:      newAdmission(int64(opts.AdmissionLimit), queueDepth),
 		breakers: make(map[string]*breaker),
 		cluster:  opts.Cluster,
-		freshFor: freshFor,
-		staleFor: staleFor,
 	}
 	s.metrics.bindAdmission(s.adm)
 	for _, route := range []string{"analyze", "simulate", "sweep", "jobs"} {
@@ -310,7 +273,6 @@ func New(opts Options) (*Server, error) {
 	if opts.JobsMax >= 0 {
 		s.jobs = jobs.NewStore(jobs.Options{
 			MaxJobs:    opts.JobsMax,
-			MaxActive:  opts.JobsActive,
 			ResultsCap: opts.JobResultsCap,
 			Hooks:      s.metrics.jobHooks(),
 		})
@@ -448,8 +410,6 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "hit"))
 		cacheMiss = s.metrics.reg.Counter(metricCacheRequests,
 			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "miss"))
-		cacheStale = s.metrics.reg.Counter(metricCacheRequests,
-			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "stale"))
 	)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -491,7 +451,7 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 				writeError(rec, http.StatusInternalServerError, "internal_error",
 					"handler produced no response")
 			}
-			s.observe(route, r, rec, time.Since(start), latency, cacheHit, cacheMiss, cacheStale)
+			s.observe(route, r, rec, time.Since(start), latency, cacheHit, cacheMiss)
 		}()
 		h(rec, r)
 	}
@@ -533,28 +493,19 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 
 // Cache outcome states, as sent in the X-Cache response header.
 const (
-	cacheHitState   = "hit"
-	cacheMissState  = "miss"
-	cacheStaleState = "stale"
+	cacheHitState  = "hit"
+	cacheMissState = "miss"
 )
-
-// cacheOutcome is how an evaluation's answer was obtained: a fresh hit,
-// a computed miss, or a degraded stale serve (with the answer's age,
-// surfaced in the Warning header).
-type cacheOutcome struct {
-	State string
-	Age   time.Duration
-}
 
 // gate runs one computation through the robustness gates, in order:
 // circuit breaker (fast-fail while open), admission semaphore (bounded
-// queue, shed when full — background work uses TryAcquire and never
-// queues), then the chaos injector, then the computation itself. It
-// records the breaker outcome: success closes, genuine failures count
-// toward the trip threshold, the layer's own refusals cancel a pending
-// half-open probe. gate is only ever called as (or from) a singleflight
-// leader, so admission units bound actual compute, not waiter count.
-func (s *Server) gate(ctx context.Context, route string, weight int64, background bool, compute func(context.Context) (any, error)) (v any, err error) {
+// queue, shed when full), then the chaos injector, then the computation
+// itself. It records the breaker outcome: success closes, genuine
+// failures count toward the trip threshold, the layer's own refusals
+// cancel a pending half-open probe. gate is only ever called as (or
+// from) a singleflight leader, so admission units bound actual compute,
+// not waiter count.
+func (s *Server) gate(ctx context.Context, route string, weight int64, compute func(context.Context) (any, error)) (v any, err error) {
 	br := s.breakers[route]
 	if ok, retry := br.Allow(); !ok {
 		return nil, &circuitOpenError{route: route, retryAfter: retry}
@@ -565,7 +516,7 @@ func (s *Server) gate(ctx context.Context, route string, weight int64, backgroun
 		case !finished:
 			// Unwinding on a panic: the breaker counts it like any other
 			// compute failure; the panic keeps going to the recovery
-			// middleware (foreground) or the refresh recovery (background).
+			// middleware.
 			br.Failure()
 		case err == nil:
 			br.Success()
@@ -575,27 +526,15 @@ func (s *Server) gate(ctx context.Context, route string, weight int64, backgroun
 			br.CancelProbe()
 		}
 	}()
-	var release func()
-	if background {
-		var ok bool
-		if release, ok = s.adm.TryAcquire(weight); !ok {
-			err = &overloadedError{retryAfter: time.Second}
-			finished = true
-			return nil, err
+	release, wait, aerr := s.adm.Acquire(ctx, weight)
+	if aerr != nil {
+		if errors.Is(aerr, ErrOverloaded) {
+			s.metrics.shed(route).Inc()
 		}
-	} else {
-		var wait time.Duration
-		var aerr error
-		release, wait, aerr = s.adm.Acquire(ctx, weight)
-		if aerr != nil {
-			if errors.Is(aerr, ErrOverloaded) {
-				s.metrics.shed(route).Inc()
-			}
-			finished = true
-			return nil, aerr
-		}
-		s.metrics.queueWait.Observe(wait.Seconds())
+		finished = true
+		return nil, aerr
 	}
+	s.metrics.queueWait.Observe(wait.Seconds())
 	defer release()
 	v, err = func() (any, error) {
 		if cerr := s.opts.Chaos.Inject(ctx); cerr != nil {
@@ -607,76 +546,35 @@ func (s *Server) gate(ctx context.Context, route string, weight int64, backgroun
 	return v, err
 }
 
-// evalScenario is the degradation pipeline around the cache: DoFresh
-// with the gated compute; on a service-fault failure, a within-StaleTTL
-// resident answer is served instead (byte-identical to its fresh
-// original — staleness is signaled in headers, never the body) and a
-// background refresh is dispatched on spare capacity.
-func (s *Server) evalScenario(ctx context.Context, route, key string, weight int64, fn func(context.Context) (any, error)) (any, cacheOutcome, error) {
-	v, cout, err := s.cache.DoFreshOutcome(ctx, key, s.freshFor, func() (any, error) {
-		return s.gate(ctx, route, weight, false, fn)
+// evalScenario evaluates one scenario through the cache, running the
+// gated compute on a miss. hit reports an answer served from memory.
+func (s *Server) evalScenario(ctx context.Context, route, key string, weight int64, fn func(context.Context) (any, error)) (v any, hit bool, err error) {
+	v, out, err := s.cache.Do(ctx, key, func() (any, error) {
+		return s.gate(ctx, route, weight, fn)
 	})
 	// A forwarded request that joined an in-flight computation is the
 	// cross-instance deduplication sharding exists for: two peers routed
 	// the same key here and the owner computed it once.
-	if cout.Joined && compute.Forwarded(ctx) {
+	if out.Joined && compute.Forwarded(ctx) {
 		s.metrics.peerDedup.Inc()
 	}
-	if err == nil {
-		if cout.Hit {
-			return v, cacheOutcome{State: cacheHitState}, nil
-		}
-		return v, cacheOutcome{State: cacheMissState}, nil
-	}
-	if s.staleFor > 0 && servableStale(err) {
-		if sv, ok := s.cache.Stale(key, s.staleFor); ok {
-			s.metrics.stale(route).Inc()
-			s.tryBackgroundRefresh(route, key, weight, fn)
-			return sv.Value, cacheOutcome{State: cacheStaleState, Age: sv.Age}, nil
-		}
-	}
-	return nil, cacheOutcome{}, err
-}
-
-// tryBackgroundRefresh re-dispatches a computation whose key was just
-// served stale, so the next caller may get a fresh answer. Strictly
-// best-effort: capacity is taken only if free right now (TryAcquire —
-// repair work never queues ahead of foreground requests), the breaker
-// still applies, and a panic is contained here — there is no request
-// stack above a detached goroutine for the middleware to catch.
-func (s *Server) tryBackgroundRefresh(route, key string, weight int64, compute func(context.Context) (any, error)) {
-	s.cache.Refresh(key, func() (v any, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.metrics.panics.Inc()
-				s.logger.LogAttrs(context.Background(), slog.LevelError, "panic",
-					slog.String("route", route),
-					slog.Bool("background", true),
-					slog.Any("value", p),
-					slog.String("stack", string(debug.Stack())))
-				err = fmt.Errorf("background refresh panicked: %v", p)
-			}
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
-		defer cancel()
-		return s.gate(ctx, route, weight, true, compute)
-	})
+	return v, out.Hit, err
 }
 
 // analyzeScenario evaluates one analyze-op scenario through the shared
 // cache and the robustness pipeline.
-func (s *Server) analyzeScenario(ctx context.Context, built *scenario.Built) (*analysisBody, cacheOutcome, error) {
+func (s *Server) analyzeScenario(ctx context.Context, built *scenario.Built) (*analysisBody, bool, error) {
 	if err := built.CanAnalyze(); err != nil {
-		return nil, cacheOutcome{}, err
+		return nil, false, err
 	}
-	v, out, err := s.evalScenario(ctx, "analyze", built.AnalyzeKey(), analyzeWeight(built),
+	v, hit, err := s.evalScenario(ctx, "analyze", built.AnalyzeKey(), analyzeWeight(built),
 		func(ctx context.Context) (any, error) {
 			return s.backend.Analyze(ctx, built)
 		})
 	if err != nil {
-		return nil, out, err
+		return nil, hit, err
 	}
-	return v.(*analysisBody), out, nil
+	return v.(*analysisBody), hit, nil
 }
 
 // simulateScenario evaluates one simulate-op scenario through the
@@ -684,23 +582,23 @@ func (s *Server) analyzeScenario(ctx context.Context, built *scenario.Built) (*a
 // canonical scenario's fingerprints, rate, and normalized simulator
 // parameters — fully determines the run; the admission weight comes
 // from the same canonical form (weights.go).
-func (s *Server) simulateScenario(ctx context.Context, built *scenario.Built) (*simBody, cacheOutcome, error) {
+func (s *Server) simulateScenario(ctx context.Context, built *scenario.Built) (*simBody, bool, error) {
 	if err := built.CanSimulate(); err != nil {
-		return nil, cacheOutcome{}, err
+		return nil, false, err
 	}
 	// Workload construction is re-run by the backend; building it here
 	// keeps unsatisfiable workloads failing fast as 4xx before the gate.
 	if _, err := built.Workload(); err != nil {
-		return nil, cacheOutcome{}, err
+		return nil, false, err
 	}
-	v, out, err := s.evalScenario(ctx, "simulate", built.SimulateKey(), simulateWeight(built),
+	v, hit, err := s.evalScenario(ctx, "simulate", built.SimulateKey(), simulateWeight(built),
 		func(ctx context.Context) (any, error) {
 			return s.backend.Simulate(ctx, built)
 		})
 	if err != nil {
-		return nil, out, err
+		return nil, hit, err
 	}
-	return v.(*simBody), out, nil
+	return v.(*simBody), hit, nil
 }
 
 // handleAnalyze serves POST /v1/analyze.
@@ -714,12 +612,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, err)
 		return
 	}
-	body, out, err := s.analyzeScenario(r.Context(), built)
+	body, hit, err := s.analyzeScenario(r.Context(), built)
 	if err != nil {
 		writeClassified(w, err)
 		return
 	}
-	writeOutcome(w, out)
+	writeOutcome(w, hit)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -734,12 +632,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, err)
 		return
 	}
-	body, out, err := s.simulateScenario(r.Context(), built)
+	body, hit, err := s.simulateScenario(r.Context(), built)
 	if err != nil {
 		writeClassified(w, err)
 		return
 	}
-	writeOutcome(w, out)
+	writeOutcome(w, hit)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -774,7 +672,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The whole grid goes through the gates as one weighted admission:
 	// individual points still memoize per-point in the shared cache, but
 	// a wide sweep cannot start while the semaphore is saturated.
-	v, err := s.gate(r.Context(), "sweep", sweepWeight(spec), false,
+	v, err := s.gate(r.Context(), "sweep", sweepWeight(spec),
 		func(ctx context.Context) (any, error) {
 			spec.Context = ctx
 			return sweep.Run(spec)
@@ -839,13 +737,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, err)
 		return
 	}
-	out := cacheOutcome{State: cacheHitState}
+	allCached := true
 	for i := range items {
-		if !items[i].Cached {
-			out.State = cacheMissState
-		}
+		allCached = allCached && items[i].Cached
 	}
-	writeOutcome(w, out)
+	writeOutcome(w, allCached)
 	writeJSON(w, http.StatusOK, batchBody{Items: items})
 }
 
@@ -859,15 +755,12 @@ func (s *Server) evalBatchItem(ctx context.Context, index int, item BatchItem) b
 		var built *scenario.Built
 		built, err = item.Scenario.Build()
 		if err == nil {
-			var out cacheOutcome
 			switch op {
 			case "analyze":
-				body.Analysis, out, err = s.analyzeScenario(ctx, built)
+				body.Analysis, body.Cached, err = s.analyzeScenario(ctx, built)
 			case "simulate":
-				body.Simulation, out, err = s.simulateScenario(ctx, built)
+				body.Simulation, body.Cached, err = s.simulateScenario(ctx, built)
 			}
-			body.Cached = out.State == cacheHitState
-			body.Stale = out.State == cacheStaleState
 		}
 	}
 	if err != nil {
@@ -907,13 +800,9 @@ type sweepBody struct {
 }
 
 type batchItemBody struct {
-	Index  int    `json:"index"`
-	Op     string `json:"op,omitempty"`
-	Cached bool   `json:"cached"`
-	// Stale marks a degraded answer: compute failed or was shed and a
-	// within-TTL resident value was served instead (the Warning-style
-	// response field the HTTP header carries for single-scenario routes).
-	Stale      bool          `json:"stale,omitempty"`
+	Index      int           `json:"index"`
+	Op         string        `json:"op,omitempty"`
+	Cached     bool          `json:"cached"`
 	Error      *apiError     `json:"error,omitempty"`
 	Analysis   *analysisBody `json:"analysis,omitempty"`
 	Simulation *simBody      `json:"simulation,omitempty"`
@@ -923,18 +812,14 @@ type batchBody struct {
 	Items []batchItemBody `json:"items"`
 }
 
-// writeOutcome sets the X-Cache header — and, for a degraded answer,
-// the Warning header carrying its age. It must run before writeJSON
-// (headers flush with the status line). The body of a stale response
-// is byte-identical to the fresh original; these headers are the only
-// signal of degradation.
-func writeOutcome(w http.ResponseWriter, out cacheOutcome) {
-	w.Header().Set("X-Cache", out.State)
-	if out.State == cacheStaleState {
-		w.Header().Set("Warning",
-			fmt.Sprintf(`110 mbserve "stale response served on compute failure; age=%s"`,
-				out.Age.Round(time.Second)))
+// writeOutcome sets the X-Cache header. It must run before writeJSON
+// (headers flush with the status line).
+func writeOutcome(w http.ResponseWriter, hit bool) {
+	state := cacheMissState
+	if hit {
+		state = cacheHitState
 	}
+	w.Header().Set("X-Cache", state)
 }
 
 // writeJSON marshals v and writes it with the given status.
