@@ -32,11 +32,16 @@ race:
 # FuzzScenarioCanonical: arbitrary scenario JSON must canonicalize
 # idempotently and key identically across a re-marshal; its minimization
 # is capped too, because uncapped it can stall the exec counter for the
-# whole budget. Crashing inputs land in each package's testdata.
+# whole budget.
+# FuzzGuideSample: the simulator's guide-table destination lookup must
+# return the index a binary search over the same CDF finds, for any
+# destination distribution and draw. Crashing inputs land in each
+# package's testdata.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepShardStream$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioCanonical$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzGuideSample$$' -fuzztime 20s ./internal/workload/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the

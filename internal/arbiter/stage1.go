@@ -19,7 +19,8 @@ package arbiter
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+
+	"multibus/internal/rng"
 )
 
 // Stage1Policy selects how an N-users/1-server memory arbiter breaks
@@ -87,7 +88,7 @@ func (s *Stage1) Policy() Stage1Policy { return s.policy }
 
 // Grant selects one processor among requesters (ascending processor ids)
 // contending for module. rng is consulted only under PolicyRandom.
-func (s *Stage1) Grant(module int, requesters []int, rng *rand.Rand) (int, error) {
+func (s *Stage1) Grant(module int, requesters []int, rng *rng.Rand) (int, error) {
 	if module < 0 || module >= len(s.last) {
 		return 0, fmt.Errorf("%w: module %d of %d", ErrBadConfig, module, len(s.last))
 	}

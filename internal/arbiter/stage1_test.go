@@ -1,9 +1,10 @@
 package arbiter
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"multibus/internal/rng"
 )
 
 func TestNewStage1Validation(t *testing.T) {
@@ -93,7 +94,7 @@ func TestStage1RoundRobinReset(t *testing.T) {
 
 func TestStage1RandomIsUniform(t *testing.T) {
 	s, _ := NewStage1(1, PolicyRandom)
-	rng := rand.New(rand.NewSource(7))
+	rng := rng.New(7, 0)
 	counts := map[int]int{}
 	const trials = 30000
 	reqs := []int{2, 5, 9}

@@ -2,9 +2,9 @@ package arbiter
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
+	"multibus/internal/rng"
 	"multibus/internal/topology"
 )
 
@@ -23,13 +23,13 @@ type BusAssigner interface {
 	// Assign returns the subset of requested modules granted a bus this
 	// cycle, ascending. requested must be ascending module ids without
 	// duplicates.
-	Assign(requested []int, rng *rand.Rand) []int
+	Assign(requested []int, rng *rng.Rand) []int
 	// AssignDetailed is Assign with bus attribution: which physical bus
 	// carries each granted module. The returned slice is scratch owned
 	// by the assigner, valid only until its next Assign/AssignDetailed
 	// call — copy it to retain it. (The simulator consumes it within
 	// the cycle; reusing the slice keeps the hot path allocation-free.)
-	AssignDetailed(requested []int, rng *rand.Rand) []BusGrant
+	AssignDetailed(requested []int, rng *rng.Rand) []BusGrant
 	// Reset clears any round-robin pointers.
 	Reset()
 }
@@ -108,7 +108,7 @@ func NewGroupedAssignerWithBuses(moduleGroups []int, busIDs [][]int) (BusAssigne
 // AssignDetailed grants, within each group, up to B_q of the requested
 // modules in cyclic module order starting at the group's round-robin
 // pointer, pairing the i-th granted module with the group's i-th bus.
-func (a *groupedAssigner) AssignDetailed(requested []int, _ *rand.Rand) []BusGrant {
+func (a *groupedAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGrant {
 	for g := range a.perGroup {
 		a.perGroup[g] = a.perGroup[g][:0]
 	}
@@ -158,7 +158,7 @@ func (a *groupedAssigner) AssignDetailed(requested []int, _ *rand.Rand) []BusGra
 	return grants
 }
 
-func (a *groupedAssigner) Assign(requested []int, rng *rand.Rand) []int {
+func (a *groupedAssigner) Assign(requested []int, rng *rng.Rand) []int {
 	return modulesOf(a.AssignDetailed(requested, rng))
 }
 
@@ -171,9 +171,12 @@ func (a *groupedAssigner) Reset() {
 // prefixAssigner implements the paper §III-D two-step bus-assignment
 // procedure for nested-prefix (K-class) networks. Classes are wired to
 // prefixes of the bus order; in step 1 each class C_j with R requested
-// modules selects min(L_j, R) of them and tentatively assigns them to
-// buses L_j, L_j−1, …; in step 2 each bus arbiter grants one of its
-// contenders (round-robin), and losing modules are blocked.
+// modules selects min(L_j, R) of them (round-robin within the class) and
+// tentatively assigns them to buses L_j, L_j−1, …; in step 2 each bus
+// arbiter grants one of its contenders and losing modules are blocked.
+// A bus with several contenders picks one uniformly at random when the
+// caller passes an RNG (the simulator always does), and rotates through
+// them round-robin when the RNG is nil.
 type prefixAssigner struct {
 	classOf   []int // module -> class index, -1 for stranded
 	prefixLen []int // per class
@@ -234,7 +237,7 @@ func NewPrefixAssignerWithOrder(moduleClasses []int, prefixLens []int, b int, bu
 	}, nil
 }
 
-func (a *prefixAssigner) AssignDetailed(requested []int, rng *rand.Rand) []BusGrant {
+func (a *prefixAssigner) AssignDetailed(requested []int, rng *rng.Rand) []BusGrant {
 	// Step 1: per class, select up to L_c modules and map them to formula
 	// buses L_c−1, L_c−2, … (0-based positions).
 	contenders := a.contenders // formula bus -> contending modules
@@ -309,7 +312,7 @@ func (a *prefixAssigner) AssignDetailed(requested []int, rng *rand.Rand) []BusGr
 	return grants
 }
 
-func (a *prefixAssigner) Assign(requested []int, rng *rand.Rand) []int {
+func (a *prefixAssigner) Assign(requested []int, rng *rng.Rand) []int {
 	return modulesOf(a.AssignDetailed(requested, rng))
 }
 
@@ -370,7 +373,7 @@ func NewGreedyAssigner(nw *topology.Network) (BusAssigner, error) {
 	}, nil
 }
 
-func (a *greedyAssigner) AssignDetailed(requested []int, _ *rand.Rand) []BusGrant {
+func (a *greedyAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGrant {
 	pending := a.pending
 	for i := range pending {
 		pending[i] = 0
@@ -409,7 +412,7 @@ func (a *greedyAssigner) AssignDetailed(requested []int, _ *rand.Rand) []BusGran
 	return grants
 }
 
-func (a *greedyAssigner) Assign(requested []int, rng *rand.Rand) []int {
+func (a *greedyAssigner) Assign(requested []int, rng *rng.Rand) []int {
 	return modulesOf(a.AssignDetailed(requested, rng))
 }
 

@@ -1,10 +1,10 @@
 package arbiter
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"multibus/internal/rng"
 	"multibus/internal/topology"
 )
 
@@ -209,7 +209,7 @@ func TestPrefixAssignerRandomTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
+	rng := rng.New(11, 0)
 	wins := map[int]int{}
 	const trials = 20000
 	for c := 0; c < trials; c++ {
@@ -339,7 +339,7 @@ func TestForTopologySelectsCorrectAssigner(t *testing.T) {
 			for j := range requested {
 				requested[j] = j
 			}
-			granted := a.Assign(requested, rand.New(rand.NewSource(1)))
+			granted := a.Assign(requested, rng.New(1, 0))
 			assertGrantInvariants(t, requested, granted)
 			if len(granted) > nw.B() {
 				t.Errorf("granted %d > B=%d", len(granted), nw.B())
@@ -370,7 +370,7 @@ func TestAssignersPropertyGrantBounds(t *testing.T) {
 				requested = append(requested, j)
 			}
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(uint64(seed), 0)
 		groupOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
 		ga, err := NewGroupedAssigner(groupOf, []int{2, 2})
 		if err != nil {

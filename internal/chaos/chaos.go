@@ -24,13 +24,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"multibus/internal/rng"
 	"multibus/internal/sim"
 )
 
@@ -134,7 +134,7 @@ type Stats struct {
 type Injector struct {
 	mu  sync.Mutex
 	cfg Config
-	rng *rand.Rand
+	rng *rng.Rand
 
 	calls, delays, errs, panics, aborted atomic.Int64
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"multibus/internal/rng"
 	"multibus/internal/sim"
 )
 
@@ -29,7 +29,7 @@ import (
 type Transport struct {
 	mu    sync.Mutex
 	cfg   TransportConfig
-	rng   *rand.Rand
+	rng   *rng.Rand
 	inner http.RoundTripper
 
 	calls, drops, errs, delays atomic.Int64

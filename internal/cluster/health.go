@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"time"
 
+	"multibus/internal/rng"
 	"multibus/internal/sim"
 )
 
@@ -21,7 +21,7 @@ import (
 // departure returns only via an explicit join.
 
 // newJitterRand builds the seeded jitter stream (repo-wide seed rule).
-func newJitterRand(seed int64) *rand.Rand { return sim.NewSeededRand(seed) }
+func newJitterRand(seed int64) *rng.Rand { return sim.NewSeededRand(seed) }
 
 // ProbeOnce runs one synchronous probe round over every probeable
 // member, in sorted order (deterministic tests drive rounds directly),

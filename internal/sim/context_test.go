@@ -32,8 +32,8 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 func TestRunContextDeadlineMidRun(t *testing.T) {
-	// A deadline already in the past must abort at the first batch
-	// boundary, long before the run's natural end.
+	// A deadline already in the past must abort at the first context
+	// check, long before the run's natural end.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	cfg := contextTestConfig(t, 2_000_000)
@@ -42,10 +42,29 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunContext past deadline = %v, want context.DeadlineExceeded", err)
 	}
-	// Generous bound: 2M cycles take seconds; aborting at a batch
-	// boundary takes far under one.
+	// Generous bound: 2M cycles take seconds; aborting at the first
+	// check takes far under one.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancellation took %v; batches are not being checked", elapsed)
+		t.Errorf("cancellation took %v; the context is not being checked", elapsed)
+	}
+}
+
+func TestRunContextDeadlineInsideBatch(t *testing.T) {
+	// Two batches of half a billion cycles each, with a one-cycle
+	// warm-up: the deadline passes inside the first measured batch, and
+	// the run must stop there rather than finish the batch.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	cfg := contextTestConfig(t, 1_000_000_000)
+	cfg.Batches = 2
+	cfg.Warmup = 1
+	start := time.Now()
+	_, err := RunContext(ctx, cfg)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunContext with 50ms deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancellation inside a batch took %v, want under 1s", elapsed)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	randv2 "math/rand/v2"
-)
+import "multibus/internal/rng"
 
 // EffectiveSeed normalizes a Config.Seed: the zero value selects the
 // default seed 1, every other value is used as-is. It is the single
@@ -28,32 +25,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// pcgSource adapts the math/rand/v2 PCG generator to the math/rand
-// Source64 interface, so the engine keeps its *rand.Rand plumbing (the
-// arbiter and workload interfaces take *rand.Rand) while drawing from
-// the faster, better-distributed PCG-DXSM stream.
-type pcgSource struct {
-	pcg *randv2.PCG
-}
-
-func (s *pcgSource) Uint64() uint64 { return s.pcg.Uint64() }
-
-func (s *pcgSource) Int63() int64 { return int64(s.pcg.Uint64() >> 1) }
-
-func (s *pcgSource) Seed(seed int64) {
-	s.pcg.Seed(uint64(seed), splitmix64(uint64(seed)))
-}
-
-// NewSeededRand returns a deterministic *rand.Rand drawing from the
-// same math/rand/v2 PCG-DXSM stream family as the simulator engine,
-// with the seed normalized through EffectiveSeed. It is the one
-// seed-derivation path for the whole repo: façade helpers
-// (multibus.RecordWorkload) and the cmd/ tools (mbtrace) route through
-// it, so "seed s" names the same stream everywhere a *rand.Rand is
-// needed. The legacy math/rand type is kept only because the workload
-// and arbiter interfaces take *rand.Rand; the bits underneath are
-// rand/v2's.
-func NewSeededRand(seed int64) *rand.Rand {
+// NewSeededRand returns the deterministic stream for a seed, normalized
+// through EffectiveSeed. It is the one seed-derivation path for the
+// whole repo: the engine, façade helpers (multibus.RecordWorkload), the
+// cmd/ tools (mbtrace), the chaos injectors and the cluster prober's
+// jitter all route through it, so "seed s" names the same stream
+// everywhere.
+func NewSeededRand(seed int64) *rng.Rand {
 	return newRNG(EffectiveSeed(seed))
 }
 
@@ -67,7 +45,7 @@ func NewSeededRand(seed int64) *rand.Rand {
 // consecutive integers. Changing this rule invalidates recorded
 // simulation numbers (BENCH_sim.json metrics are throughput, not
 // values, and survive).
-func newRNG(seed int64) *rand.Rand {
+func newRNG(seed int64) *rng.Rand {
 	u := uint64(seed)
-	return rand.New(&pcgSource{pcg: randv2.NewPCG(u, splitmix64(u))})
+	return rng.New(u, splitmix64(u))
 }

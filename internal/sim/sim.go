@@ -18,10 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
 
 	"multibus/internal/arbiter"
 	"multibus/internal/numerics"
+	"multibus/internal/rng"
 	"multibus/internal/topology"
 	"multibus/internal/workload"
 )
@@ -237,6 +238,7 @@ func newEngine(cfg Config) (*engine, runPlan, error) {
 		reqProcs:      make([][]int, m),
 		winner:        make([]int, m),
 		requester:     make([]int, n),
+		reqBits:       make([]uint64, (m+63)/64),
 		reqModules:    make([]int, 0, m),
 		granted:       make([]bool, m),
 	}
@@ -254,15 +256,17 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// warmupCheckInterval is how many warmup cycles run between context
-// checks; measured cycles check at batch boundaries instead.
-const warmupCheckInterval = 4096
+// ctxCheckInterval is how many cycles, warm-up or measured, run between
+// context checks: a few microseconds of simulation, so a cancelled run
+// stops promptly whatever its batch size, at a negligible check cost.
+const ctxCheckInterval = 4096
 
 // RunContext executes one simulation, honouring ctx: cancellation is
-// checked between batches (and periodically during warmup), so a run is
-// abandoned within one batch of the deadline rather than at the end.
+// checked every ctxCheckInterval cycles, so a run is abandoned shortly
+// after the deadline rather than at the end of a batch or of the run.
 // The context error is returned unwrapped, matchable with errors.Is
-// against context.Canceled / context.DeadlineExceeded.
+// against context.Canceled / context.DeadlineExceeded. Checks draw
+// nothing from the random stream.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	eng, plan, err := newEngine(cfg)
 	if err != nil {
@@ -275,7 +279,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	n, m := eng.n, eng.m
 
 	for c := 0; c < warmup; c++ {
-		if c%warmupCheckInterval == 0 && ctx.Err() != nil {
+		if c%ctxCheckInterval == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		eng.step(false)
@@ -292,7 +296,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	batchAccepted := make([]float64, batches)
 	batchSize := cycles / batches
 	for c := 0; c < cycles; c++ {
-		if c%batchSize == 0 && ctx.Err() != nil {
+		if c%ctxCheckInterval == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		accepted := eng.step(true)
@@ -344,7 +348,7 @@ type engine struct {
 	cfg      Config
 	n, m     int
 	service  int64
-	rng      *rand.Rand
+	rng      *rng.Rand
 	stage1   *arbiter.Stage1
 	assigner arbiter.BusAssigner
 	stranded []bool // per module: wired to no surviving bus
@@ -356,12 +360,14 @@ type engine struct {
 	pendingSince  []int64 // resubmit: cycle the held request was issued
 	busyUntil     []int64 // per module: last cycle of its current service
 
-	// scratch, reused across cycles
+	// scratch, reused across cycles. Per-module entries are touched only
+	// for the modules requested in a cycle, and reset the next cycle.
 	reqProcs   [][]int
 	winner     []int
-	requester  []int  // per processor: module requested this cycle, or NoRequest
-	reqModules []int  // modules with at least one request this cycle, ascending
-	granted    []bool // per module: granted a bus this cycle
+	requester  []int    // per processor: module requested this cycle, or NoRequest
+	reqBits    []uint64 // bitset over modules with a stage-1 contender this cycle
+	reqModules []int    // modules with at least one request this cycle, ascending
+	granted    []bool   // per module: granted a bus this cycle
 }
 
 // step simulates one cycle; returns the number of accepted requests.
@@ -369,8 +375,9 @@ func (e *engine) step(measure bool) int {
 	e.cycle++
 	e.cfg.Workload.BeginCycle()
 
-	// Gather this cycle's requests per module.
-	for j := 0; j < e.m; j++ {
+	// Gather this cycle's requests per module. Only last cycle's
+	// requested modules hold contenders or grants to clear.
+	for _, j := range e.reqModules {
 		e.reqProcs[j] = e.reqProcs[j][:0]
 		e.granted[j] = false
 	}
@@ -421,25 +428,30 @@ func (e *engine) step(measure bool) int {
 			continue
 		}
 		e.reqProcs[mod] = append(e.reqProcs[mod], p)
+		e.reqBits[mod>>6] |= 1 << uint(mod&63)
 	}
 
-	// Stage 1: one winner per requested module.
+	// Stage 1: one winner per requested module, in ascending module
+	// order so the arbiters' draws keep their order. The bitset is
+	// cleared as it is read.
 	requestedModules := e.reqModules[:0]
-	for j := 0; j < e.m; j++ {
-		procs := e.reqProcs[j]
-		if len(procs) == 0 {
-			continue
+	for w, word := range e.reqBits {
+		for word != 0 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			procs := e.reqProcs[j]
+			winner, err := e.stage1.Grant(j, procs, e.rng)
+			if err != nil {
+				// Cannot happen: procs is non-empty and j in range.
+				panic(fmt.Sprintf("sim: stage1 grant: %v", err))
+			}
+			e.winner[j] = winner
+			requestedModules = append(requestedModules, j)
+			if measure {
+				e.res.MemoryBlocked += int64(len(procs) - 1)
+			}
 		}
-		w, err := e.stage1.Grant(j, procs, e.rng)
-		if err != nil {
-			// Cannot happen: procs is non-empty and j in range.
-			panic(fmt.Sprintf("sim: stage1 grant: %v", err))
-		}
-		e.winner[j] = w
-		requestedModules = append(requestedModules, j)
-		if measure {
-			e.res.MemoryBlocked += int64(len(procs) - 1)
-		}
+		e.reqBits[w] = 0
 	}
 	e.reqModules = requestedModules
 

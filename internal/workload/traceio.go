@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
 
+	"multibus/internal/rng"
 	"multibus/internal/textio"
 )
 
@@ -120,7 +120,7 @@ func NewTraceFromReader(r io.Reader) (Generator, error) {
 // Record runs a generator for the given number of cycles and captures
 // the emitted requests as a trace, enabling replay of any stochastic
 // workload. The generator is advanced as a side effect.
-func Record(gen Generator, cycles int, rng *rand.Rand) ([][]Request, error) {
+func Record(gen Generator, cycles int, rng *rng.Rand) ([][]Request, error) {
 	if gen == nil || cycles < 1 {
 		return nil, fmt.Errorf("%w: cycles=%d and generator must be non-nil", ErrBadConfig, cycles)
 	}

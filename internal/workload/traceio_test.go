@@ -1,9 +1,10 @@
 package workload
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"multibus/internal/rng"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -127,7 +128,7 @@ func TestRecordAndReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles, err := Record(gen, 50, rand.New(rand.NewSource(99)))
+	cycles, err := Record(gen, 50, rng.New(99, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,10 @@ func TestRecordAndReplayEquivalence(t *testing.T) {
 		}
 	}
 	// Validation.
-	if _, err := Record(nil, 10, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Record(nil, 10, rng.New(1, 0)); err == nil {
 		t.Error("nil generator should error")
 	}
-	if _, err := Record(gen, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Record(gen, 0, rng.New(1, 0)); err == nil {
 		t.Error("zero cycles should error")
 	}
 }

@@ -6,18 +6,17 @@
 // A Generator answers, independently per processor and per cycle,
 // "which module does processor p request this cycle, if any" — matching
 // the paper's assumptions 2 and 3 (independent requests, rate r per
-// cycle). All randomness flows through the caller's *rand.Rand so runs
-// are reproducible from a seed.
+// cycle). All randomness flows through the caller's *rng.Rand stream so
+// runs are reproducible from a seed.
 package workload
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"multibus/internal/hrm"
+	"multibus/internal/rng"
 )
 
 // NoRequest is returned by Next when a processor stays idle this cycle.
@@ -43,7 +42,7 @@ type Generator interface {
 	BeginCycle()
 	// Next returns the module processor p requests this cycle, or
 	// NoRequest. It must be called at most once per processor per cycle.
-	Next(p int, rng *rand.Rand) int
+	Next(p int, rng *rng.Rand) int
 	// Clone returns an independent generator with the same
 	// configuration and fresh per-cycle state, for running parallel
 	// replications. Memoryless generators may return themselves.
@@ -54,10 +53,29 @@ type Generator interface {
 // with probability r; the destination is drawn from a per-processor
 // distribution via inverse-CDF sampling.
 type bernoulli struct {
-	n, m int
-	r    float64
-	cdf  [][]float64 // per processor: cumulative destination distribution
-	name string
+	n, m  int
+	r     float64
+	cdf   [][]float64 // per processor: cumulative destination distribution
+	guide [][]int32   // per processor: guideSlots(m) inverse-CDF start points
+	name  string
+}
+
+// guideSlots is the guide-table size K for m modules. Each slot covers
+// 1/K of [0, 1); with K = 4M a lookup scans past a quarter of a module
+// per draw on average, whatever the distribution's shape.
+func guideSlots(m int) int { return 4 * m }
+
+// fillGuide writes the Chen–Asau guide table of a cumulative
+// distribution: guide[k] is the smallest j with cdf[j] ≥ k/K.
+func fillGuide(guide []int32, cdf []float64) {
+	slots := float64(len(guide))
+	j := 0
+	for i := range guide {
+		for cdf[j] < float64(i)/slots {
+			j++
+		}
+		guide[i] = int32(j)
+	}
 }
 
 func newBernoulli(name string, r float64, dists [][]float64, m int) (*bernoulli, error) {
@@ -68,13 +86,17 @@ func newBernoulli(name string, r float64, dists [][]float64, m int) (*bernoulli,
 		return nil, fmt.Errorf("%w: no processors", ErrBadConfig)
 	}
 	cdf := make([][]float64, len(dists))
+	guide := make([][]int32, len(dists))
+	k := guideSlots(m)
+	cdfs := make([]float64, len(dists)*m)
+	guides := make([]int32, len(dists)*k)
 	for p, dist := range dists {
 		if len(dist) != m {
 			return nil, fmt.Errorf("%w: processor %d has %d-module distribution, M=%d",
 				ErrBadConfig, p, len(dist), m)
 		}
 		acc := 0.0
-		row := make([]float64, m)
+		row := cdfs[p*m : (p+1)*m : (p+1)*m]
 		for j, pr := range dist {
 			if pr < 0 || math.IsNaN(pr) {
 				return nil, fmt.Errorf("%w: processor %d module %d probability %v",
@@ -88,8 +110,10 @@ func newBernoulli(name string, r float64, dists [][]float64, m int) (*bernoulli,
 		}
 		row[m-1] = 1 // clamp accumulated rounding
 		cdf[p] = row
+		guide[p] = guides[p*k : (p+1)*k : (p+1)*k]
+		fillGuide(guide[p], row)
 	}
-	return &bernoulli{n: len(dists), m: m, r: r, cdf: cdf, name: name}, nil
+	return &bernoulli{n: len(dists), m: m, r: r, cdf: cdf, guide: guide, name: name}, nil
 }
 
 func (g *bernoulli) NProcessors() int { return g.n }
@@ -102,15 +126,32 @@ func (g *bernoulli) MModules() int { return g.m }
 func (g *bernoulli) Rate() float64 { return g.r }
 func (g *bernoulli) BeginCycle()   {}
 
-func (g *bernoulli) Next(p int, rng *rand.Rand) int {
+func (g *bernoulli) Next(p int, rng *rng.Rand) int {
 	if p < 0 || p >= g.n {
 		return NoRequest
 	}
 	if g.r < 1 && rng.Float64() >= g.r {
 		return NoRequest
 	}
-	u := rng.Float64()
-	return sort.SearchFloat64s(g.cdf[p], u)
+	return g.sample(p, rng.Float64())
+}
+
+// sample maps u ∈ [0, 1) to processor p's destination: the smallest j
+// with cdf[j] ≥ u, the index sort.SearchFloat64s finds, in O(1) expected
+// steps. The guide slot of u is a start point at or below the answer up
+// to the rounding of u·K; the two scans settle it exactly, including
+// across runs of zero-probability modules. The slot needs no clamp:
+// u ≤ 1−2⁻⁵³, and K·(1−2⁻⁵³) rounds below K for every integer K ≤ 2⁵³.
+func (g *bernoulli) sample(p int, u float64) int {
+	cdf, guide := g.cdf[p], g.guide[p]
+	j := int(guide[int(u*float64(len(guide)))])
+	for j > 0 && cdf[j-1] >= u {
+		j--
+	}
+	for cdf[j] < u {
+		j++
+	}
+	return j
 }
 
 func (g *bernoulli) String() string {
@@ -279,7 +320,7 @@ func (g *trace) BeginCycle() {
 	g.began = true
 }
 
-func (g *trace) Next(p int, _ *rand.Rand) int {
+func (g *trace) Next(p int, _ *rng.Rand) int {
 	if !g.began || p < 0 || p >= g.n {
 		return NoRequest
 	}

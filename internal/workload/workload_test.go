@@ -2,11 +2,11 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"multibus/internal/hrm"
+	"multibus/internal/rng"
 )
 
 func TestNewUniformValidation(t *testing.T) {
@@ -35,7 +35,7 @@ func TestUniformEmpiricalRateAndSpread(t *testing.T) {
 	if g.NProcessors() != 4 || g.MModules() != 8 || g.Rate() != 0.5 {
 		t.Fatalf("accessors wrong: N=%d M=%d r=%v", g.NProcessors(), g.MModules(), g.Rate())
 	}
-	rng := rand.New(rand.NewSource(3))
+	rng := rng.New(3, 0)
 	const cycles = 40000
 	requests := 0
 	hits := make([]int, 8)
@@ -69,7 +69,7 @@ func TestHierarchicalEmpiricalFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
+	rng := rng.New(5, 0)
 	const cycles = 60000
 	// Processor 0: favorite module 0 (0.6), cluster-mate module 1 (0.3),
 	// remote 2..7 (0.1/6 each).
@@ -112,7 +112,7 @@ func TestHierarchicalNM(t *testing.T) {
 	if g.NProcessors() != 4 || g.MModules() != 6 {
 		t.Fatalf("N=%d M=%d, want 4, 6", g.NProcessors(), g.MModules())
 	}
-	rng := rand.New(rand.NewSource(9))
+	rng := rng.New(9, 0)
 	const cycles = 40000
 	fav := 0
 	for c := 0; c < cycles; c++ {
@@ -138,7 +138,7 @@ func TestHotSpotConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(13))
+	rng := rng.New(13, 0)
 	const cycles = 40000
 	hot := 0
 	for c := 0; c < cycles; c++ {
@@ -172,7 +172,7 @@ func TestNextOutOfRangeProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1, 0)
 	if g.Next(-1, rng) != NoRequest || g.Next(2, rng) != NoRequest {
 		t.Error("out-of-range processors should return NoRequest")
 	}
@@ -183,7 +183,7 @@ func TestZeroRateNeverRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
+	rng := rng.New(2, 0)
 	for c := 0; c < 100; c++ {
 		g.BeginCycle()
 		for p := 0; p < 4; p++ {
@@ -271,7 +271,7 @@ func TestBernoulliDistributionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degenerate hot spot should be valid: %v", err)
 	}
-	rng := rand.New(rand.NewSource(4))
+	rng := rng.New(4, 0)
 	for i := 0; i < 50; i++ {
 		g.BeginCycle()
 		if j := g.Next(0, rng); j != 2 {
@@ -282,12 +282,12 @@ func TestBernoulliDistributionValidation(t *testing.T) {
 
 type stubGenerator struct{}
 
-func (stubGenerator) NProcessors() int         { return 1 }
-func (g stubGenerator) Clone() Generator       { return g }
-func (stubGenerator) MModules() int            { return 1 }
-func (stubGenerator) Rate() float64            { return 0 }
-func (stubGenerator) BeginCycle()              {}
-func (stubGenerator) Next(int, *rand.Rand) int { return NoRequest }
+func (stubGenerator) NProcessors() int        { return 1 }
+func (g stubGenerator) Clone() Generator      { return g }
+func (stubGenerator) MModules() int           { return 1 }
+func (stubGenerator) Rate() float64           { return 0 }
+func (stubGenerator) BeginCycle()             {}
+func (stubGenerator) Next(int, *rng.Rand) int { return NoRequest }
 
 func TestModuleXs(t *testing.T) {
 	// Bernoulli: hot-spot closed form.
@@ -304,7 +304,7 @@ func TestModuleXs(t *testing.T) {
 		t.Errorf("hot X = %v, want %v", xs[1], wantHot)
 	}
 	// The Xs must also match Monte-Carlo frequencies.
-	rng := rand.New(rand.NewSource(17))
+	rng := rng.New(17, 0)
 	const cycles = 60000
 	hits := make([]float64, 4)
 	for c := 0; c < cycles; c++ {
@@ -370,7 +370,7 @@ func TestZipfShape(t *testing.T) {
 	}
 	// The per-module fractions follow 1/k^s: the rank-1:rank-2 request
 	// ratio for a single processor is 2^s.
-	rng := rand.New(rand.NewSource(23))
+	rng := rng.New(23, 0)
 	hits := make([]float64, 8)
 	const cycles = 80000
 	for c := 0; c < cycles; c++ {

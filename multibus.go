@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"multibus/internal/analytic"
 	"multibus/internal/arbiter"
@@ -379,8 +378,8 @@ func Simulate(nw *Network, w Workload, opts ...SimOption) (*SimResult, error) {
 }
 
 // SimulateContext is Simulate honouring a context: cancellation is
-// checked between simulation batches (and periodically during warmup),
-// so a run respecting a deadline stops within one batch of it. The
+// checked every few thousand simulated cycles, warm-up and measured
+// alike, so a run respecting a deadline stops shortly after it. The
 // context error is returned unwrapped, matchable against
 // context.Canceled and context.DeadlineExceeded.
 func SimulateContext(ctx context.Context, nw *Network, w Workload, opts ...SimOption) (*SimResult, error) {
@@ -454,14 +453,6 @@ func ExpectedBandwidthUnderFailures(nw *Network, model RequestModel, r, p float6
 // IsNoClosedForm reports whether err indicates a topology outside the
 // closed-form families (use Simulate for those networks).
 func IsNoClosedForm(err error) bool { return errors.Is(err, analytic.ErrNoClosedForm) }
-
-// newSeededRand returns a deterministic RNG for facade helpers, drawing
-// from the simulator's PCG-DXSM stream family via the one documented
-// seed-derivation path (sim.EffectiveSeed + the (s, splitmix64(s))
-// expansion; see internal/sim/rng.go).
-func newSeededRand(seed int64) *rand.Rand {
-	return sim.NewSeededRand(seed)
-}
 
 // ReplicatedSimResult aggregates independent simulation replications;
 // see sim.ReplicatedResult.

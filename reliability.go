@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"multibus/internal/fault"
+	"multibus/internal/sim"
 	"multibus/internal/workload"
 )
 
@@ -56,5 +57,5 @@ func WriteTrace(w io.Writer, n, m int, cycles [][]TraceRequest) error {
 // workloads can be replayed exactly (e.g. to compare arbitration
 // policies on identical request streams).
 func RecordWorkload(gen Workload, cycles int, seed int64) ([][]TraceRequest, error) {
-	return workload.Record(gen, cycles, newSeededRand(seed))
+	return workload.Record(gen, cycles, sim.NewSeededRand(seed))
 }
