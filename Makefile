@@ -24,7 +24,9 @@ race:
 
 # Bounded fuzzing of the parsers of outside bytes on the hot paths.
 # FuzzClassifyWiring: arbitrary wiring files must classify without
-# panics into structures that partition the buses and reachable modules.
+# panics into structures that partition the buses and reachable modules,
+# and must round-trip through WriteWiring with a stable fingerprint and
+# byte-stable output.
 # FuzzSweepShardStream: arbitrary peer shard streams must merge into a
 # complete sweep with no grid index emitted twice; each of its inputs
 # runs a whole HTTP round trip, so new-coverage minimization is capped
@@ -35,13 +37,16 @@ race:
 # whole budget.
 # FuzzGuideSample: the simulator's guide-table destination lookup must
 # return the index a binary search over the same CDF finds, for any
-# destination distribution and draw. Crashing inputs land in each
+# destination distribution and draw.
+# FuzzTraceRoundTrip: any trace file ReadTrace accepts must survive
+# WriteTrace → ReadTrace unchanged. Crashing inputs land in each
 # package's testdata.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepShardStream$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioCanonical$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzGuideSample$$' -fuzztime 20s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 20s ./internal/workload/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the

@@ -44,8 +44,8 @@
 // seed's view is adopted) — point load-balancer readiness there,
 // liveness at /healthz. A single-instance deployment omits the cluster
 // flags and pays no cluster overhead.
-// The hidden -chaos flag injects seeded faults (latency, errors,
-// panics) into every computation for resilience testing — e.g.
+// The hidden -chaos flag injects seeded faults (latency, panics)
+// into every computation for resilience testing — e.g.
 // -chaos "latency=2s,latencyRate=1,seed=7" — and must never be set in
 // production.
 package main

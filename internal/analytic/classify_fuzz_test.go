@@ -10,10 +10,12 @@ import (
 
 // FuzzClassifyWiring drives the general Classify path, the one custom,
 // parsed and degraded wirings take, with arbitrary wiring files and an
-// optional bus failure (fail < B removes that bus). Classify must not
-// panic, must fail only with a classified error, and a structure it
-// returns must account for every bus and every reachable module exactly
-// once.
+// optional bus failure (fail < B removes that bus). Every wiring
+// ReadWiring accepts must also round-trip: WriteWiring → ReadWiring
+// gives an equal Fingerprint, and writing the re-read network gives the
+// same bytes. Classify must not panic, must fail only with a classified
+// error, and a structure it returns must account for every bus and
+// every reachable module exactly once.
 func FuzzClassifyWiring(f *testing.F) {
 	seeds := []func() (*topology.Network, error){
 		func() (*topology.Network, error) { return topology.Full(4, 6, 3) },
@@ -46,6 +48,7 @@ func FuzzClassifyWiring(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkWiringRoundTrip(t, nw)
 		if int(fail) < nw.B() && nw.B() > 1 {
 			if nw, err = nw.WithoutBus(int(fail)); err != nil {
 				t.Fatalf("WithoutBus(%d): %v", fail, err)
@@ -63,6 +66,31 @@ func FuzzClassifyWiring(f *testing.F) {
 			t.Fatalf("%v classified as %+v but does not evaluate: %v", nw, s, err)
 		}
 	})
+}
+
+// checkWiringRoundTrip asserts that nw survives WriteWiring →
+// ReadWiring with its Fingerprint intact and that the written form is
+// a fixed point: the re-read network writes the same bytes.
+func checkWiringRoundTrip(t *testing.T, nw *topology.Network) {
+	t.Helper()
+	var first bytes.Buffer
+	if err := nw.WriteWiring(&first); err != nil {
+		t.Fatalf("WriteWiring(%v): %v", nw, err)
+	}
+	back, err := topology.ReadWiring(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadWiring rejects WriteWiring output: %v\n%s", err, first.Bytes())
+	}
+	if back.Fingerprint() != nw.Fingerprint() {
+		t.Fatalf("round trip changed the fingerprint of %v: %#x → %#x", nw, nw.Fingerprint(), back.Fingerprint())
+	}
+	var second bytes.Buffer
+	if err := back.WriteWiring(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("WriteWiring output is not byte-stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+	}
 }
 
 // classifiedError reports whether err wraps ErrNoClosedForm or one of

@@ -1,16 +1,15 @@
 // Package chaos is the fault-injection harness of the serving stack: a
 // seeded, deterministic injector that perturbs compute paths with
-// latency spikes, errors, and panics so the robustness layer —
-// admission control, circuit breaking, panic recovery —
-// can be exercised on demand instead of waiting for production to
-// misbehave.
+// latency spikes and panics so the robustness layer — admission
+// control, deadlines, panic recovery — can be exercised on demand
+// instead of waiting for production to misbehave. Transport (below)
+// does the same for the HTTP client between cluster peers.
 //
 // The injector sits on the compute seam: the service calls Inject at
 // the top of every (singleflight-deduplicated) computation, so injected
-// latency holds an admission slot exactly like a slow simulation would,
-// injected errors flow through the same classification and breaker
-// accounting as real failures, and injected panics unwind
-// through the same recovery middleware as a real bug.
+// latency holds an admission slot exactly like a slow simulation would
+// (and runs into the request deadline like one), and injected panics
+// unwind through the same recovery middleware as a real bug.
 //
 // Determinism: every Inject call draws the same fixed number of
 // variates from one seeded PCG stream (the repo-wide seed-derivation
@@ -34,7 +33,7 @@ import (
 	"multibus/internal/sim"
 )
 
-// ErrInjected tags every error the injector produces; match it with
+// ErrInjected tags every error Transport injects; match it with
 // errors.Is to distinguish synthetic failures from real ones in test
 // assertions (the serving layer deliberately cannot tell them apart).
 var ErrInjected = errors.New("chaos: injected failure")
@@ -57,8 +56,6 @@ type Config struct {
 	Latency time.Duration
 	// PanicRate is the probability a call panics with PanicValue.
 	PanicRate float64
-	// ErrorRate is the probability a call returns an ErrInjected error.
-	ErrorRate float64
 }
 
 // validate checks rates and durations.
@@ -66,7 +63,7 @@ func (c Config) validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
-	}{{"latencyRate", c.LatencyRate}, {"panicRate", c.PanicRate}, {"errorRate", c.ErrorRate}} {
+	}{{"latencyRate", c.LatencyRate}, {"panicRate", c.PanicRate}} {
 		if r.v < 0 || r.v > 1 || r.v != r.v {
 			return fmt.Errorf("chaos: %s = %v outside [0, 1]", r.name, r.v)
 		}
@@ -78,8 +75,8 @@ func (c Config) validate() error {
 }
 
 // Parse decodes a -chaos flag spec: comma-separated key=value pairs.
-// Keys: seed=<int>, latency=<duration>, latencyRate=<p>, errorRate=<p>,
-// panicRate=<p>. Example:
+// Keys: seed=<int>, latency=<duration>, latencyRate=<p>, panicRate=<p>.
+// Example:
 //
 //	-chaos "latency=2s,latencyRate=1,seed=7"
 //
@@ -103,12 +100,10 @@ func Parse(spec string) (Config, error) {
 			c.Latency, err = time.ParseDuration(value)
 		case "latencyRate":
 			c.LatencyRate, err = strconv.ParseFloat(value, 64)
-		case "errorRate":
-			c.ErrorRate, err = strconv.ParseFloat(value, 64)
 		case "panicRate":
 			c.PanicRate, err = strconv.ParseFloat(value, 64)
 		default:
-			return Config{}, fmt.Errorf("chaos: unknown spec key %q (want seed|latency|latencyRate|errorRate|panicRate)", key)
+			return Config{}, fmt.Errorf("chaos: unknown spec key %q (want seed|latency|latencyRate|panicRate)", key)
 		}
 		if err != nil {
 			return Config{}, fmt.Errorf("chaos: bad %s: %v", key, err)
@@ -124,7 +119,6 @@ func Parse(spec string) (Config, error) {
 type Stats struct {
 	Calls   int64 // Inject invocations
 	Delays  int64 // latency spikes slept (fully or cut short)
-	Errors  int64 // ErrInjected failures returned
 	Panics  int64 // panics raised
 	Aborted int64 // sleeps cut short by context cancellation
 }
@@ -136,7 +130,7 @@ type Injector struct {
 	cfg Config
 	rng *rng.Rand
 
-	calls, delays, errs, panics, aborted atomic.Int64
+	calls, delays, panics, aborted atomic.Int64
 }
 
 // New builds an injector for cfg, seeding its decision stream from
@@ -151,7 +145,7 @@ func New(cfg Config) (*Injector, error) {
 }
 
 // Configure swaps the fault profile and reseeds the decision stream —
-// tests flip an injector from quiet to 100% failure mid-run without
+// tests flip an injector between faulty and quiet mid-run without
 // rebuilding the server around it. Invalid configs are rejected with
 // the profile unchanged.
 func (in *Injector) Configure(cfg Config) error {
@@ -175,7 +169,6 @@ func (in *Injector) Stats() Stats {
 	return Stats{
 		Calls:   in.calls.Load(),
 		Delays:  in.delays.Load(),
-		Errors:  in.errs.Load(),
 		Panics:  in.panics.Load(),
 		Aborted: in.aborted.Load(),
 	}
@@ -183,10 +176,10 @@ func (in *Injector) Stats() Stats {
 
 // Inject perturbs the calling computation according to the configured
 // profile: first the latency spike (context-aware sleep), then the
-// panic, then the error. Each call draws exactly three variates from
-// the decision stream regardless of configuration, so enabling one
-// fault type does not shift the decisions of another and a (seed, call
-// index) pair always names the same fault. A nil receiver injects
+// panic. Each call draws exactly two variates from the decision stream
+// regardless of configuration, so enabling one fault type does not
+// shift the decisions of another and a (seed, call index) pair always
+// names the same fault. A nil receiver injects
 // nothing, so callers can hold an optional *Injector without guarding.
 func (in *Injector) Inject(ctx context.Context) error {
 	if in == nil {
@@ -200,7 +193,6 @@ func (in *Injector) Inject(ctx context.Context) error {
 	cfg := in.cfg
 	uLatency := in.rng.Float64()
 	uPanic := in.rng.Float64()
-	uErr := in.rng.Float64()
 	in.mu.Unlock()
 	in.calls.Add(1)
 
@@ -218,10 +210,6 @@ func (in *Injector) Inject(ctx context.Context) error {
 	if cfg.PanicRate > 0 && uPanic < cfg.PanicRate {
 		in.panics.Add(1)
 		panic(PanicValue)
-	}
-	if cfg.ErrorRate > 0 && uErr < cfg.ErrorRate {
-		in.errs.Add(1)
-		return fmt.Errorf("%w: errorRate=%v draw=%.3f", ErrInjected, cfg.ErrorRate, uErr)
 	}
 	return nil
 }

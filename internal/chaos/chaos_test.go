@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,8 +16,8 @@ func TestParse(t *testing.T) {
 		{"", Config{}},
 		{"seed=7", Config{Seed: 7}},
 		{"latency=2s,latencyRate=1,seed=1", Config{Seed: 1, Latency: 2 * time.Second, LatencyRate: 1}},
-		{"errorRate=0.5,panicRate=0.25", Config{ErrorRate: 0.5, PanicRate: 0.25}},
-		{" latency=10ms , errorRate=1 ", Config{Latency: 10 * time.Millisecond, ErrorRate: 1}},
+		{"latencyRate=0.5,panicRate=0.25", Config{LatencyRate: 0.5, PanicRate: 0.25}},
+		{" latency=10ms , panicRate=1 ", Config{Latency: 10 * time.Millisecond, PanicRate: 1}},
 	}
 	for _, tc := range cases {
 		got, err := Parse(tc.spec)
@@ -34,7 +35,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"frobnicate=1",      // unknown key
 		"latencyRate",       // no value
-		"errorRate=1.5",     // out of range
+		"latencyRate=1.5",   // out of range
 		"panicRate=-0.1",    // out of range
 		"latency=-5ms",      // negative duration
 		"seed=not-a-number", // unparsable
@@ -43,74 +44,82 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 			t.Errorf("Parse(%q) accepted, want error", spec)
 		}
 	}
+	if _, err := Parse("errorRate=0.5"); err == nil || !strings.Contains(err.Error(), "unknown spec key") {
+		t.Errorf("Parse(errorRate=0.5) = %v, want an unknown-key error", err)
+	}
+}
+
+// injectPanicked reports whether one Inject call panicked with
+// PanicValue.
+func injectPanicked(t *testing.T, in *Injector) (panicked bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if r != PanicValue {
+				t.Fatalf("recovered %v, want %q", r, PanicValue)
+			}
+			panicked = true
+		}
+	}()
+	if err := in.Inject(context.Background()); err != nil {
+		t.Fatalf("Inject: %v", err)
+	}
+	return false
 }
 
 // Same seed, same call sequence, same faults: the whole point of a
 // seeded injector is that a chaos test failure reproduces.
 func TestDeterministicDecisionStream(t *testing.T) {
 	run := func() []bool {
-		in, err := New(Config{Seed: 42, ErrorRate: 0.5})
+		in, err := New(Config{Seed: 42, PanicRate: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		outcomes := make([]bool, 64)
 		for i := range outcomes {
-			outcomes[i] = in.Inject(context.Background()) != nil
+			outcomes[i] = injectPanicked(t, in)
 		}
 		return outcomes
 	}
 	a, b := run(), run()
-	failures := 0
+	panics := 0
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("call %d differs between identical seeds", i)
 		}
 		if a[i] {
-			failures++
+			panics++
 		}
 	}
-	// At rate 0.5 over 64 calls, both all-fail and none-fail would mean
-	// the rate is not being applied.
-	if failures == 0 || failures == len(a) {
-		t.Errorf("errorRate=0.5 produced %d/%d failures", failures, len(a))
+	// At rate 0.5 over 64 calls, both all-panic and none-panic would
+	// mean the rate is not being applied.
+	if panics == 0 || panics == len(a) {
+		t.Errorf("panicRate=0.5 produced %d/%d panics", panics, len(a))
 	}
 }
 
 // Enabling one fault type must not shift another type's decisions:
-// every call draws all three variates.
+// every call draws both variates.
 func TestDecisionStreamsIndependent(t *testing.T) {
 	seq := func(cfg Config) []bool {
 		cfg.Seed = 99
-		cfg.ErrorRate = 0.5
+		cfg.PanicRate = 0.5
 		in, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]bool, 32)
 		for i := range out {
-			out[i] = errors.Is(in.Inject(context.Background()), ErrInjected)
+			out[i] = injectPanicked(t, in)
 		}
 		return out
 	}
 	plain := seq(Config{})
-	withLatency := seq(Config{Latency: time.Microsecond, LatencyRate: 1})
+	withLatency := seq(Config{Latency: time.Microsecond, LatencyRate: 0.5})
 	for i := range plain {
 		if plain[i] != withLatency[i] {
-			t.Fatalf("error decision %d shifted when latency injection was enabled", i)
+			t.Fatalf("panic decision %d shifted when latency injection was enabled", i)
 		}
-	}
-}
-
-func TestInjectedErrorMatchesSentinel(t *testing.T) {
-	in, err := New(Config{ErrorRate: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Inject(context.Background()); !errors.Is(err, ErrInjected) {
-		t.Errorf("Inject with errorRate=1 returned %v, want ErrInjected", err)
-	}
-	if got := in.Stats().Errors; got != 1 {
-		t.Errorf("Stats.Errors = %d, want 1", got)
 	}
 }
 
@@ -167,20 +176,29 @@ func TestConfigureSwapsProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Inject(context.Background()); err != nil {
-		t.Fatalf("quiet profile injected: %v", err)
+	inject := func() {
+		t.Helper()
+		if err := in.Inject(context.Background()); err != nil {
+			t.Fatalf("Inject: %v", err)
+		}
 	}
-	if err := in.Configure(Config{ErrorRate: 1}); err != nil {
+	inject()
+	if got := in.Stats().Delays; got != 0 {
+		t.Fatalf("quiet profile delayed %d calls", got)
+	}
+	if err := in.Configure(Config{Latency: time.Microsecond, LatencyRate: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Inject(context.Background()); !errors.Is(err, ErrInjected) {
-		t.Errorf("after Configure(errorRate=1): %v, want ErrInjected", err)
+	inject()
+	if got := in.Stats().Delays; got != 1 {
+		t.Errorf("after Configure(latencyRate=1): %d delays, want 1", got)
 	}
-	if err := in.Configure(Config{ErrorRate: 2}); err == nil {
-		t.Error("Configure accepted errorRate=2")
+	if err := in.Configure(Config{LatencyRate: 2}); err == nil {
+		t.Error("Configure accepted latencyRate=2")
 	}
 	// The rejected config must not have replaced the active profile.
-	if err := in.Inject(context.Background()); !errors.Is(err, ErrInjected) {
-		t.Errorf("profile changed by rejected Configure: %v", err)
+	inject()
+	if got := in.Stats().Delays; got != 2 {
+		t.Errorf("profile changed by rejected Configure: %d delays, want 2", got)
 	}
 }

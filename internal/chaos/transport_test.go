@@ -110,6 +110,32 @@ func TestTransportErrorEnvelopeAndStats(t *testing.T) {
 	}
 }
 
+// TestInjectedErrorMatchesSentinel: a dropped round trip surfaces
+// through http.Client as an error matching ErrInjected, so tests can
+// tell a synthetic peer failure from a real dial error, and the peer
+// never sees the request.
+func TestInjectedErrorMatchesSentinel(t *testing.T) {
+	hits := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits++
+	}))
+	defer srv.Close()
+	tr, err := NewTransport(TransportConfig{DropRate: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: tr}
+	if _, err := client.Get(srv.URL); !errors.Is(err, ErrInjected) {
+		t.Errorf("Get with dropRate=1 returned %v, want ErrInjected", err)
+	}
+	if hits != 0 {
+		t.Errorf("server saw %d requests; dropped requests must never reach the peer", hits)
+	}
+	if got := tr.Stats().Drops; got != 1 {
+		t.Errorf("Stats.Drops = %d, want 1", got)
+	}
+}
+
 func TestTransportMatchPassthrough(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()

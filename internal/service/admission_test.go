@@ -49,8 +49,8 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second Acquire = %v, want ErrOverloaded", err)
 	}
-	var hint retryAfterHint
-	if !errors.As(err, &hint) || hint.RetryAfter() < time.Second {
+	var shed *overloadedError
+	if !errors.As(err, &shed) || shed.retryAfter < time.Second {
 		t.Fatalf("shed error carries no usable Retry-After hint: %v", err)
 	}
 }

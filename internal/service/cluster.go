@@ -99,7 +99,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// One gate for the whole shard, on the sweep route: shard work is
 	// sweep work, and a worker saturated by local traffic sheds the
-	// coordinator with the same 429/503 envelopes as any client.
+	// coordinator with the same 429 envelope as any client.
 	_, err := s.gate(r.Context(), "sweep", weight, func(ctx context.Context) (any, error) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
@@ -134,7 +134,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	if err != nil {
-		// A gate refusal (shed, open circuit) happens before the header is
+		// A gate refusal (shed, deadline) happens before the header is
 		// written and classifies normally; a mid-stream pool abort cannot
 		// be re-enveloped once NDJSON bytes are out, so the truncated
 		// stream itself is the error signal the coordinator acts on.

@@ -22,17 +22,6 @@ import (
 // Retry-After hint. Match with errors.Is.
 var ErrOverloaded = errors.New("service: overloaded")
 
-// ErrCircuitOpen tags requests fast-failed by an open circuit breaker.
-// Clients see 503 circuit_open with the remaining cooldown as
-// Retry-After. Match with errors.Is.
-var ErrCircuitOpen = errors.New("service: circuit open")
-
-// retryAfterHint is implemented by errors that carry a client backoff
-// hint; writeClassified surfaces it as a Retry-After header.
-type retryAfterHint interface {
-	RetryAfter() time.Duration
-}
-
 // overloadedError is the concrete shed error: ErrOverloaded plus the
 // admission layer's backoff estimate.
 type overloadedError struct {
@@ -43,22 +32,7 @@ func (e *overloadedError) Error() string {
 	return fmt.Sprintf("service: overloaded: admission queue full, retry in %s",
 		e.retryAfter.Round(time.Second))
 }
-func (e *overloadedError) Is(target error) bool      { return target == ErrOverloaded }
-func (e *overloadedError) RetryAfter() time.Duration { return e.retryAfter }
-
-// circuitOpenError is the concrete fast-fail error: ErrCircuitOpen plus
-// the route and remaining cooldown.
-type circuitOpenError struct {
-	route      string
-	retryAfter time.Duration
-}
-
-func (e *circuitOpenError) Error() string {
-	return fmt.Sprintf("service: %s circuit open, retry in %s",
-		e.route, e.retryAfter.Round(time.Second))
-}
-func (e *circuitOpenError) Is(target error) bool      { return target == ErrCircuitOpen }
-func (e *circuitOpenError) RetryAfter() time.Duration { return e.retryAfter }
+func (e *overloadedError) Is(target error) bool { return target == ErrOverloaded }
 
 // apiError is the unified v1 error envelope, the single JSON error
 // shape every route emits:
@@ -66,12 +40,12 @@ func (e *circuitOpenError) RetryAfter() time.Duration { return e.retryAfter }
 //	{"error": {"code", "message", "retryable", "retry_after_s"}}
 //
 // Codes are the stable classification vocabulary (invalid_request,
-// no_closed_form, overloaded, circuit_open, canceled,
-// deadline_exceeded, internal_error, plus the surface-specific
-// not_found, draining, and lagged). Retryable tells clients whether
-// backing off and resending the identical request can succeed;
-// RetryAfterS mirrors the Retry-After header in whole seconds when the
-// error carries a backoff hint.
+// no_closed_form, overloaded, canceled, deadline_exceeded,
+// internal_error, plus the surface-specific not_found, draining, and
+// lagged). Retryable tells clients whether backing off and resending
+// the identical request can succeed; RetryAfterS mirrors the
+// Retry-After header in whole seconds and is set on every overloaded
+// error.
 type apiError struct {
 	Code        string `json:"code"`
 	Message     string `json:"message"`
@@ -89,7 +63,7 @@ type errorResponse struct {
 // cancellations the client caused.
 func retryableCode(code string) bool {
 	switch code {
-	case "overloaded", "circuit_open", "deadline_exceeded", "internal_error", "draining",
+	case "overloaded", "deadline_exceeded", "internal_error", "draining",
 		"not_ready":
 		// not_ready resolves as membership converges; forbidden (the
 		// hop-guard refusal) never does and stays false.
@@ -100,13 +74,19 @@ func retryableCode(code string) bool {
 
 // newAPIError renders a classified evaluation error as the envelope
 // payload (shared by top-level error responses and per-item batch
-// errors).
+// errors). It is the one place an overloaded envelope gets its backoff
+// hint: the admission layer's estimate for a shed, 1s for anything else
+// (a full job store carries no estimate).
 func newAPIError(err error) *apiError {
 	_, code := classify(err)
 	ae := &apiError{Code: code, Message: err.Error(), Retryable: retryableCode(code)}
-	var hint retryAfterHint
-	if errors.As(err, &hint) {
-		ae.RetryAfterS = retryAfterSeconds(hint.RetryAfter())
+	if code == "overloaded" {
+		retryAfter := time.Second
+		var shed *overloadedError
+		if errors.As(err, &shed) {
+			retryAfter = shed.retryAfter
+		}
+		ae.RetryAfterS = retryAfterSeconds(retryAfter)
 	}
 	return ae
 }
@@ -156,8 +136,6 @@ func classify(err error) (status int, code string) {
 		return http.StatusNotFound, "not_found"
 	case errors.Is(err, jobs.ErrCanceled):
 		return http.StatusServiceUnavailable, "canceled"
-	case errors.Is(err, ErrCircuitOpen):
-		return http.StatusServiceUnavailable, "circuit_open"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, context.Canceled):
@@ -175,21 +153,4 @@ func classify(err error) (status int, code string) {
 		}
 	}
 	return http.StatusInternalServerError, "internal_error"
-}
-
-// breakerFailure decides which errors count toward a breaker's
-// consecutive-failure streak: genuine compute failures (internal
-// errors, deadlines, panics) do; sheds and open-circuit short-circuits
-// (the robustness layer's own refusals), client cancellations, and
-// client-fault 4xx classifications do not — a stream of invalid
-// requests must never trip a healthy backend's breaker.
-func breakerFailure(err error) bool {
-	if err == nil ||
-		errors.Is(err, ErrOverloaded) ||
-		errors.Is(err, ErrCircuitOpen) ||
-		errors.Is(err, context.Canceled) {
-		return false
-	}
-	status, _ := classify(err)
-	return status >= http.StatusInternalServerError
 }

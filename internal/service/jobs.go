@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"multibus/internal/jobs"
 	"multibus/internal/sweep"
@@ -91,15 +90,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.jobs.Submit(op, total, run)
 	if err != nil {
-		// A full store is an overload condition; make sure the envelope
-		// carries a backoff hint even though the store error has none.
-		ae := newAPIError(err)
-		if ae.Code == "overloaded" && ae.RetryAfterS == 0 {
-			ae.RetryAfterS = retryAfterSeconds(time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(ae.RetryAfterS, 10))
-		}
-		status, _ := classify(err)
-		writeEnvelope(w, status, *ae)
+		writeClassified(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
@@ -108,7 +99,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // sweepJob builds the run function for an async sweep. The whole grid
 // passes the gates as one weighted admission — exactly like the
-// synchronous handler — under the dedicated "jobs" breaker; the job is
+// synchronous handler — counted under the "jobs" route; the job is
 // marked running only once admission is granted, so queue time and run
 // time separate in the status.
 func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {

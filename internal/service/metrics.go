@@ -24,14 +24,12 @@ const (
 	metricSweepPoints     = "mbserve_sweep_points_total"
 
 	// Robustness-layer families (DESIGN.md §11).
-	metricInflightCompute    = "mbserve_inflight_compute"
-	metricQueueDepth         = "mbserve_queue_depth"
-	metricAdmissionCapacity  = "mbserve_admission_capacity"
-	metricQueueWaitSeconds   = "mbserve_queue_wait_seconds"
-	metricShedTotal          = "mbserve_shed_total"
-	metricBreakerState       = "mbserve_breaker_state"
-	metricBreakerTransitions = "mbserve_breaker_transitions_total"
-	metricPanicsTotal        = "mbserve_panics_total"
+	metricInflightCompute   = "mbserve_inflight_compute"
+	metricQueueDepth        = "mbserve_queue_depth"
+	metricAdmissionCapacity = "mbserve_admission_capacity"
+	metricQueueWaitSeconds  = "mbserve_queue_wait_seconds"
+	metricShedTotal         = "mbserve_shed_total"
+	metricPanicsTotal       = "mbserve_panics_total"
 
 	// Async-job families (DESIGN.md §13).
 	metricJobsTotal         = "mbserve_jobs_total"
@@ -85,26 +83,6 @@ func (m *serverMetrics) bindAdmission(a *admission) {
 	m.reg.GaugeFunc(metricAdmissionCapacity,
 		"configured admission capacity (units)",
 		func() float64 { return float64(a.Capacity()) })
-}
-
-// bindBreaker registers a route's breaker-state gauge
-// (0 closed, 1 half-open, 2 open).
-func (m *serverMetrics) bindBreaker(route string, b *breaker) {
-	m.reg.GaugeFunc(metricBreakerState,
-		"circuit breaker state by route (0 closed, 1 half-open, 2 open)",
-		func() float64 { return float64(b.State()) },
-		obs.L("route", route))
-}
-
-// breakerTransition returns a route's transition hook: one counter tick
-// per state change, labeled by destination, so open/half-open/closed
-// journeys are reconstructible from /metrics.
-func (m *serverMetrics) breakerTransition(route string) func(from, to breakerState) {
-	return func(from, to breakerState) {
-		m.reg.Counter(metricBreakerTransitions,
-			"circuit breaker state transitions by route and destination state",
-			obs.L("route", route), obs.L("to", to.String())).Inc()
-	}
 }
 
 // jobHooks returns the store's instrumentation callbacks: one

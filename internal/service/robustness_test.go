@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -33,26 +34,46 @@ func getPath(h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestBreakerTripsAndRecoversUnderComputeFailure is the end-to-end
-// breaker scenario: warm one key, then flip chaos to 100% compute
-// failure and request distinct (missing) keys. The first threshold
-// misses fail as typed 500s, the next fast-fails 503 circuit_open with
-// Retry-After, and /metrics shows the open circuit. Once the faults stop
-// and the cooldown passes, a half-open probe closes the circuit. All
-// along, the warmed key answers 200 X-Cache: hit with its cold bytes:
-// hits are served before any gate, so they never see the outage.
-func TestBreakerTripsAndRecoversUnderComputeFailure(t *testing.T) {
-	const threshold = 2
-	in := mustInjector(t, chaos.Config{Seed: 1}) // quiet: warm-up succeeds
+// TestOversizedRequestsDoNotLockOutRoute: requests whose own size runs
+// them past the deadline fail alone. Five simulate bodies too long for
+// a 30ms budget each answer 504 deadline_exceeded, and the next valid
+// small simulate on the same route still answers 200 — no client can
+// refuse the route to every other client by timing itself out.
+func TestOversizedRequestsDoNotLockOutRoute(t *testing.T) {
+	h := newTestServer(t, Options{Timeout: 30 * time.Millisecond}).Handler()
+	for i := 0; i < 5; i++ {
+		body := fmt.Sprintf(`{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":200000000,"seed":%d}}`, i+1)
+		rec := postJSON(t, h, "/v1/simulate", body)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusGatewayTimeout ||
+			err != nil || er.Error.Code != "deadline_exceeded" {
+			t.Fatalf("oversized simulate %d = %d %s, want 504 deadline_exceeded", i, rec.Code, rec.Body.String())
+		}
+	}
+	small := `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":200}}`
+	if rec := postJSON(t, h, "/v1/simulate", small); rec.Code != http.StatusOK {
+		t.Fatalf("valid simulate after oversized ones = %d, want 200; %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestComputeFailureIsNotCachedAndWarmKeyHits: a miss whose compute
+// fails answers 500 internal_error and leaves nothing in the cache, so
+// the identical request recomputes and succeeds once compute recovers.
+// All along, a key warmed beforehand answers 200 X-Cache: hit with its
+// cold bytes: hits are served from memory and never reach compute.
+func TestComputeFailureIsNotCachedAndWarmKeyHits(t *testing.T) {
+	var failing atomic.Bool
+	var computations atomic.Int64
 	s := newTestServer(t, Options{
-		Chaos:            in,
-		BreakerThreshold: threshold,
-		BreakerCooldown:  250 * time.Millisecond,
+		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+			computations.Add(1)
+			if failing.Load() {
+				return nil, errors.New("compute backend failed")
+			}
+			return multibus.AnalyzeContext(ctx, nw, model, r)
+		},
 	})
 	h := s.Handler()
-	missing := func(i int) string {
-		return fmt.Sprintf(`{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":0.%d}`, i+1)
-	}
 
 	warm := postJSON(t, h, "/v1/analyze", analyzeBody)
 	if warm.Code != http.StatusOK || warm.Header().Get("X-Cache") != "miss" {
@@ -72,11 +93,11 @@ func TestBreakerTripsAndRecoversUnderComputeFailure(t *testing.T) {
 		}
 	}
 
-	if err := in.Configure(chaos.Config{Seed: 1, ErrorRate: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < threshold; i++ {
-		rec := postJSON(t, h, "/v1/analyze", missing(i))
+	failing.Store(true)
+	const missing = `{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":0.5}`
+	const attempts = 6
+	for i := 0; i < attempts; i++ {
+		rec := postJSON(t, h, "/v1/analyze", missing)
 		var er errorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusInternalServerError ||
 			err != nil || er.Error.Code != "internal_error" {
@@ -84,54 +105,21 @@ func TestBreakerTripsAndRecoversUnderComputeFailure(t *testing.T) {
 		}
 		assertWarmHit(fmt.Sprintf("after failure %d", i))
 	}
-	rec := postJSON(t, h, "/v1/analyze", missing(threshold))
-	var er errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusServiceUnavailable ||
-		err != nil || er.Error.Code != "circuit_open" {
-		t.Fatalf("miss on open circuit = %d %s, want 503 circuit_open", rec.Code, rec.Body.String())
-	}
-	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
-		t.Fatalf("circuit_open Retry-After = %q, want integer seconds ≥ 1", rec.Header().Get("Retry-After"))
-	}
-	assertWarmHit("circuit open")
-	// Only the threshold misses reached compute: the open circuit
-	// refused the third before chaos, and hits never got that far.
-	if got := in.Stats().Errors; got != threshold {
-		t.Errorf("injected errors = %d, want %d", got, threshold)
+	// Every attempt reached compute: a failure is never cached, and the
+	// warmed key's hits never got that far.
+	if got := computations.Load(); got != 1+attempts {
+		t.Errorf("computations = %d, want %d (warm-up plus one per failing attempt)", got, 1+attempts)
 	}
 
-	mBody := scrapeMetrics(t, h)
-	if got := metricValue(t, mBody, `mbserve_breaker_state{route="analyze"}`); got != 2 {
-		t.Errorf("breaker state gauge = %v, want 2 (open)", got)
-	}
-	if got := metricValue(t, mBody, `mbserve_breaker_transitions_total{route="analyze",to="open"}`); got != 1 {
-		t.Errorf("transitions to=open = %v, want 1", got)
-	}
-
-	// Recovery: faults stop, the cooldown elapses, and the next miss is
-	// the half-open probe that closes the circuit.
-	if err := in.Configure(chaos.Config{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(400 * time.Millisecond)
-	if rec := postJSON(t, h, "/v1/analyze", missing(threshold+1)); rec.Code != http.StatusOK ||
+	failing.Store(false)
+	if rec := postJSON(t, h, "/v1/analyze", missing); rec.Code != http.StatusOK ||
 		rec.Header().Get("X-Cache") != "miss" {
-		t.Fatalf("half-open probe = %d (X-Cache %q), want 200 miss; %s",
+		t.Fatalf("miss after recovery = %d (X-Cache %q), want 200 miss; %s",
 			rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
 	}
 	assertWarmHit("after recovery")
-	mBody = scrapeMetrics(t, h)
-	if got := metricValue(t, mBody, `mbserve_breaker_state{route="analyze"}`); got != 0 {
-		t.Errorf("breaker state after recovery = %v, want 0 (closed)", got)
-	}
-	for _, to := range []string{"open", "half_open", "closed"} {
-		series := fmt.Sprintf(`mbserve_breaker_transitions_total{route="analyze",to=%q}`, to)
-		if got := metricValue(t, mBody, series); got != 1 {
-			t.Errorf("%s = %v, want 1", series, got)
-		}
-	}
-	if got := metricValue(t, mBody, `mbserve_cache_requests_total{result="hit",route="analyze"}`); got != threshold+2 {
-		t.Errorf("analyze hits = %v, want %d (one per warmed-key check)", got, threshold+2)
+	if got := metricValue(t, scrapeMetrics(t, h), `mbserve_cache_requests_total{result="hit",route="analyze"}`); got != attempts+1 {
+		t.Errorf("analyze hits = %v, want %d (one per warmed-key check)", got, attempts+1)
 	}
 }
 
@@ -273,7 +261,7 @@ func TestQueueDelaysInsteadOfShedding(t *testing.T) {
 // ticks, and the server keeps serving afterwards.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	in := mustInjector(t, chaos.Config{PanicRate: 1})
-	s := newTestServer(t, Options{Chaos: in, BreakerThreshold: -1})
+	s := newTestServer(t, Options{Chaos: in})
 	h := s.Handler()
 
 	rec := postJSON(t, h, "/v1/analyze", analyzeBody)

@@ -38,19 +38,18 @@
 // (see errors.go) — never by matching error strings.
 //
 // The robustness layer (DESIGN.md §11) guards the compute seam. Every
-// flight leader passes three gates before computing: a per-route
-// circuit breaker (consecutive compute failures trip it open;
-// fast-fails 503 circuit_open until a half-open probe succeeds), a
-// weighted admission semaphore with a bounded FIFO queue (full queue
-// sheds 429 overloaded + Retry-After; weights come from the canonical
-// scenario, see weights.go), and the optional chaos injector
-// (internal/chaos — the fault harness the robustness tests drive).
+// flight leader passes two gates before computing: a weighted admission
+// semaphore with a bounded FIFO queue (full queue sheds 429 overloaded
+// + Retry-After; weights come from the canonical scenario, see
+// weights.go), and the optional chaos injector (internal/chaos — the
+// fault harness the robustness tests drive). No failure history is
+// kept per route: compute is a pure function of the request, so one
+// request's failure says nothing about the next (DESIGN.md §11).
 // Cache hits are answered before any gate, so a resident key keeps
-// answering 200 while compute fails, sheds, or the circuit is open.
-// Handler panics are recovered by the instrument middleware into 500s
-// and counted. GET /healthz flips to 503 draining once
-// shutdown begins, so load balancers stop routing into the drain
-// window.
+// answering 200 while compute fails or sheds. Handler panics are
+// recovered by the instrument middleware into 500s and counted.
+// GET /healthz flips to 503 draining once shutdown begins, so load
+// balancers stop routing into the drain window.
 package service
 
 import (
@@ -87,12 +86,6 @@ const (
 	// not units): deep enough to absorb a burst, shallow enough that
 	// queued requests still meet typical deadlines.
 	DefaultQueueDepth = 64
-	// DefaultBreakerThreshold is the consecutive-failure streak that
-	// trips a route's circuit breaker open.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerCooldown is how long an open circuit fast-fails
-	// before admitting a half-open probe.
-	DefaultBreakerCooldown = 5 * time.Second
 )
 
 // DefaultAdmissionLimit is the default compute capacity in admission
@@ -139,14 +132,7 @@ type Options struct {
 	// DefaultQueueDepth; negative means no queue (shed immediately
 	// when the semaphore is full).
 	QueueDepth int
-	// BreakerThreshold is the consecutive compute failures that trip a
-	// route's circuit breaker. 0 means DefaultBreakerThreshold;
-	// negative disables the breakers.
-	BreakerThreshold int
-	// BreakerCooldown is the open-circuit fast-fail window before a
-	// half-open probe. 0 means DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
-	// Chaos, when non-nil, injects faults (latency, errors, panics) at
+	// Chaos, when non-nil, injects faults (latency, panics) at
 	// the top of every gated computation — the chaos harness the
 	// robustness tests and the mbserve -chaos flag wire in. Nil injects
 	// nothing.
@@ -178,9 +164,8 @@ type Server struct {
 	metrics *serverMetrics
 	backend compute.Backend
 
-	adm      *admission
-	jobs     *jobs.Store // nil when the jobs surface is disabled
-	breakers map[string]*breaker
+	adm  *admission
+	jobs *jobs.Store // nil when the jobs surface is disabled
 	// cluster mirrors Options; clusterReady gates GET /readyz until
 	// StartCluster has run.
 	cluster      ClusterControl
@@ -238,14 +223,6 @@ func New(opts Options) (*Server, error) {
 	case queueDepth < 0:
 		queueDepth = 0
 	}
-	threshold := opts.BreakerThreshold
-	if threshold == 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	cooldown := opts.BreakerCooldown
-	if cooldown == 0 {
-		cooldown = DefaultBreakerCooldown
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = nopLogger
@@ -255,21 +232,15 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:     opts,
-		cache:    c,
-		backend:  opts.Backend,
-		logger:   logger,
-		metrics:  newServerMetrics(c),
-		adm:      newAdmission(int64(opts.AdmissionLimit), queueDepth),
-		breakers: make(map[string]*breaker),
-		cluster:  opts.Cluster,
+		opts:    opts,
+		cache:   c,
+		backend: opts.Backend,
+		logger:  logger,
+		metrics: newServerMetrics(c),
+		adm:     newAdmission(int64(opts.AdmissionLimit), queueDepth),
+		cluster: opts.Cluster,
 	}
 	s.metrics.bindAdmission(s.adm)
-	for _, route := range []string{"analyze", "simulate", "sweep", "jobs"} {
-		br := newBreaker(threshold, cooldown, s.metrics.breakerTransition(route))
-		s.breakers[route] = br
-		s.metrics.bindBreaker(route, br)
-	}
 	if opts.JobsMax >= 0 {
 		s.jobs = jobs.NewStore(jobs.Options{
 			MaxJobs:    opts.JobsMax,
@@ -498,52 +469,24 @@ const (
 )
 
 // gate runs one computation through the robustness gates, in order:
-// circuit breaker (fast-fail while open), admission semaphore (bounded
-// queue, shed when full), then the chaos injector, then the computation
-// itself. It records the breaker outcome: success closes, genuine
-// failures count toward the trip threshold, the layer's own refusals
-// cancel a pending half-open probe. gate is only ever called as (or
-// from) a singleflight leader, so admission units bound actual compute,
-// not waiter count.
-func (s *Server) gate(ctx context.Context, route string, weight int64, compute func(context.Context) (any, error)) (v any, err error) {
-	br := s.breakers[route]
-	if ok, retry := br.Allow(); !ok {
-		return nil, &circuitOpenError{route: route, retryAfter: retry}
-	}
-	finished := false
-	defer func() {
-		switch {
-		case !finished:
-			// Unwinding on a panic: the breaker counts it like any other
-			// compute failure; the panic keeps going to the recovery
-			// middleware.
-			br.Failure()
-		case err == nil:
-			br.Success()
-		case breakerFailure(err):
-			br.Failure()
-		default:
-			br.CancelProbe()
-		}
-	}()
-	release, wait, aerr := s.adm.Acquire(ctx, weight)
-	if aerr != nil {
-		if errors.Is(aerr, ErrOverloaded) {
+// admission semaphore (bounded queue, shed when full), then the chaos
+// injector, then the computation itself. route labels the shed
+// counter. gate is only ever called as (or from) a singleflight
+// leader, so admission units bound actual compute, not waiter count.
+func (s *Server) gate(ctx context.Context, route string, weight int64, compute func(context.Context) (any, error)) (any, error) {
+	release, wait, err := s.adm.Acquire(ctx, weight)
+	if err != nil {
+		if errors.Is(err, ErrOverloaded) {
 			s.metrics.shed(route).Inc()
 		}
-		finished = true
-		return nil, aerr
+		return nil, err
 	}
 	s.metrics.queueWait.Observe(wait.Seconds())
 	defer release()
-	v, err = func() (any, error) {
-		if cerr := s.opts.Chaos.Inject(ctx); cerr != nil {
-			return nil, cerr
-		}
-		return compute(ctx)
-	}()
-	finished = true
-	return v, err
+	if err := s.opts.Chaos.Inject(ctx); err != nil {
+		return nil, err
+	}
+	return compute(ctx)
 }
 
 // evalScenario evaluates one scenario through the cache, running the
@@ -857,10 +800,9 @@ func writeEnvelope(w http.ResponseWriter, status int, ae apiError) {
 }
 
 // writeClassified maps a domain error to its HTTP status via the
-// sentinel classification, surfacing any backoff hint (sheds, open
-// circuits, full job store) as both the Retry-After header and the
-// envelope's retry_after_s, in whole seconds, rounded up and floored
-// at 1 so clients never retry immediately.
+// sentinel classification, surfacing the backoff hint every overloaded
+// error carries (sheds, full job store) as both the Retry-After header
+// and the envelope's retry_after_s (see newAPIError).
 func writeClassified(w http.ResponseWriter, err error) {
 	status, _ := classify(err)
 	writeEnvelope(w, status, *newAPIError(err))
