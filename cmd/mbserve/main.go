@@ -17,13 +17,15 @@
 // /v1/jobs (async sweep/batch with status polling, cursor-paged
 // results, NDJSON/SSE streaming, and cancellation under /v1/jobs/{id});
 // GET /healthz, /readyz, /metrics (Prometheus text), /debug/vars
-// (expvar JSON), /debug/pprof/. The full contract lives in
-// api/openapi.yaml. Structured access logs go to stderr; tune them with
-// -log-level and -log-format. The server drains in-flight requests on
-// SIGINT/SIGTERM before exiting; /healthz answers 503 draining during
-// the drain window so load balancers stop routing here, and the job
-// store drains after request traffic stops (queued jobs canceled,
-// running jobs given the remaining budget).
+// (the runtime's expvar JSON), /debug/pprof/. A sweep grid, sync or as
+// a job, is capped at 65536 estimated points and a batch at 1024
+// scenarios, so -jobs alone bounds the records the job store holds.
+// The full contract lives in api/openapi.yaml. Structured access logs
+// go to stderr; tune them with -log-level and -log-format. The server
+// drains in-flight requests on SIGINT/SIGTERM before exiting; /healthz
+// answers 503 draining during the drain window so load balancers stop
+// routing here, and the job store drains after request traffic stops
+// (queued jobs canceled, running jobs given the remaining budget).
 //
 // The robustness layer is tunable: -admit bounds concurrent compute (in
 // admission units — see the README's Robustness section) and -queue
@@ -80,7 +82,6 @@ func main() {
 		admit         = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
 		queue         = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
 		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default, negative = disable the /v1/jobs surface)")
-		jobResults    = flag.Int("job-results-cap", 0, "retained result records per job for pagination/replay (0 = default)")
 		chaosSpec     = flag.String("chaos", "", "fault injection spec, e.g. \"latency=2s,latencyRate=1,seed=7\" (testing only)")
 		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
 		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
@@ -114,10 +115,9 @@ func main() {
 					}
 					return *admit
 				}(),
-				QueueDepth:    *queue,
-				Chaos:         injector,
-				JobsMax:       *jobsMax,
-				JobResultsCap: *jobResults,
+				QueueDepth: *queue,
+				Chaos:      injector,
+				JobsMax:    *jobsMax,
 			})
 		}
 	}

@@ -13,24 +13,20 @@
 // marshal, a streamed or paged point is byte-identical to its
 // synchronous twin.
 //
-// Memory is capped per job: the first Options.ResultsCap records are
-// retained for pagination and replay; records past the cap are counted
-// as spilled (never silently dropped — Status.Spilled reports them) and
-// remain observable only through the live window, a fixed-size ring of
-// the most recent frontier records that attached streamers read as
-// workers complete points. A streamer that keeps up therefore receives
-// every record even for grids far larger than the retention cap; one
-// that falls behind the ring past the retained prefix receives
-// ErrLagged instead of silently missing data.
+// A job retains every record it publishes, so pagination and stream
+// replay from record 0 see the whole result set. The store does not
+// bound records per job itself: the service refuses sweep grids and
+// batches larger than its request caps before a job is created, which
+// bounds each job's residency at the edge.
 //
 // The store itself is bounded to Options.MaxJobs resident jobs:
 // submitting evicts the oldest terminal job to make room, and when
 // every resident job is still queued or running the submit is refused
 // with ErrStoreFull (the service maps it to 429 + Retry-After). At most
-// Options.MaxActive jobs run concurrently; the rest wait in FIFO order
-// in the queued state. Drain cancels the queue, lets running jobs
-// finish within a budget, then cancels them — the graceful-shutdown
-// hook cmd/mbserve calls after the HTTP listener stops.
+// two jobs run concurrently; the rest wait in FIFO order in the queued
+// state. Drain cancels the queue, lets running jobs finish within a
+// budget, then cancels them — the graceful-shutdown hook cmd/mbserve
+// calls after the HTTP listener stops.
 package jobs
 
 import (
@@ -71,22 +67,18 @@ var ErrStoreFull = errors.New("jobs: store full")
 // errors.Is.
 var ErrCanceled = errors.New("jobs: canceled")
 
-// ErrLagged is returned by Next when a reader's position has been
-// overtaken: the record is past the retained prefix and has already
-// left the live ring. The data is gone by design (memory cap), so the
-// reader must be told rather than silently skipped ahead.
-var ErrLagged = errors.New("jobs: reader lagged behind the live window")
-
 // ErrNotFound is returned for unknown job ids.
 var ErrNotFound = errors.New("jobs: no such job")
 
-// Defaults for Options zero values.
-const (
-	DefaultMaxJobs    = 64
-	DefaultMaxActive  = 2
-	DefaultResultsCap = 65536
-	DefaultRingSize   = 1024
-)
+// DefaultMaxJobs is the resident-job bound when Options.MaxJobs is
+// zero.
+const DefaultMaxJobs = 64
+
+// maxActive bounds concurrently dispatched jobs; queued jobs wait FIFO.
+// Compute inside a job is additionally bounded by the service's
+// admission semaphore, so this only keeps queued jobs from all camping
+// in admission's wait queue.
+const maxActive = 2
 
 // Hooks receive job lifecycle events for metrics. All callbacks may be
 // nil and must be safe for concurrent use.
@@ -96,32 +88,16 @@ type Hooks struct {
 	Transition func(op string, to State)
 	// Emitted fires once per record accepted past the frontier.
 	Emitted func(n int64)
-	// Spilled fires once per record dropped from retention (still
-	// streamed live, counted in Status.Spilled).
-	Spilled func(n int64)
 }
 
-// Options configures a Store; zero values take the defaults above.
+// Options configures a Store.
 type Options struct {
 	// MaxJobs bounds resident jobs (queued + running + terminal kept
 	// for result pagination). Terminal jobs are evicted oldest-first to
-	// admit new submissions.
+	// admit new submissions. 0 means DefaultMaxJobs.
 	MaxJobs int
-	// MaxActive bounds concurrently dispatched jobs; queued jobs wait
-	// FIFO. Compute inside a job is additionally bounded by the
-	// service's admission semaphore.
-	MaxActive int
-	// ResultsCap bounds retained records per job (pagination/replay
-	// window). Records beyond it are spilled: streamed live, counted,
-	// not retained.
-	ResultsCap int
-	// RingSize is the live-window length for streamers reading past
-	// the retained prefix.
-	RingSize int
 	// Hooks receive lifecycle events for metrics.
 	Hooks Hooks
-	// Clock is injectable for tests; nil means time.Now.
-	Clock func() time.Time
 }
 
 // RunFunc executes one job's work. It must call Publisher.Started once
@@ -146,10 +122,7 @@ type Job struct {
 
 	total     int // planned record count (estimate until OnPlan refines it)
 	exact     bool
-	frontier  int // records observable in order: [0, frontier)
-	retained  [][]byte
-	ring      [][]byte // circular live window, last min(ringSize, frontier) records
-	spilled   int
+	records   [][]byte       // the gap-free in-order prefix; its length is the frontier
 	pending   map[int][]byte // completed out of order, beyond the frontier
 	summary   []byte
 	err       error
@@ -172,8 +145,6 @@ type Status struct {
 	Total      int    `json:"total"`
 	TotalExact bool   `json:"totalExact"`
 	Completed  int    `json:"completed"`
-	Retained   int    `json:"retained"`
-	Spilled    int    `json:"spilled"`
 	Error      string `json:"error,omitempty"`
 	CreatedAt  string `json:"createdAt"`
 	StartedAt  string `json:"startedAt,omitempty"`
@@ -183,36 +154,22 @@ type Status struct {
 // Store owns the resident jobs and the dispatch loop. Build one with
 // NewStore; it is safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
-	opts    Options
-	jobs    map[string]*Job
-	order   []*Job // submit order; eviction scans oldest-first
-	queue   []*Job // queued jobs awaiting dispatch, FIFO
-	active  int
-	seq     int
-	closed  bool
-	idle    chan struct{} // closed+replaced when active+queued may have drained
-	counts  map[State]int64
-	emitted int64
-	spills  int64
+	mu     sync.Mutex
+	opts   Options
+	jobs   map[string]*Job
+	order  []*Job // submit order; eviction scans oldest-first
+	queue  []*Job // queued jobs awaiting dispatch, FIFO
+	active int
+	seq    int
+	closed bool
+	idle   chan struct{} // closed+replaced when active+queued may have drained
+	counts map[State]int64
 }
 
 // NewStore builds a Store.
 func NewStore(opts Options) *Store {
 	if opts.MaxJobs <= 0 {
 		opts.MaxJobs = DefaultMaxJobs
-	}
-	if opts.MaxActive <= 0 {
-		opts.MaxActive = DefaultMaxActive
-	}
-	if opts.ResultsCap <= 0 {
-		opts.ResultsCap = DefaultResultsCap
-	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = DefaultRingSize
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
 	}
 	return &Store{
 		opts:   opts,
@@ -257,7 +214,7 @@ func (s *Store) Submit(op string, total int, run RunFunc) (*Job, error) {
 		id:      s.newID(),
 		op:      op,
 		state:   StateQueued,
-		created: s.opts.Clock(),
+		created: time.Now(),
 		total:   total,
 		pending: make(map[int][]byte),
 		updated: make(chan struct{}),
@@ -285,7 +242,7 @@ func (s *Store) dispatchLocked(run RunFunc, submitted *Job) {
 	if submitted != nil {
 		submitted.run = run
 	}
-	for s.active < s.opts.MaxActive && len(s.queue) > 0 {
+	for s.active < maxActive && len(s.queue) > 0 {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		if j.state != StateQueued { // canceled while queued
@@ -348,11 +305,11 @@ func (s *Store) finish(j *Job, summary []byte, err error, ctx context.Context) {
 		j.runErr = err.Error()
 	}
 	s.transitionLocked(j, to)
-	j.ended = s.opts.Clock()
+	j.ended = time.Now()
 	if to == StateDone && !j.exact {
 		// The run completed without refining the total (e.g. a batch
 		// that knew it exactly up front): the frontier is the truth.
-		j.total, j.exact = j.frontier, true
+		j.total, j.exact = len(j.records), true
 	}
 	j.bumpLocked()
 	s.dispatchLocked(nil, nil)
@@ -435,7 +392,7 @@ func (s *Store) cancelLocked(j *Job) {
 	s.transitionLocked(j, StateCanceled)
 	j.err = fmt.Errorf("%w: canceled while queued", ErrCanceled)
 	j.runErr = j.err.Error()
-	j.ended = s.opts.Clock()
+	j.ended = time.Now()
 	j.bumpLocked()
 	s.signalIdleLocked()
 }
@@ -445,8 +402,6 @@ type Stats struct {
 	Resident int
 	Queued   int
 	Running  int
-	Emitted  int64
-	Spilled  int64
 }
 
 // Stats returns live counts.
@@ -457,8 +412,6 @@ func (s *Store) Stats() Stats {
 		Resident: len(s.jobs),
 		Queued:   int(s.counts[StateQueued]),
 		Running:  int(s.counts[StateRunning]),
-		Emitted:  s.emitted,
-		Spilled:  s.spills,
 	}
 }
 
@@ -532,7 +485,7 @@ func (p *Publisher) Started() {
 	defer s.mu.Unlock()
 	if j.state == StateQueued {
 		s.transitionLocked(j, StateRunning)
-		j.started = s.opts.Clock()
+		j.started = time.Now()
 		j.bumpLocked()
 	}
 }
@@ -551,21 +504,19 @@ func (p *Publisher) SetTotal(n int) {
 
 // Emit hands the publisher record index's pre-marshaled bytes. Records
 // may arrive in any order; they become observable strictly in index
-// order as the frontier advances over a gap-free prefix. Emit never
-// blocks on readers: the first ResultsCap frontier records are
-// retained, later ones go to the live ring only and are counted as
-// spilled. Emitting an index twice or past the known total is a
-// programming error and panics.
+// order as the frontier advances over a gap-free prefix, and every
+// record is retained. Emit never blocks on readers. Emitting an index
+// twice is a programming error and panics.
 func (p *Publisher) Emit(index int, rec []byte) {
 	j := p.job
 	s := j.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if index < j.frontier || j.pending == nil {
+	if index < len(j.records) || j.pending == nil {
 		if j.pending == nil {
 			return // already terminal (canceled mid-flight); drop quietly
 		}
-		panic(fmt.Sprintf("jobs: duplicate emit for index %d (frontier %d)", index, j.frontier))
+		panic(fmt.Sprintf("jobs: duplicate emit for index %d (frontier %d)", index, len(j.records)))
 	}
 	if _, dup := j.pending[index]; dup {
 		panic(fmt.Sprintf("jobs: duplicate emit for index %d", index))
@@ -573,23 +524,12 @@ func (p *Publisher) Emit(index int, rec []byte) {
 	j.pending[index] = rec
 	advanced := false
 	for {
-		next, ok := j.pending[j.frontier]
+		next, ok := j.pending[len(j.records)]
 		if !ok {
 			break
 		}
-		delete(j.pending, j.frontier)
-		if len(j.retained) < s.opts.ResultsCap {
-			j.retained = append(j.retained, next)
-		} else {
-			j.spilled++
-			s.spills++
-			if h := s.opts.Hooks.Spilled; h != nil {
-				h(1)
-			}
-		}
-		j.pushRingLocked(next)
-		j.frontier++
-		s.emitted++
+		delete(j.pending, len(j.records))
+		j.records = append(j.records, next)
 		advanced = true
 		if h := s.opts.Hooks.Emitted; h != nil {
 			h(1)
@@ -598,18 +538,6 @@ func (p *Publisher) Emit(index int, rec []byte) {
 	if advanced {
 		j.bumpLocked()
 	}
-}
-
-// pushRingLocked appends a record to the live window, evicting the
-// oldest once the ring is full.
-func (j *Job) pushRingLocked(rec []byte) {
-	size := j.store.opts.RingSize
-	if len(j.ring) < size {
-		j.ring = append(j.ring, rec)
-		return
-	}
-	copy(j.ring, j.ring[1:])
-	j.ring[len(j.ring)-1] = rec
 }
 
 // bumpLocked publishes an observable change to blocked readers.
@@ -635,9 +563,7 @@ func (j *Job) statusLocked() Status {
 		State:      j.state,
 		Total:      j.total,
 		TotalExact: j.exact,
-		Completed:  j.frontier,
-		Retained:   len(j.retained),
-		Spilled:    j.spilled,
+		Completed:  len(j.records),
 		Error:      j.runErr,
 		CreatedAt:  j.created.UTC().Format(time.RFC3339Nano),
 	}
@@ -667,27 +593,16 @@ func (j *Job) Summary() []byte {
 // Next returns record index's bytes for a sequential reader, blocking
 // until the frontier covers it, the job ends, or ctx is done. The
 // boolean is false when the job ended before producing index (end of
-// stream — inspect Err/Status for why). ErrLagged reports a reader
-// overtaken past both the retained prefix and the live ring.
+// stream — inspect Err/Status for why); the only error is ctx's.
 func (j *Job) Next(ctx context.Context, index int) ([]byte, bool, error) {
 	s := j.store
 	for {
 		s.mu.Lock()
 		switch {
-		case index < len(j.retained):
-			rec := j.retained[index]
+		case index < len(j.records):
+			rec := j.records[index]
 			s.mu.Unlock()
 			return rec, true, nil
-		case index < j.frontier:
-			// Past retention: only the live ring can serve it.
-			ringStart := j.frontier - len(j.ring)
-			if index >= ringStart {
-				rec := j.ring[index-ringStart]
-				s.mu.Unlock()
-				return rec, true, nil
-			}
-			s.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: record %d spilled (live window starts at %d)", ErrLagged, index, ringStart)
 		case j.state.Terminal():
 			s.mu.Unlock()
 			return nil, false, nil
@@ -702,13 +617,11 @@ func (j *Job) Next(ctx context.Context, index int) ([]byte, bool, error) {
 	}
 }
 
-// Page returns up to limit retained records starting at cursor, in
-// grid order, plus the next cursor and whether more retained records
-// may still appear (the job is live or records remain). Pages are
-// stable under concurrent completion: retained records are append-only
-// in deterministic grid order, so the same cursor always returns the
-// same bytes. A cursor inside the spilled region returns no records;
-// the caller reports the spill to the client.
+// Page returns up to limit records starting at cursor, in grid order,
+// plus the next cursor and whether more records may still appear (the
+// job is live or records remain). Pages are stable under concurrent
+// completion: records are append-only in deterministic grid order, so
+// the same cursor always returns the same bytes.
 func (j *Job) Page(cursor, limit int) (recs [][]byte, next int, more bool) {
 	s := j.store
 	s.mu.Lock()
@@ -720,15 +633,15 @@ func (j *Job) Page(cursor, limit int) (recs [][]byte, next int, more bool) {
 		limit = 100
 	}
 	end := cursor + limit
-	if end > len(j.retained) {
-		end = len(j.retained)
+	if end > len(j.records) {
+		end = len(j.records)
 	}
 	if cursor < end {
-		recs = j.retained[cursor:end]
+		recs = j.records[cursor:end]
 	}
 	next = cursor + len(recs)
 	// More records can still land while the job is live; once terminal,
-	// the retained prefix is final.
-	more = !j.state.Terminal() || next < len(j.retained)
+	// the record sequence is final.
+	more = !j.state.Terminal() || next < len(j.records)
 	return recs, next, more
 }

@@ -40,60 +40,54 @@ func waitState(t *testing.T, j *Job, want State) {
 	t.Fatalf("job never reached %s (now %s)", want, j.Status().State)
 }
 
-// TestFrontierReordersOutOfOrderEmits pins the core ordering property:
-// workers emit by grid index in arbitrary completion order, readers
-// observe a gap-free in-order prefix.
-func TestFrontierReordersOutOfOrderEmits(t *testing.T) {
-	s := NewStore(Options{})
-	j, err := s.Submit("sweep", 5, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
-		pub.SetTotal(5)
-		for _, i := range []int{3, 1, 4, 0, 2} {
-			pub.Emit(i, []byte(fmt.Sprintf(`{"i":%d}`, i)))
+// fillSlots occupies every dispatch slot with a running job that blocks
+// until release is closed (or its context is canceled), so the next
+// submission queues.
+func fillSlots(t *testing.T, s *Store, release <-chan struct{}) []*Job {
+	t.Helper()
+	running := make([]*Job, maxActive)
+	for i := range running {
+		j, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
+			pub.Started()
+			select {
+			case <-release:
+				return nil, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return []byte(`{"skipped":[]}`), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		waitState(t, j, StateRunning)
+		running[i] = j
 	}
-	recs := collect(t, j)
-	if len(recs) != 5 {
-		t.Fatalf("got %d records, want 5", len(recs))
-	}
-	for i, r := range recs {
-		if want := fmt.Sprintf(`{"i":%d}`, i); string(r) != want {
-			t.Errorf("record %d = %s, want %s", i, r, want)
-		}
-	}
-	waitState(t, j, StateDone)
-	st := j.Status()
-	if st.Completed != 5 || st.Total != 5 || !st.TotalExact || st.Spilled != 0 {
-		t.Errorf("status = %+v", st)
-	}
-	if string(j.Summary()) != `{"skipped":[]}` {
-		t.Errorf("summary = %s", j.Summary())
-	}
+	return running
 }
 
-// TestSpillAccountingAndLiveWindow: with a tiny retention cap, a reader
-// that keeps up still receives every record via the ring, and the spill
-// is counted, never silent.
-func TestSpillAccountingAndLiveWindow(t *testing.T) {
-	const total, cap = 64, 8
-	s := NewStore(Options{ResultsCap: cap, RingSize: 16})
-	emitted := make(chan struct{})
+// TestFrontierReordersOutOfOrderEmits pins the core ordering property:
+// workers emit by grid index in arbitrary completion order, and a
+// reader attached while they do observes every record, in order, as the
+// gap-free prefix grows. The emitter hands over each pair of records
+// highest index first and waits for the reader to consume both, so
+// every Next call races a live, out-of-order emit.
+func TestFrontierReordersOutOfOrderEmits(t *testing.T) {
+	const total = 64
+	s := NewStore(Options{})
+	consumed := make(chan struct{})
 	j, err := s.Submit("sweep", total, func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		pub.Started()
 		pub.SetTotal(total)
-		for i := 0; i < total; i++ {
+		for i := 0; i < total; i += 2 {
+			pub.Emit(i+1, []byte(fmt.Sprintf(`{"i":%d}`, i+1)))
 			pub.Emit(i, []byte(fmt.Sprintf(`{"i":%d}`, i)))
 			select {
-			case emitted <- struct{}{}: // reader consumed the previous one
+			case <-consumed:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
-		return nil, nil
+		return []byte(`{"skipped":[]}`), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,20 +102,20 @@ func TestSpillAccountingAndLiveWindow(t *testing.T) {
 		if want := fmt.Sprintf(`{"i":%d}`, i); string(rec) != want {
 			t.Fatalf("record %d = %s, want %s", i, rec, want)
 		}
-		<-emitted
+		if i%2 == 1 {
+			consumed <- struct{}{}
+		}
+	}
+	if recs := collect(t, j); len(recs) != total {
+		t.Fatalf("replay from 0 got %d records, want %d", len(recs), total)
 	}
 	waitState(t, j, StateDone)
 	st := j.Status()
-	if st.Retained != cap {
-		t.Errorf("retained = %d, want %d", st.Retained, cap)
+	if st.Completed != total || st.Total != total || !st.TotalExact {
+		t.Errorf("status = %+v", st)
 	}
-	if st.Spilled != total-cap {
-		t.Errorf("spilled = %d, want %d", st.Spilled, total-cap)
-	}
-	// A late reader can only replay the retained prefix; past it the
-	// data is gone and the reader is told so.
-	if _, _, err := j.Next(ctx, cap); !errors.Is(err, ErrLagged) {
-		t.Errorf("late read past retention = %v, want ErrLagged", err)
+	if string(j.Summary()) != `{"skipped":[]}` {
+		t.Errorf("summary = %s", j.Summary())
 	}
 }
 
@@ -185,7 +179,7 @@ func TestPageStableUnderConcurrentCompletion(t *testing.T) {
 	if next != 10 {
 		t.Errorf("next = %d, want 10", next)
 	}
-	if !more && j.Status().Retained <= 10 {
+	if !more && j.Status().Completed <= 10 {
 		t.Error("more = false with records remaining")
 	}
 }
@@ -219,20 +213,12 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedBeforeDispatch: with one active slot occupied, a
+// TestCancelQueuedBeforeDispatch: with every active slot occupied, a
 // queued job cancels immediately without ever running.
 func TestCancelQueuedBeforeDispatch(t *testing.T) {
-	s := NewStore(Options{MaxActive: 1})
+	s := NewStore(Options{})
 	block := make(chan struct{})
-	running, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
-		<-block
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, running, StateRunning)
+	running := fillSlots(t, s, block)
 	ran := false
 	queued, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		ran = true
@@ -247,7 +233,9 @@ func TestCancelQueuedBeforeDispatch(t *testing.T) {
 	s.Cancel(queued.ID())
 	waitState(t, queued, StateCanceled)
 	close(block)
-	waitState(t, running, StateDone)
+	for _, j := range running {
+		waitState(t, j, StateDone)
+	}
 	if ran {
 		t.Error("canceled queued job still ran")
 	}
@@ -256,7 +244,7 @@ func TestCancelQueuedBeforeDispatch(t *testing.T) {
 // TestStoreBoundAndEviction: the resident bound refuses submissions
 // when nothing is evictable and evicts oldest terminal jobs otherwise.
 func TestStoreBoundAndEviction(t *testing.T) {
-	s := NewStore(Options{MaxJobs: 2, MaxActive: 1})
+	s := NewStore(Options{MaxJobs: 2})
 	block := make(chan struct{})
 	slow := func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		pub.Started()
@@ -271,15 +259,19 @@ func TestStoreBoundAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit("sweep", 1, slow); err != nil {
+	j2, err := s.Submit("sweep", 1, slow)
+	if err != nil {
 		t.Fatal(err)
 	}
+	waitState(t, j1, StateRunning)
+	waitState(t, j2, StateRunning)
 	if _, err := s.Submit("sweep", 1, slow); !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("third submit = %v, want ErrStoreFull", err)
 	}
 	close(block)
 	waitState(t, j1, StateDone)
-	// j1 terminal → evictable → a new submission fits.
+	waitState(t, j2, StateDone)
+	// j1 is the oldest terminal job → evicted → a new submission fits.
 	j3, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		pub.Started()
 		return nil, nil
@@ -295,21 +287,9 @@ func TestStoreBoundAndEviction(t *testing.T) {
 
 // TestDrainCancelsQueuedAndWaitsRunning.
 func TestDrainCancelsQueuedAndWaitsRunning(t *testing.T) {
-	s := NewStore(Options{MaxActive: 1})
+	s := NewStore(Options{})
 	finish := make(chan struct{})
-	running, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
-		select {
-		case <-finish:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, running, StateRunning)
+	running := fillSlots(t, s, finish)
 	queued, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		return nil, nil
 	})
@@ -319,14 +299,16 @@ func TestDrainCancelsQueuedAndWaitsRunning(t *testing.T) {
 
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		close(finish) // the running job completes within the drain budget
+		close(finish) // the running jobs complete within the drain budget
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s.Drain(ctx)
 
-	if st := running.Status().State; st != StateDone {
-		t.Errorf("running job drained to %s, want done", st)
+	for _, j := range running {
+		if st := j.Status().State; st != StateDone {
+			t.Errorf("running job drained to %s, want done", st)
+		}
 	}
 	if st := queued.Status().State; st != StateCanceled {
 		t.Errorf("queued job drained to %s, want canceled", st)
@@ -378,9 +360,17 @@ func TestFailedRunRecordsError(t *testing.T) {
 }
 
 // TestRunPanicBecomesFailure: a panicking run must not take the
-// process down or leak the active slot.
+// process down or leak the active slot. Every other slot is held by a
+// blocking job, so the follow-up job can only run in the slot the panic
+// released.
 func TestRunPanicBecomesFailure(t *testing.T) {
-	s := NewStore(Options{MaxActive: 1})
+	s := NewStore(Options{})
+	block := make(chan struct{})
+	defer close(block)
+	running := fillSlots(t, s, block)
+	// Free one slot for the panicking run.
+	s.Cancel(running[0].ID())
+	waitState(t, running[0], StateCanceled)
 	j, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
 		pub.Started()
 		panic("kaboom")
@@ -402,14 +392,21 @@ func TestRunPanicBecomesFailure(t *testing.T) {
 
 // TestHooksAndStats.
 func TestHooksAndStats(t *testing.T) {
-	var mu sync.Mutex
-	transitions := map[State]int{}
+	var (
+		mu          sync.Mutex
+		transitions = map[State]int{}
+		emitted     int64
+	)
 	s := NewStore(Options{
-		ResultsCap: 2,
 		Hooks: Hooks{
 			Transition: func(op string, to State) {
 				mu.Lock()
 				transitions[to]++
+				mu.Unlock()
+			},
+			Emitted: func(n int64) {
+				mu.Lock()
+				emitted += n
 				mu.Unlock()
 			},
 		},
@@ -427,11 +424,14 @@ func TestHooksAndStats(t *testing.T) {
 	}
 	waitState(t, j, StateDone)
 	st := s.Stats()
-	if st.Emitted != 3 || st.Spilled != 1 || st.Resident != 1 {
+	if st.Resident != 1 || st.Queued != 0 || st.Running != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	if emitted != 3 {
+		t.Errorf("Emitted hook counted %d records, want 3", emitted)
+	}
 	for _, want := range []State{StateQueued, StateRunning, StateDone} {
 		if transitions[want] != 1 {
 			t.Errorf("transition to %s fired %d times, want 1", want, transitions[want])

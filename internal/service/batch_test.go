@@ -152,7 +152,7 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestBatchCanceledMidFlight is the regression test for the discarded
-// ForEach error: a request context canceled mid-batch used to return
+// worker-pool error: a request context canceled mid-batch used to return
 // HTTP 200 with zero-valued items (Index 0, no error field). It must be
 // classified and propagated like every other handler — 503 "canceled".
 func TestBatchCanceledMidFlight(t *testing.T) {

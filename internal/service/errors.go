@@ -41,8 +41,8 @@ func (e *overloadedError) Is(target error) bool { return target == ErrOverloaded
 //
 // Codes are the stable classification vocabulary (invalid_request,
 // no_closed_form, overloaded, canceled, deadline_exceeded,
-// internal_error, plus the surface-specific not_found, draining, and
-// lagged). Retryable tells clients whether backing off and resending
+// internal_error, plus the surface-specific not_found and draining, and
+// the cluster control plane's forbidden and not_ready). Retryable tells clients whether backing off and resending
 // the identical request can succeed; RetryAfterS mirrors the
 // Retry-After header in whole seconds and is set on every overloaded
 // error.

@@ -23,7 +23,7 @@ import (
 
 // jobCursorPrefix versions the pagination cursor encoding. A cursor is
 // "v1:<decimal record index>" — opaque to clients, stable across polls
-// because retained records are append-only in deterministic grid order.
+// because a job's records are append-only in deterministic grid order.
 const jobCursorPrefix = "v1:"
 
 // Result-page limits for GET /v1/jobs/{id}/results.
@@ -103,23 +103,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // marked running only once admission is granted, so queue time and run
 // time separate in the status.
 func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
-	templates, err := req.schemeTemplates()
+	spec, err := s.sweepSpec(req)
 	if err != nil {
 		return 0, nil, err
-	}
-	spec := sweep.Spec{
-		Ns:           req.Ns,
-		Bs:           req.Bs,
-		Rs:           req.Rs,
-		Schemes:      templates,
-		Models:       req.Models,
-		Hierarchical: req.Hierarchical,
-		WithSim:      req.WithSim,
-		SimCycles:    req.SimCycles,
-		Seed:         req.Seed,
-		Memo:         s.cache,
-		Progress:     s.metrics.sweepPoints,
-		Backend:      s.backend,
 	}
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {
 		v, err := s.gate(ctx, "jobs", sweepWeight(spec),
@@ -141,13 +127,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 			return nil, err
 		}
 		res := v.(*sweep.Result)
-		summary := jobSweepSummary{Skipped: make([]sweepSkipBody, len(res.Skipped))}
-		for i, sk := range res.Skipped {
-			summary.Skipped[i] = sweepSkipBody{
-				Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason,
-			}
-		}
-		return json.Marshal(summary)
+		return json.Marshal(jobSweepSummary{Skipped: newSweepSkipBodies(res.Skipped)})
 	}
 	return spec.EstimatePoints(), run, nil
 }
@@ -248,7 +228,7 @@ func parseJobCursor(raw string) (int, error) {
 	return n, nil
 }
 
-// jobResultsBody is one page of retained records in grid order.
+// jobResultsBody is one page of a job's records in grid order.
 type jobResultsBody struct {
 	JobID  string     `json:"jobId"`
 	Op     string     `json:"op"`
@@ -256,18 +236,14 @@ type jobResultsBody struct {
 	Cursor string     `json:"cursor"`
 	// NextCursor resumes after this page; identical to Cursor when the
 	// page is empty. More reports whether another poll may yield records
-	// (the job is live, or retained records remain past this page).
-	NextCursor string `json:"nextCursor"`
-	More       bool   `json:"more"`
-	// Spilled counts records past the retention cap: streamed live and
-	// counted, but not pageable. A non-zero value means pagination stops
-	// short of completed.
-	Spilled int               `json:"spilled"`
-	Records []json.RawMessage `json:"records"`
+	// (the job is live, or records remain past this page).
+	NextCursor string            `json:"nextCursor"`
+	More       bool              `json:"more"`
+	Records    []json.RawMessage `json:"records"`
 }
 
 // handleJobResults serves GET /v1/jobs/{id}/results?cursor=&limit=.
-// Pages are stable under concurrent completion: retained records are
+// Pages are stable under concurrent completion: a job's records are
 // append-only in deterministic grid order, so re-reading a cursor
 // returns the same bytes it did the first time.
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
@@ -300,7 +276,6 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		Cursor:     jobCursorPrefix + strconv.Itoa(cursor),
 		NextCursor: jobCursorPrefix + strconv.Itoa(next),
 		More:       more,
-		Spilled:    st.Spilled,
 		Records:    make([]json.RawMessage, len(recs)),
 	}
 	for i, rec := range recs {
@@ -379,17 +354,10 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	for i := 0; ; i++ {
 		rec, ok, err := j.Next(ctx, i)
 		switch {
-		case err != nil && ctx.Err() != nil:
+		case err != nil:
 			// The client went away (or the connection died); the job
 			// keeps running unless this streamer owns it.
 			disconnected()
-			return
-		case err != nil:
-			// Lagged: the record left the live window. The data is gone
-			// by design (memory cap); tell the client instead of
-			// silently skipping ahead.
-			payload, _ := json.Marshal(errorResponse{Error: *newAPIError(err)})
-			writeRec(payload, "error")
 			return
 		case !ok:
 			// Terminal before index i: end of stream.

@@ -32,12 +32,11 @@ const (
 	metricPanicsTotal       = "mbserve_panics_total"
 
 	// Async-job families (DESIGN.md §13).
-	metricJobsTotal         = "mbserve_jobs_total"
-	metricJobsRunning       = "mbserve_jobs_active"
-	metricJobsQueued        = "mbserve_jobs_queued"
-	metricJobsResident      = "mbserve_jobs_resident"
-	metricJobRecords        = "mbserve_job_records_total"
-	metricJobRecordsSpilled = "mbserve_job_records_spilled_total"
+	metricJobsTotal    = "mbserve_jobs_total"
+	metricJobsRunning  = "mbserve_jobs_active"
+	metricJobsQueued   = "mbserve_jobs_queued"
+	metricJobsResident = "mbserve_jobs_resident"
+	metricJobRecords   = "mbserve_job_records_total"
 
 	// Cluster family (DESIGN.md §14): forwarded requests that joined an
 	// in-flight computation on this instance — the cross-instance dedup
@@ -87,8 +86,8 @@ func (m *serverMetrics) bindAdmission(a *admission) {
 
 // jobHooks returns the store's instrumentation callbacks: one
 // mbserve_jobs_total tick per state transition (labeled by op and
-// destination state) and one record counter tick per emitted/spilled
-// result record.
+// destination state) and one record counter tick per emitted result
+// record.
 func (m *serverMetrics) jobHooks() jobs.Hooks {
 	return jobs.Hooks{
 		Transition: func(op string, to jobs.State) {
@@ -99,10 +98,6 @@ func (m *serverMetrics) jobHooks() jobs.Hooks {
 		Emitted: func(n int64) {
 			m.reg.Counter(metricJobRecords,
 				"result records emitted by async jobs").Add(n)
-		},
-		Spilled: func(n int64) {
-			m.reg.Counter(metricJobRecordsSpilled,
-				"result records spilled past the per-job retention cap").Add(n)
 		},
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -196,7 +197,9 @@ func TestNilLoggerDisablesAccessLogs(t *testing.T) {
 	// nop logger's level gate drops records before formatting.
 }
 
-// TestExpvarKeptAtDebugVars: the JSON counters moved, not died.
+// TestExpvarKeptAtDebugVars: GET /debug/vars still serves the runtime's
+// expvar JSON (memstats, cmdline), but no process-global mbserve_* map —
+// every service number lives in the per-instance registry at /metrics.
 func TestExpvarKeptAtDebugVars(t *testing.T) {
 	h := newTestServer(t, Options{}).Handler()
 	postJSON(t, h, "/v1/analyze", analyzeBody)
@@ -206,10 +209,18 @@ func TestExpvarKeptAtDebugVars(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/vars = %d", rec.Code)
 	}
-	body := rec.Body.String()
-	for _, want := range []string{`"mbserve_requests"`, `"mbserve_responses"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/debug/vars missing %s", want)
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("/debug/vars is not a JSON object: %v", err)
+	}
+	for _, want := range []string{"memstats", "cmdline"} {
+		if _, ok := vars[want]; !ok {
+			t.Errorf("/debug/vars missing %q", want)
+		}
+	}
+	for name := range vars {
+		if strings.HasPrefix(name, "mbserve_") {
+			t.Errorf("/debug/vars publishes process-global %q", name)
 		}
 	}
 }

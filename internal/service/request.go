@@ -69,21 +69,6 @@ type SweepRequest struct {
 	Seed         int64         `json:"seed,omitempty"`
 }
 
-// schemeTemplates resolves the request's named schemes and explicit
-// network templates into the sweep's scheme axis.
-func (req SweepRequest) schemeTemplates() ([]scenario.Network, error) {
-	templates := make([]scenario.Network, 0, len(req.Schemes)+len(req.Networks))
-	for _, name := range req.Schemes {
-		nw, err := scenario.SweepScheme(name)
-		if err != nil {
-			return nil, err
-		}
-		templates = append(templates, nw)
-	}
-	templates = append(templates, req.Networks...)
-	return templates, nil
-}
-
 // BatchItem is one entry of POST /v1/batch: a full scenario plus an
 // optional operation override. Op is "analyze" or "simulate"; empty
 // means simulate when a sim block is present and analyze otherwise.
@@ -113,9 +98,14 @@ type BatchRequest struct {
 }
 
 // maxBatchItems bounds one batch request; it exists so a single body
-// cannot occupy the worker pool indefinitely (sweep grids have the same
-// role's implicit bound via Ns×Bs×Rs sizes).
+// cannot occupy the worker pool indefinitely.
 const maxBatchItems = 1024
+
+// maxSweepPoints bounds one sweep grid, sync or async, by its estimated
+// point count (sweep.Spec.EstimatePoints). A compact body can name a
+// grid of millions of points, and enumeration alone costs about 770 B
+// per point; the cap is also the most records one sweep job holds.
+const maxSweepPoints = 65536
 
 // JobRequest is the body of POST /v1/jobs: exactly one of Sweep or
 // Batch, evaluated asynchronously with results delivered through the

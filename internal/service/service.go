@@ -10,7 +10,7 @@
 //	GET  /healthz      — liveness probe
 //	GET  /metrics      — Prometheus text exposition (per-route request
 //	                     counters, latency histograms, cache gauges)
-//	GET  /debug/vars   — expvar JSON (process-wide request counters)
+//	GET  /debug/vars   — expvar JSON (runtime memstats and cmdline)
 //	     /debug/pprof/ — runtime profiling
 //
 // Observability is per-instance: every Server owns an obs.Registry
@@ -149,10 +149,6 @@ type Options struct {
 	// kept for pagination). 0 means jobs.DefaultMaxJobs; negative
 	// disables the /v1/jobs surface entirely (the routes 404).
 	JobsMax int
-	// JobResultsCap bounds retained result records per job — the
-	// pagination/replay window; records past it are spilled (streamed
-	// live, counted, not retained). 0 means jobs.DefaultResultsCap.
-	JobResultsCap int
 }
 
 // Server is the mbserve request handler. Build one with New; it is
@@ -172,17 +168,6 @@ type Server struct {
 	clusterReady atomic.Bool
 	draining     atomic.Bool
 }
-
-// metrics are process-global expvar counters kept for /debug/vars
-// compatibility: the maps are shared by every Server in the process and
-// only ever add, so they stay correct with multiple instances. Every
-// per-instance number — cache stats included — lives in the Server's
-// obs registry instead (see metrics.go); publishing one Server's cache
-// process-wide under a sync.Once was the bug this layer replaced.
-var (
-	metricRequests  = expvar.NewMap("mbserve_requests")
-	metricResponses = expvar.NewMap("mbserve_responses")
-)
 
 // nopLogger drops everything cheaply: the Error+1 level gate rejects
 // records before they are formatted.
@@ -243,9 +228,8 @@ func New(opts Options) (*Server, error) {
 	s.metrics.bindAdmission(s.adm)
 	if opts.JobsMax >= 0 {
 		s.jobs = jobs.NewStore(jobs.Options{
-			MaxJobs:    opts.JobsMax,
-			ResultsCap: opts.JobResultsCap,
-			Hooks:      s.metrics.jobHooks(),
+			MaxJobs: opts.JobsMax,
+			Hooks:   s.metrics.jobHooks(),
 		})
 		s.metrics.bindJobs(s.jobs)
 	}
@@ -385,7 +369,6 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		requests.Inc()
-		metricRequests.Add(route, 1)
 		if withTimeout {
 			ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 			defer cancel()
@@ -584,20 +567,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleSweep serves POST /v1/sweep. Grid points are memoized in the
-// shared cache, so overlapping grids across requests — and identical
-// points requested concurrently — are computed once. Skipped grid
-// combinations are reported, never silently dropped.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeJSON(w, r, &req) {
-		return
+// sweepSpec renders a sweep request as the grid the sync handler and
+// sweep jobs run, wired to this server's cache, point counter, and
+// backend. Grids estimated over maxSweepPoints are refused here, before
+// admission and before enumeration.
+func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
+	templates := make([]scenario.Network, 0, len(req.Schemes)+len(req.Networks))
+	for _, name := range req.Schemes {
+		nw, err := scenario.SweepScheme(name)
+		if err != nil {
+			return sweep.Spec{}, err
+		}
+		templates = append(templates, nw)
 	}
-	templates, err := req.schemeTemplates()
-	if err != nil {
-		writeClassified(w, err)
-		return
-	}
+	templates = append(templates, req.Networks...)
 	spec := sweep.Spec{
 		Ns:           req.Ns,
 		Bs:           req.Bs,
@@ -611,6 +594,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Memo:         s.cache,
 		Progress:     s.metrics.sweepPoints,
 		Backend:      s.backend,
+	}
+	if n := spec.EstimatePoints(); n > maxSweepPoints {
+		return sweep.Spec{}, fmt.Errorf("%w: sweep grid of %d points exceeds the %d-point limit",
+			errBadRequest, n, maxSweepPoints)
+	}
+	return spec, nil
+}
+
+// handleSweep serves POST /v1/sweep. Grid points are memoized in the
+// shared cache, so overlapping grids across requests — and identical
+// points requested concurrently — are computed once. Skipped grid
+// combinations are reported, never silently dropped.
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req SweepRequest
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	spec, err := s.sweepSpec(req)
+	if err != nil {
+		writeClassified(w, err)
+		return
 	}
 	// The whole grid goes through the gates as one weighted admission:
 	// individual points still memoize per-point in the shared cache, but
@@ -627,15 +631,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	res := v.(*sweep.Result)
 	body := sweepBody{
 		Points:  make([]sweepPointBody, len(res.Points)),
-		Skipped: make([]sweepSkipBody, len(res.Skipped)),
+		Skipped: newSweepSkipBodies(res.Skipped),
 	}
 	for i, p := range res.Points {
 		body.Points[i] = newSweepPointBody(p)
-	}
-	for i, sk := range res.Skipped {
-		body.Skipped[i] = sweepSkipBody{
-			Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason,
-		}
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -737,6 +736,16 @@ type sweepSkipBody struct {
 	Reason string `json:"reason"`
 }
 
+// newSweepSkipBodies renders a sweep's skipped combinations for the
+// wire: the sync response body and a sweep job's summary.
+func newSweepSkipBodies(skipped []sweep.Skip) []sweepSkipBody {
+	out := make([]sweepSkipBody, len(skipped))
+	for i, sk := range skipped {
+		out[i] = sweepSkipBody{Scheme: sk.Scheme, Model: sk.Model, N: sk.N, B: sk.B, Reason: sk.Reason}
+	}
+	return out
+}
+
 type sweepBody struct {
 	Points  []sweepPointBody `json:"points"`
 	Skipped []sweepSkipBody  `json:"skipped"`
@@ -777,7 +786,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(buf, '\n'))
-	metricResponses.Add(fmt.Sprintf("%d", status), 1)
 }
 
 // writeError writes an explicit error response through the unified v1

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,6 +210,67 @@ func TestSweepEndpointAndCrossRequestMemo(t *testing.T) {
 	}
 	if misses := s.Cache().Stats().Misses; misses != missesAfterFirst {
 		t.Errorf("repeated sweep recomputed points: misses %d → %d", missesAfterFirst, misses)
+	}
+}
+
+// gridCapBody is a compact sweep request: ns 1..64, bs 1..64, the
+// given number of rates stepping down by 0.05 from 1.0, and the "full"
+// scheme. It estimates 64×64×rates points, although only the B ≤ N
+// half of the grid is evaluable.
+func gridCapBody(rates int) string {
+	axis := func(n int, at func(i int) string) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = at(i)
+		}
+		return "[" + strings.Join(parts, ",") + "]"
+	}
+	ints := axis(64, func(i int) string { return strconv.Itoa(i + 1) })
+	rs := axis(rates, func(i int) string { return strconv.FormatFloat(1-0.05*float64(i), 'f', 2, 64) })
+	return fmt.Sprintf(`{"ns":%s,"bs":%s,"rs":%s,"schemes":["full"]}`, ints, ints, rs)
+}
+
+// TestSweepGridOverCapRefused: a grid estimated over maxSweepPoints
+// (64×64×17 = 69632) is a 400 invalid_request on both sweep surfaces,
+// refused before admission and enumeration — no job is created and no
+// grid point is evaluated.
+func TestSweepGridOverCapRefused(t *testing.T) {
+	s := newTestServer(t, Options{})
+	h := s.Handler()
+	sweepBody := gridCapBody(17)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep", sweepBody},
+		{"/v1/jobs", `{"sweep":` + sweepBody + `}`},
+	} {
+		rec := postJSON(t, h, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s over the grid cap = %d, want 400", tc.path, rec.Code)
+		} else if code := errCode(t, rec); code != "invalid_request" {
+			t.Errorf("POST %s over the grid cap: code %q, want invalid_request", tc.path, code)
+		}
+	}
+	if n := len(s.Jobs().Jobs()); n != 0 {
+		t.Errorf("%d jobs created by a refused sweep, want 0", n)
+	}
+	if v := metricValue(t, scrapeMetrics(t, h), metricSweepPoints); v != 0 {
+		t.Errorf("%s = %v after refused sweeps, want 0", metricSweepPoints, v)
+	}
+}
+
+// TestSweepGridAtCapServed: a grid estimated at exactly maxSweepPoints
+// (64×64×16 = 65536) is within the cap and answers 200.
+func TestSweepGridAtCapServed(t *testing.T) {
+	rec := postJSON(t, newTestServer(t, Options{}).Handler(), "/v1/sweep", gridCapBody(16))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/sweep at the grid cap = %d %s, want 200", rec.Code, rec.Body)
+	}
+	var body sweepBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	// Full wiring is valid for every B ≤ N: 64·65/2 (N, B) pairs × 16 rates.
+	if want := 64 * 65 / 2 * 16; len(body.Points) != want {
+		t.Errorf("at-cap sweep answered %d points, want %d", len(body.Points), want)
 	}
 }
 

@@ -82,27 +82,25 @@ type tick struct{ n atomic.Int64 }
 func (t *tick) Add(delta int64) { t.n.Add(delta) }
 func (t *tick) Load() int64     { return t.n.Load() }
 
-// TestForEachPoolProgressCounters: Started/Done tick once per index on
-// success; on an aborted run Done stays below n.
+// TestForEachPoolProgressCounters: Done ticks once per index on
+// success; on an aborted run it stays below n.
 func TestForEachPoolProgressCounters(t *testing.T) {
-	var started, done tick
+	var done tick
 	err := ForEachPool(context.Background(), 20, PoolOptions{
 		Workers: 4,
-		Started: &started,
 		Done:    &done,
 	}, func(ctx context.Context, i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if started.Load() != 20 || done.Load() != 20 {
-		t.Errorf("started/done = %d/%d, want 20/20", started.Load(), done.Load())
+	if done.Load() != 20 {
+		t.Errorf("done = %d, want 20", done.Load())
 	}
 
 	boom := errors.New("boom")
-	var started2, done2 tick
+	var done2 tick
 	err = ForEachPool(context.Background(), 20, PoolOptions{
 		Workers: 1,
-		Started: &started2,
 		Done:    &done2,
 	}, func(ctx context.Context, i int) error {
 		if i == 3 {

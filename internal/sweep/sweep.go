@@ -104,12 +104,25 @@ type Spec struct {
 // layer weighs sweep requests by it before any evaluation starts, so it
 // deliberately counts infeasible combinations too (skips are only
 // discovered during the run) — an upper bound, cheap and allocation-free.
+// The product saturates at math.MaxInt instead of wrapping, so a grid
+// too large to count still compares as too large.
 func (s Spec) EstimatePoints() int {
 	models := len(s.Models)
 	if models == 0 {
 		models = 1
 	}
-	return len(s.Ns) * len(s.Bs) * len(s.Rs) * len(s.Schemes) * models
+	points := 1
+	for _, n := range [...]int{len(s.Ns), len(s.Bs), len(s.Rs), len(s.Schemes), models} {
+		if n == 0 {
+			return 0
+		}
+		if points > math.MaxInt/n {
+			points = math.MaxInt
+		} else {
+			points *= n
+		}
+	}
+	return points
 }
 
 // Progress receives completion ticks from the worker pool. obs.Counter
@@ -242,17 +255,8 @@ func Run(spec Spec) (*Result, error) {
 	return &Result{Points: points, Skipped: skipped}, nil
 }
 
-// ForEach runs fn(ctx, i) for i in [0, n) on a pool of workers (0 means
-// GOMAXPROCS, 1 forces sequential). The context is checked before each
-// index starts. The first error by lowest index aborts the pool — no new
-// indices start, in-flight calls finish — and is returned. It is the
-// shared evaluation pool behind Run and the service's batch endpoint.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return ForEachPool(ctx, n, PoolOptions{Workers: workers}, fn)
-}
-
-// PoolOptions configures ForEachPool beyond the worker count; the zero
-// value behaves exactly like plain ForEach.
+// PoolOptions configures ForEachPool; the zero value runs GOMAXPROCS
+// unlabeled workers with no progress counter.
 type PoolOptions struct {
 	// Workers bounds concurrency: 0 means GOMAXPROCS, 1 forces
 	// sequential evaluation.
@@ -262,15 +266,17 @@ type PoolOptions struct {
 	// pool time to the caller (sweep vs batch) instead of one
 	// anonymous worker-pool frame.
 	Label string
-	// Started and Done, when non-nil, are incremented as indices begin
-	// and complete — progress/throughput counters for long fan-outs.
-	Started Progress
-	Done    Progress
+	// Done, when non-nil, is incremented as each index completes — a
+	// progress/throughput counter for long fan-outs.
+	Done Progress
 }
 
-// ForEachPool is ForEach with observability options: progress counters
-// ticking as indices start and finish, and a pprof goroutine label on
-// the workers. Error and ordering semantics are identical to ForEach.
+// ForEachPool runs fn(ctx, i) for i in [0, n) on a pool of workers. The
+// context is checked before each index starts. The first error by lowest
+// index aborts the pool — no new indices start, in-flight calls finish —
+// and is returned. It is the shared evaluation pool behind Run and the
+// service's batch endpoint; workers carry a pprof goroutine label when
+// opts.Label is set.
 func ForEachPool(ctx context.Context, n int, opts PoolOptions, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -296,9 +302,6 @@ func ForEachPool(ctx context.Context, n int, opts PoolOptions, fn func(ctx conte
 			i := int(cursor.Add(1))
 			if i >= n || aborted.Load() {
 				return
-			}
-			if opts.Started != nil {
-				opts.Started.Add(1)
 			}
 			err := ctx.Err()
 			if err == nil {

@@ -287,3 +287,26 @@ func TestEstimatePoints(t *testing.T) {
 		t.Errorf("empty Spec EstimatePoints = %d, want 0", got)
 	}
 }
+
+// TestEstimatePointsSaturates: a grid whose axis product overflows int
+// must not wrap to a small or negative estimate — the request edge
+// compares it against the grid cap before anything is enumerated. The
+// shape fits in a 1 MiB request body (40 000 "full" schemes and 120 000
+// entries on each numeric axis) and wraps to about −4.67e18 in plain
+// int arithmetic. The sweep is only estimated, never run.
+func TestEstimatePointsSaturates(t *testing.T) {
+	const schemeCount, axisLen = 40000, 120000
+	spec := Spec{
+		Ns:      make([]int, axisLen),
+		Bs:      make([]int, axisLen),
+		Rs:      make([]float64, axisLen),
+		Schemes: make([]scenario.Network, schemeCount),
+	}
+	got := spec.EstimatePoints()
+	if got <= 65536 {
+		t.Fatalf("EstimatePoints = %d, want > 65536 (never negative)", got)
+	}
+	if got != math.MaxInt {
+		t.Errorf("EstimatePoints = %d, want saturation at math.MaxInt", got)
+	}
+}

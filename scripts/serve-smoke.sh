@@ -3,7 +3,8 @@
 # end. Two modes:
 #
 #   serve-smoke.sh <binary>         normal boot: /healthz, /v1/analyze,
-#                                   /v1/batch cache hit, async job
+#                                   over-cap /v1/sweep refused with
+#                                   400, /v1/batch cache hit, async job
 #                                   submit → stream → status → cursor
 #                                   paging, /metrics
 #   serve-smoke.sh <binary> chaos   robustness: boot with -admit 1 and
@@ -103,6 +104,23 @@ fi
 
 check "GET /healthz" "http://$ADDR/healthz"
 check "POST /v1/analyze" -X POST "http://$ADDR/v1/analyze" -d "$ANALYZE"
+
+# Grid cap: the api/fixtures/sweep_over_cap.json body (64 ns × 64 bs ×
+# 17 rates × "full" = 69632 estimated points, over the 65536-point cap)
+# is refused with 400 invalid_request before any work starts.
+OVERCAP="$(sed -n 's/^  "body": \(.*\),$/\1/p' "$(dirname "$0")/../api/fixtures/sweep_over_cap.json")"
+case "$OVERCAP" in
+    '{"ns"'*) ;;
+    *) echo "serve-smoke: could not read the body of api/fixtures/sweep_over_cap.json"; exit 1 ;;
+esac
+OVERCAP_RESP="$(curl -s -w '\n%{http_code}' -X POST "http://$ADDR/v1/sweep" -d "$OVERCAP")"
+OVERCAP_STATUS="$(echo "$OVERCAP_RESP" | tail -n1)"
+if [ "$OVERCAP_STATUS" != "400" ] || ! echo "$OVERCAP_RESP" | grep -q '"code":"invalid_request"'; then
+    echo "serve-smoke: over-cap POST /v1/sweep returned HTTP $OVERCAP_STATUS (want 400 invalid_request)"
+    echo "$OVERCAP_RESP" | head -c 500; echo
+    exit 1
+fi
+echo "serve-smoke: over-cap POST /v1/sweep refused with 400 invalid_request"
 
 # Batch endpoint: scenarios the bus-count sweep alone cannot express
 # (explicit class sizes, a Das–Bhuyan workload), evaluated twice — the
