@@ -18,9 +18,8 @@ import (
 // deterministic http.RoundTripper that perturbs forwarded requests with
 // drops (synthesized transport errors), latency, and 5xx responses
 // before they reach the real transport. The cluster layer wires it
-// under cluster.Client, so membership eviction and breaker tests drive
-// peer failures on demand instead of killing processes and racing
-// timers.
+// under cluster.Client, so membership eviction tests drive peer
+// failures on demand instead of killing processes and racing timers.
 //
 // Determinism follows the Injector's rule: every RoundTrip draws the
 // same fixed number of variates (three) from one seeded PCG stream, so

@@ -5,20 +5,10 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
 	"multibus/internal/sweep"
-)
-
-// Peer breaker tuning: a peer is declared unhealthy faster than a
-// compute route would be (threshold 3 vs the service's 5) because every
-// failed forward already cost a round trip before the local fallback
-// ran.
-const (
-	breakerThreshold = 3
-	breakerCooldown  = 5 * time.Second
 )
 
 // maxShardChunk bounds one shard request to a peer; larger shards are
@@ -41,14 +31,15 @@ type Options struct {
 // arriving anywhere in the cluster compute once, on one instance, and
 // populate one cache. Any forwarding failure falls back to local
 // compute (results are deterministic, so a fallback answer is
-// byte-identical to the owner's); repeated transport failures trip that
-// peer's breaker only, failing its shard over to local compute until
-// the cooldown admits a probe.
+// byte-identical to the owner's). Every outcome is reported to the
+// membership manager, the one judge of peer health: forwards that get
+// no response suspect and then evict the peer exactly as failed probes
+// do, and its keys move to a survivor.
 //
-// The ring is no longer static: routing reads the membership manager's
-// current snapshot, so ownership follows evictions, joins, and leaves
-// without any Backend-level locking (snapshots are immutable and
-// published through an atomic pointer).
+// Routing reads the membership manager's current snapshot, so
+// ownership follows evictions, joins, and leaves without any
+// Backend-level locking (snapshots are immutable and published through
+// an atomic pointer).
 //
 // Backend also implements compute.BatchSweeper: any instance serving a
 // sweep partitions the grid by per-point key ownership under the
@@ -61,9 +52,6 @@ type Backend struct {
 	manager *Manager
 	local   compute.Backend
 	client  *Client
-
-	bmu      sync.Mutex
-	breakers map[string]*breaker
 
 	reg atomic.Pointer[registryHook]
 }
@@ -78,11 +66,10 @@ func New(opts Options) (*Backend, error) {
 		local = compute.Local()
 	}
 	return &Backend{
-		self:     opts.Manager.Self(),
-		manager:  opts.Manager,
-		local:    local,
-		client:   opts.Manager.Client(),
-		breakers: make(map[string]*breaker),
+		self:    opts.Manager.Self(),
+		manager: opts.Manager,
+		local:   local,
+		client:  opts.Manager.Client(),
 	}, nil
 }
 
@@ -92,50 +79,25 @@ func (b *Backend) Ring() *Ring { return b.manager.Snapshot().Ring }
 // Manager exposes the backend's membership manager.
 func (b *Backend) Manager() *Manager { return b.manager }
 
-// breakerFor returns peer's breaker, creating it on first contact —
-// the ring is dynamic, so the peer set is open-ended.
-func (b *Backend) breakerFor(peer string) *breaker {
-	b.bmu.Lock()
-	br, ok := b.breakers[peer]
-	if !ok {
-		br = &breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
-		b.breakers[peer] = br
-		b.bmu.Unlock()
-		b.registerBreakerGauge(peer)
-		return br
-	}
-	b.bmu.Unlock()
-	return br
-}
-
 // route decides whether key's evaluation should be forwarded, returning
-// the owning peer when so. Forwarded requests (the hop guard), keys this
-// instance owns, and keys owned by a breaker-open peer all evaluate
-// locally.
+// the owning peer when so. Forwarded requests (the hop guard) and keys
+// this instance owns evaluate locally.
 func (b *Backend) route(ctx context.Context, key string) (string, bool) {
 	if compute.Forwarded(ctx) {
 		return "", false
 	}
 	owner := b.manager.Owner(key)
-	if owner == b.self {
-		return "", false
-	}
-	if !b.breakerFor(owner).Allow() {
-		b.countPeer(owner, "open")
-		return "", false
-	}
-	return owner, true
+	return owner, owner != b.self
 }
 
-// settle records a forward's outcome against the peer's breaker and
+// settle reports a forward's outcome to the membership manager and the
 // metrics, and reports whether the forwarded result is usable. Status
 // errors are labeled with the peer's envelope code (or http_<status>)
-// so dashboards can tell a shedding peer from a broken wire; transport
+// so dashboards can tell a shedding peer from a broken wire; other
 // failures keep the plain "error" label.
-func (b *Backend) settle(peer string, err error) bool {
-	br := b.breakerFor(peer)
+func (b *Backend) settle(ctx context.Context, peer string, err error) bool {
+	b.manager.report(ctx, peer, err)
 	if err == nil {
-		br.Success()
 		b.countPeer(peer, "ok")
 		return true
 	}
@@ -145,20 +107,13 @@ func (b *Backend) settle(peer string, err error) bool {
 	} else {
 		b.countPeer(peer, "error")
 	}
-	if transient(err) {
-		br.Failure()
-	} else {
-		// The peer answered deliberately (4xx): it is healthy; only the
-		// request failed. The local fallback reproduces the same error.
-		br.Success()
-	}
 	return false
 }
 
 // Analyze implements compute.Backend.
 func (b *Backend) Analyze(ctx context.Context, built *scenario.Built) (*compute.Analysis, error) {
 	if peer, ok := b.route(ctx, built.AnalyzeKey()); ok {
-		if res, err := b.client.Analyze(ctx, peer, built.Scenario); b.settle(peer, err) {
+		if res, err := b.client.Analyze(ctx, peer, built.Scenario); b.settle(ctx, peer, err) {
 			return res, nil
 		}
 	}
@@ -168,7 +123,7 @@ func (b *Backend) Analyze(ctx context.Context, built *scenario.Built) (*compute.
 // Simulate implements compute.Backend.
 func (b *Backend) Simulate(ctx context.Context, built *scenario.Built) (*compute.SimResult, error) {
 	if peer, ok := b.route(ctx, built.SimulateKey()); ok {
-		if res, err := b.client.Simulate(ctx, peer, built.Scenario); b.settle(peer, err) {
+		if res, err := b.client.Simulate(ctx, peer, built.Scenario); b.settle(ctx, peer, err) {
 			return res, nil
 		}
 	}
@@ -185,21 +140,16 @@ func (b *Backend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.
 }
 
 // partition splits grid indices (all of batch when idxs is nil) by ring
-// ownership: remote shards per owning peer, plus the locally evaluated
-// rest (self-owned keys and keys whose owner's breaker is open).
+// ownership: remote shards per owning peer, plus the self-owned rest.
 func (b *Backend) partition(ring *Ring, batch compute.SweepBatch, idxs []int) (map[string][]int, []int) {
 	shards := make(map[string][]int)
 	var local []int
 	assign := func(i int) {
-		owner := ring.Owner(batch.Jobs[i].Key())
-		if owner == b.self || !b.breakerFor(owner).Allow() {
-			if owner != b.self {
-				b.countPeer(owner, "open")
-			}
+		if owner := ring.Owner(batch.Jobs[i].Key()); owner != b.self {
+			shards[owner] = append(shards[owner], i)
+		} else {
 			local = append(local, i)
-			return
 		}
-		shards[owner] = append(shards[owner], i)
 	}
 	if idxs == nil {
 		for i := range batch.Jobs {
@@ -233,9 +183,9 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 					chunk = chunk[:maxShardChunk]
 				}
 				idxs = idxs[len(chunk):]
-				specs := make([]PointSpec, len(chunk))
+				specs := make([]compute.PointSpec, len(chunk))
 				for k, gi := range chunk {
-					specs[k] = specFromJob(batch.Jobs[gi])
+					specs[k] = batch.Jobs[gi].Spec()
 				}
 				done := make([]bool, len(chunk))
 				err := b.client.SweepShard(ctx, peer, specs, func(rec PointRecord) {
@@ -245,7 +195,7 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 					done[rec.Index] = true
 					emit(chunk[rec.Index], *rec.Point)
 				})
-				b.settle(peer, err)
+				b.settle(ctx, peer, err)
 				mu.Lock()
 				for k, gi := range chunk {
 					if !done[k] {
@@ -253,7 +203,7 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 					}
 				}
 				mu.Unlock()
-				if err != nil && transient(err) {
+				if unreachable(err) {
 					// The peer (or the path to it) is gone; fail the rest of
 					// its shard straight to the retry pass instead of
 					// hammering a dead endpoint chunk by chunk.
@@ -352,59 +302,4 @@ func (b *Backend) evalLocal(ctx context.Context, batch compute.SweepBatch, idxs 
 		batch.Emit(i, pt)
 		return nil
 	})
-}
-
-// Healthy reports whether peer's breaker currently admits traffic
-// (true for unknown peers and self).
-func (b *Backend) Healthy(peer string) bool {
-	b.bmu.Lock()
-	br, ok := b.breakers[peer]
-	b.bmu.Unlock()
-	if !ok {
-		return true
-	}
-	return br.Admitting()
-}
-
-// breaker is a consecutive-failure circuit breaker, deliberately
-// simpler than the service's per-route one: peers fail over to local
-// compute rather than to an error, so there is no half-open envelope to
-// surface — Allow simply starts admitting probes once the cooldown
-// passes.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu        sync.Mutex
-	failures  int
-	openUntil time.Time
-}
-
-// Allow reports whether a forward may proceed.
-func (b *breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.failures < b.threshold || time.Now().After(b.openUntil)
-}
-
-// Admitting is Allow without consuming anything (they are the same for
-// this breaker; the alias marks read-only call sites).
-func (b *breaker) Admitting() bool { return b.Allow() }
-
-// Open reports whether the breaker is tripped and cooling down.
-func (b *breaker) Open() bool { return !b.Allow() }
-
-func (b *breaker) Success() {
-	b.mu.Lock()
-	b.failures = 0
-	b.mu.Unlock()
-}
-
-func (b *breaker) Failure() {
-	b.mu.Lock()
-	b.failures++
-	if b.failures >= b.threshold {
-		b.openUntil = time.Now().Add(b.cooldown)
-	}
-	b.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"multibus/internal/compute"
@@ -19,10 +20,10 @@ import (
 // compute, so there is no budget for patient retrying.
 const retryBackoff = 50 * time.Millisecond
 
-// StatusError is a peer response with a non-200 status. 5xx statuses
-// count toward the peer's breaker; 4xx mean the peer is healthy and the
-// request itself was refused (the local fallback reproduces the same
-// classification). Code carries the machine-readable code parsed from
+// StatusError is a peer response with a non-200 status. Whatever the
+// status, the peer answered, so it counts as alive: compute is pure,
+// and a 4xx or 5xx is one request's fault, which the local fallback
+// reproduces. Code carries the machine-readable code parsed from
 // the v1 error envelope ({"error":{code,...}}) when the body was one —
 // it labels mbserve_peer_requests_total{result} so dashboards can tell
 // a shed peer from a broken one.
@@ -74,34 +75,16 @@ func newStatusError(resp *http.Response) *StatusError {
 	return se
 }
 
-// transient reports whether err should count toward the peer's circuit
-// breaker: transport failures and 5xx responses mean the peer (or the
-// path to it) is unhealthy; 4xx and 429 mean it answered deliberately.
-func transient(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Status >= 500
+// unreachable reports whether err means no HTTP response came back
+// from the peer. http.Client.Do returns every failure as a *url.Error;
+// status errors, and decode failures of a response that did arrive,
+// mean the peer is up.
+func unreachable(err error) bool {
+	if err == nil {
+		return false // the common case, spared the errors.As reflection
 	}
-	// Context cancellation is the caller's deadline, not the peer's
-	// fault; everything else at the transport level is.
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// PointSpec is one sweep grid point on the wire — the request item of
-// POST /v1/cluster/sweep (mirrors the service's ClusterPointSpec; the
-// two marshal identically by construction, pinned by tests).
-type PointSpec struct {
-	Scenario scenario.Scenario `json:"scenario"`
-	Axis     string            `json:"axis"`
-	Model    string            `json:"model"`
-	WithSim  bool              `json:"withSim,omitempty"`
-}
-
-// specFromJob strips a PointJob to its wire form. Precomputed X and
-// Structure stay behind: the worker re-derives both deterministically
-// from the canonical scenario.
-func specFromJob(jb compute.PointJob) PointSpec {
-	return PointSpec{Scenario: jb.Built.Scenario, Axis: jb.Axis, Model: jb.Model, WithSim: jb.WithSim}
+	var ue *url.Error
+	return errors.As(err, &ue)
 }
 
 // PointRecord is one NDJSON response record of a shard request. Error
@@ -111,11 +94,6 @@ type PointRecord struct {
 	Index int             `json:"i"`
 	Point *compute.Point  `json:"point"`
 	Error json.RawMessage `json:"error"`
-}
-
-// shardRequest is the body of POST /v1/cluster/sweep.
-type shardRequest struct {
-	Points []PointSpec `json:"points"`
 }
 
 // Client speaks the mbserve peer protocol: the ordinary v1 endpoints
@@ -228,8 +206,8 @@ func (c *Client) Simulate(ctx context.Context, peer string, sc scenario.Scenario
 // records alike; indices refer to the points argument). A truncated
 // stream returns an error after the records that did arrive — the
 // caller treats unseen indices as failed and retries them locally.
-func (c *Client) SweepShard(ctx context.Context, peer string, points []PointSpec, onRecord func(PointRecord)) error {
-	resp, err := c.post(ctx, peer, "/v1/cluster/sweep", shardRequest{Points: points})
+func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.PointSpec, onRecord func(PointRecord)) error {
+	resp, err := c.post(ctx, peer, "/v1/cluster/sweep", compute.ShardRequest{Points: points})
 	if err != nil {
 		return err
 	}
@@ -269,27 +247,11 @@ func (c *Client) Probe(ctx context.Context, peer string) error {
 	return nil
 }
 
-// MembershipView mirrors the service's membership response body (like
-// PointSpec mirrors ClusterPointSpec; parity pinned by tests).
-type MembershipView struct {
-	Version uint64            `json:"version"`
-	Peers   []string          `json:"peers"`
-	States  map[string]string `json:"states"`
-	Changed bool              `json:"changed"`
-}
-
-// membershipRequest is the body of POST /v1/cluster/membership.
-type membershipRequest struct {
-	Op        string `json:"op"`
-	Peer      string `json:"peer"`
-	Propagate bool   `json:"propagate"`
-}
-
 // ApplyMembership posts one join/leave application to peer and returns
 // the peer's resulting view.
-func (c *Client) ApplyMembership(ctx context.Context, peer, op, subject string, propagate bool) (MembershipView, error) {
-	var view MembershipView
+func (c *Client) ApplyMembership(ctx context.Context, peer, op, subject string, propagate bool) (compute.MembershipView, error) {
+	var view compute.MembershipView
 	err := c.postJSON(ctx, peer, "/v1/cluster/membership",
-		membershipRequest{Op: op, Peer: subject, Propagate: propagate}, &view)
+		compute.MembershipRequest{Op: op, Peer: subject, Propagate: propagate}, &view)
 	return view, err
 }

@@ -468,26 +468,34 @@ func TestCoordinatorSweepJobStreamsMergedGrid(t *testing.T) {
 	}
 }
 
-// TestPeerDeathDegradesOnlyItsShard kills one instance: keys it owned
-// fail over to local compute on the surviving instances (correct
-// answers, no error surface), its breaker trips after the failure
-// threshold so later requests skip the dead hop, and keys owned by the
-// surviving peer keep forwarding normally.
+// TestPeerDeathDegradesOnlyItsShard kills one instance and runs no
+// probe round: keys it owned fail over to local compute on instance 0
+// (every answer 200 and byte-identical to a standalone instance), the
+// failed forwards alone suspect and then evict it from instance 0's
+// ring, a later key it owned is answered without another request to
+// it, and keys owned by the surviving peer keep forwarding.
 func TestPeerDeathDegradesOnlyItsShard(t *testing.T) {
+	standalone, err := service.New(service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts := httptest.NewServer(standalone.Handler())
+	defer sts.Close()
 	insts := startCluster(t, 3, nil)
 	dead := insts[2]
 	dead.ts.Close()
 
+	// Distinct analyze keys owned by the dead peer (enough to evict it,
+	// plus one for after) and by the surviving peer, as seen from
+	// instance 0.
+	const failedForwards = 4
 	ring := insts[0].backend.Ring()
-	// Collect distinct analyze keys owned by the dead peer and by the
-	// surviving peer, as seen from instance 0.
 	var deadBodies, aliveBodies []string
-	for i := 1; i < 1000 && (len(deadBodies) < 4 || len(aliveBodies) < 1); i++ {
-		r := float64(i) / 1000
-		body, key := analyzeScenarioAt(t, r)
+	for i := 1; i < 1000 && (len(deadBodies) <= failedForwards || len(aliveBodies) < 1); i++ {
+		body, key := analyzeScenarioAt(t, float64(i)/1000)
 		switch ring.Owner(key) {
 		case dead.url:
-			if len(deadBodies) < 4 {
+			if len(deadBodies) <= failedForwards {
 				deadBodies = append(deadBodies, body)
 			}
 		case insts[1].url:
@@ -496,32 +504,50 @@ func TestPeerDeathDegradesOnlyItsShard(t *testing.T) {
 			}
 		}
 	}
-	if len(deadBodies) < 4 || len(aliveBodies) < 1 {
+	if len(deadBodies) <= failedForwards || len(aliveBodies) < 1 {
 		t.Fatalf("key sampling found %d dead-owned and %d alive-owned keys", len(deadBodies), len(aliveBodies))
 	}
-
-	for _, body := range deadBodies {
-		status, _, resp := post(t, insts[0].url, "/v1/analyze", body)
+	answer := func(body string) {
+		t.Helper()
+		status, _, got := post(t, insts[0].url, "/v1/analyze", body)
 		if status != http.StatusOK {
-			t.Fatalf("dead-shard analyze = %d: %s", status, resp)
+			t.Fatalf("analyze = %d: %s", status, got)
+		}
+		if _, _, want := post(t, sts.URL, "/v1/analyze", body); !bytes.Equal(got, want) {
+			t.Errorf("cluster answer differs from standalone:\n%s\n%s", got, want)
 		}
 	}
-	if insts[0].backend.Healthy(dead.url) {
-		t.Error("dead peer still healthy after repeated transport failures")
+	deadPeer := `peer="` + dead.url + `"`
+
+	for i, body := range deadBodies[:failedForwards] {
+		answer(body)
+		if i == 1 {
+			if st := insts[0].mgr.MemberStates()[dead.url]; st != cluster.StateSuspect {
+				t.Errorf("dead peer is %s after 2 failed forwards, want suspect", st)
+			}
+		}
 	}
-	if errs := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `result="error"`); errs < 3 {
-		t.Errorf("peer error count = %v, want >= 3 (breaker threshold)", errs)
+	if st := insts[0].mgr.MemberStates()[dead.url]; st != cluster.StateEvicted {
+		t.Fatalf("dead peer is %s after %d failed forwards, want evicted", st, failedForwards)
 	}
-	if open := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `result="open"`); open < 1 {
-		t.Errorf("peer open count = %v, want >= 1 (post-trip requests skip the hop)", open)
+	if peers := insts[0].mgr.Peers(); len(peers) != 2 {
+		t.Fatalf("ring after eviction = %v, want 2 members", peers)
+	}
+	if errs := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", deadPeer, `result="error"`); errs != failedForwards {
+		t.Errorf("dead peer error count = %v, want %d", errs, failedForwards)
+	}
+
+	// A later dead-owned key now belongs to a survivor: no new request
+	// reaches the dead peer.
+	before := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", deadPeer)
+	answer(deadBodies[failedForwards])
+	if after := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", deadPeer); after != before {
+		t.Errorf("requests to the evicted peer went %v → %v", before, after)
 	}
 
 	// The surviving shard still forwards.
-	status, _, resp := post(t, insts[0].url, "/v1/analyze", aliveBodies[0])
-	if status != http.StatusOK {
-		t.Fatalf("alive-shard analyze = %d: %s", status, resp)
-	}
-	if ok := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `result="ok"`); ok < 1 {
+	answer(aliveBodies[0])
+	if ok := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `peer="`+insts[1].url+`"`, `result="ok"`); ok < 1 {
 		t.Errorf("no successful forward to the surviving peer (ok = %v)", ok)
 	}
 }
@@ -779,29 +805,5 @@ func TestProbeChaosHysteresisKeepsRingStable(t *testing.T) {
 	}
 	if len(m.Peers()) != 3 {
 		t.Errorf("ring shrank to %v under lossy probing", m.Peers())
-	}
-}
-
-// TestPointSpecWireParity pins the client and server wire structs to
-// one JSON shape: internal/cluster.PointSpec (the client side) and
-// service.ClusterPointSpec (the handler side) must marshal identically,
-// since they are maintained as mirror types rather than shared ones.
-func TestPointSpecWireParity(t *testing.T) {
-	sc := scenario.Scenario{
-		Network: scenario.Network{Scheme: scenario.SchemeFull, N: 8, B: 4},
-		Model:   scenario.Model{Kind: scenario.ModelHier},
-		R:       0.5,
-		Sim:     &scenario.Sim{Cycles: 1000, Seed: 3},
-	}
-	a, err := json.Marshal(cluster.PointSpec{Scenario: sc, Axis: "full", Model: "hier", WithSim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(service.ClusterPointSpec{Scenario: sc, Axis: "full", Model: "hier", WithSim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("wire shapes diverged:\ncluster: %s\nservice: %s", a, b)
 	}
 }

@@ -126,11 +126,11 @@ func FuzzSweepShardStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var (
 			mu    sync.Mutex
-			specs []cluster.PointSpec
+			specs []compute.PointSpec
 		)
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			var req struct {
-				Points []cluster.PointSpec `json:"points"`
+				Points []compute.PointSpec `json:"points"`
 			}
 			if r.URL.Path != "/v1/cluster/sweep" || json.NewDecoder(r.Body).Decode(&req) != nil {
 				http.Error(w, "unexpected request", http.StatusBadRequest)
@@ -149,8 +149,8 @@ func FuzzSweepShardStream(f *testing.F) {
 			return dialer.DialContext(ctx, network, srv.Listener.Addr().String())
 		}
 		defer tr.CloseIdleConnections()
-		// A fresh manager and backend per input: a garbled stream counts
-		// against the peer's breaker, which must not leak across inputs.
+		// A fresh manager and backend per input, so no membership state
+		// leaks across inputs.
 		m, err := cluster.NewManager(cluster.ManagerOptions{
 			Self: fuzzSelf, Peers: []string{fuzzSelf, fuzzPeer}, HTTP: &http.Client{Transport: tr},
 		})

@@ -4,24 +4,19 @@ import (
 	"context"
 	"sort"
 	"time"
-
-	"multibus/internal/rng"
-	"multibus/internal/sim"
 )
 
-// Active health probing (DESIGN.md §16): the manager periodically GETs
-// every known non-self member's /healthz and feeds the results through
-// a suspect → confirm → evict state machine. Failure must accumulate
-// before the ring moves (suspectAfter consecutive failures raise
-// suspicion without a ring change; evictAfter confirm it and evict),
-// and recovery must accumulate before it moves back (rejoinAfter
-// consecutive successes re-admit an evicted peer) — hysteresis in both
-// directions, so a flapping peer cannot thrash the ring on every blip.
-// Left members are not probed: a deliberate
+// Peer health (DESIGN.md §16): one suspect → confirm → evict state
+// machine per peer, fed by two inputs. The manager periodically GETs
+// every known non-self member's /healthz (ProbeOnce), and the Backend
+// reports the outcome of every forward and shard (report). Failure must
+// accumulate before the ring moves (suspectAfter consecutive failures
+// raise suspicion without a ring change; evictAfter confirm it and
+// evict), and recovery must accumulate before it moves back
+// (rejoinAfter consecutive successes re-admit an evicted peer) —
+// hysteresis in both directions, so a flapping peer cannot thrash the
+// ring on every blip. Left members are not probed: a deliberate
 // departure returns only via an explicit join.
-
-// newJitterRand builds the seeded jitter stream (repo-wide seed rule).
-func newJitterRand(seed int64) *rng.Rand { return sim.NewSeededRand(seed) }
 
 // ProbeOnce runs one synchronous probe round over every probeable
 // member, in sorted order (deterministic tests drive rounds directly),
@@ -42,13 +37,13 @@ func (m *Manager) ProbeOnce(ctx context.Context) bool {
 
 	transitioned := false
 	for _, peer := range targets {
-		pctx, cancel := context.WithTimeout(ctx, m.probeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := m.client.Probe(pctx, peer)
 		cancel()
 		if err != nil {
 			m.countProbeFailure(peer)
 		}
-		if m.observeProbe(peer, err == nil) {
+		if m.observe(peer, err == nil) {
 			transitioned = true
 		}
 		if ctx.Err() != nil {
@@ -58,21 +53,33 @@ func (m *Manager) ProbeOnce(ctx context.Context) bool {
 	return transitioned
 }
 
-// observeProbe applies one probe result to peer's state machine,
-// reporting whether the ring transitioned. Exposed to tests via
-// ProbeOnce; the transitions:
+// report feeds the outcome of one forward or shard request to peer into
+// its state machine. Only a missing HTTP response is a failure; any
+// response, a 4xx or 5xx included, shows the peer alive (compute is
+// pure, so an error status is one request's fault, not the peer's). A
+// request whose caller gave up says nothing about the peer either way.
+func (m *Manager) report(ctx context.Context, peer string, err error) {
+	if ctx.Err() != nil {
+		return
+	}
+	m.observe(peer, !unreachable(err))
+}
+
+// observe applies one observation to peer's state machine, reporting
+// whether the ring transitioned. The transitions:
 //
 //	alive   --fail×suspectAfter--> suspect   (still in the ring)
 //	suspect --fail×evictAfter--->  evicted   (ring transition)
 //	suspect --ok----------------->  alive    (one success clears suspicion)
 //	evicted --ok×rejoinAfter----->  alive    (ring transition; hysteresis)
-func (m *Manager) observeProbe(peer string, ok bool) bool {
+func (m *Manager) observe(peer string, ok bool) bool {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	mb, known := m.members[peer]
 	if !known || peer == m.self || mb.state == StateLeft {
-		m.mu.Unlock()
 		return false
 	}
+	prev := mb.state
 	if ok {
 		mb.fails = 0
 		switch mb.state {
@@ -81,7 +88,7 @@ func (m *Manager) observeProbe(peer string, ok bool) bool {
 			mb.oks = 0
 		case StateEvicted:
 			mb.oks++
-			if mb.oks >= m.rejoinAfter {
+			if mb.oks >= rejoinAfter {
 				mb.state = StateAlive
 				mb.oks = 0
 			}
@@ -93,35 +100,38 @@ func (m *Manager) observeProbe(peer string, ok bool) bool {
 		mb.fails++
 		switch mb.state {
 		case StateAlive:
-			if mb.fails >= m.suspectAfter {
+			if mb.fails >= suspectAfter {
 				mb.state = StateSuspect
 			}
 		case StateSuspect:
-			if mb.fails >= m.evictAfter {
+			if mb.fails >= evictAfter {
 				mb.state = StateEvicted
 			}
 		}
 	}
-	transitioned := m.rebuildLocked(false)
+	return mb.state != prev && m.rebuildLocked(false)
+}
+
+// nextProbeDelay draws one round's sleep: the probe interval jittered to
+// [0.75, 1.25)× from the manager's own seeded stream.
+func (m *Manager) nextProbeDelay() time.Duration {
+	m.mu.Lock()
+	u := m.jitter.Float64()
 	m.mu.Unlock()
-	return transitioned
+	return time.Duration(float64(m.probeInterval) * (0.75 + 0.5*u))
 }
 
 // Start runs the background probe loop until ctx is canceled. Each
-// round sleeps the configured interval jittered to [0.75, 1.25)× from
-// the seeded stream, so a fleet started together never synchronizes its
-// probe storms.
+// round sleeps nextProbeDelay; the jitter stream is seeded by the
+// instance's own URL, so a fleet started together never synchronizes
+// its probe storms.
 func (m *Manager) Start(ctx context.Context) {
 	go func() {
 		for {
-			m.mu.Lock()
-			u := m.jitter()
-			m.mu.Unlock()
-			d := time.Duration(float64(m.probeInterval) * (0.75 + 0.5*u))
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(d):
+			case <-time.After(m.nextProbeDelay()):
 			}
 			m.ProbeOnce(ctx)
 		}

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"multibus/internal/rng"
+	"multibus/internal/sim"
 )
 
 // Membership states (DESIGN.md §16). Alive and suspect members are in
@@ -24,16 +27,17 @@ const (
 	StateLeft    = "left"
 )
 
-// Prober defaults. Two consecutive probe failures raise suspicion, two
-// more confirm it into eviction, and an evicted peer must answer three
-// consecutive probes before it re-enters the ring — the hysteresis that
-// keeps a flapping peer from thrashing the ring on every blip.
+// State machine tuning. Two consecutive failed observations (probes or
+// forwards that got no HTTP response) raise suspicion, two more confirm
+// it into eviction, and an evicted peer must answer three consecutive
+// probes before it re-enters the ring — the hysteresis that keeps a
+// flapping peer from thrashing the ring on every blip.
 const (
 	DefaultProbeInterval = time.Second
-	DefaultProbeTimeout  = time.Second
-	DefaultSuspectAfter  = 2
-	DefaultEvictAfter    = 4
-	DefaultRejoinAfter   = 3
+	probeTimeout         = time.Second
+	suspectAfter         = 2
+	evictAfter           = 4
+	rejoinAfter          = 3
 )
 
 // Snapshot is one immutable published view of the membership: a version
@@ -50,8 +54,8 @@ type Snapshot struct {
 // member is one known peer's lifecycle record.
 type member struct {
 	state string
-	fails int // consecutive probe failures
-	oks   int // consecutive probe successes (rejoin hysteresis)
+	fails int // consecutive failed observations
+	oks   int // consecutive successful observations (rejoin hysteresis)
 }
 
 // ManagerOptions configures a membership Manager.
@@ -62,48 +66,33 @@ type ManagerOptions struct {
 	// Peers seeds the initial membership (Self is added implicitly; an
 	// instance joining via -join starts with just itself).
 	Peers []string
-	// Vnodes is the ring's virtual-node count per peer (0 = DefaultVnodes).
-	Vnodes int
 	// HTTP overrides the peer transport (nil = http.DefaultClient) —
 	// the seam the chaos peer-transport injector wires through.
 	HTTP *http.Client
 
 	// ProbeInterval is the base health-probe period; each round's actual
-	// sleep is jittered ±25% from a seeded stream so probe storms never
-	// synchronize across a fleet. 0 = DefaultProbeInterval.
+	// sleep is jittered ±25% from a stream seeded by Self, so probe
+	// storms never synchronize across a fleet. 0 = DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip. 0 = DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-	// SuspectAfter/EvictAfter/RejoinAfter tune the state machine
-	// (0 = the defaults above).
-	SuspectAfter int
-	EvictAfter   int
-	RejoinAfter  int
-	// Seed selects the jitter stream (the repo-wide seed rule).
-	Seed int64
 }
 
 // Manager owns the mutable, versioned membership view: seeded from the
 // static peer list, mutated by join/leave applications (the
 // POST /v1/cluster/membership surface) and by the health prober, and
-// published as immutable Snapshots through an atomic pointer. Its
-// Client is the one every peer call shares — forwards, shards, probes,
-// and membership gossip ride one injectable transport.
+// published as immutable Snapshots through an atomic pointer. The
+// prober and the Backend's forward outcomes feed one per-peer state
+// machine, the only judge of peer health. Its Client is the one every
+// peer call shares — forwards, shards, probes, and membership gossip
+// ride one injectable transport.
 type Manager struct {
-	self   string
-	vnodes int
-	client *Client
-
+	self          string
+	client        *Client
 	probeInterval time.Duration
-	probeTimeout  time.Duration
-	suspectAfter  int
-	evictAfter    int
-	rejoinAfter   int
 
 	mu      sync.Mutex
 	members map[string]*member
 	version uint64
-	jitter  func() float64 // seeded uniform [0,1) draw, under mu
+	jitter  *rng.Rand // probe-interval jitter, under mu
 
 	snap atomic.Pointer[Snapshot]
 	reg  atomic.Pointer[registryHook]
@@ -115,38 +104,18 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 	if opts.Self == "" {
 		return nil, fmt.Errorf("cluster: membership needs a self URL")
 	}
-	vnodes := opts.Vnodes
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	m := &Manager{
 		self:          opts.Self,
-		vnodes:        vnodes,
 		client:        &Client{HTTP: opts.HTTP, Self: opts.Self},
 		probeInterval: opts.ProbeInterval,
-		probeTimeout:  opts.ProbeTimeout,
-		suspectAfter:  opts.SuspectAfter,
-		evictAfter:    opts.EvictAfter,
-		rejoinAfter:   opts.RejoinAfter,
 		members:       make(map[string]*member),
+		// Seeded by the instance's own URL: each member of a fleet draws
+		// its own jitter stream, and a restarted member draws the same one.
+		jitter: sim.NewSeededRand(int64(fnv64a(opts.Self))),
 	}
 	if m.probeInterval <= 0 {
 		m.probeInterval = DefaultProbeInterval
 	}
-	if m.probeTimeout <= 0 {
-		m.probeTimeout = DefaultProbeTimeout
-	}
-	if m.suspectAfter <= 0 {
-		m.suspectAfter = DefaultSuspectAfter
-	}
-	if m.evictAfter <= m.suspectAfter {
-		m.evictAfter = m.suspectAfter + (DefaultEvictAfter - DefaultSuspectAfter)
-	}
-	if m.rejoinAfter <= 0 {
-		m.rejoinAfter = DefaultRejoinAfter
-	}
-	rng := newJitterRand(opts.Seed)
-	m.jitter = rng.Float64
 	m.members[opts.Self] = &member{state: StateAlive}
 	for _, p := range opts.Peers {
 		p = strings.TrimSpace(p)
@@ -210,7 +179,7 @@ func (m *Manager) rebuildLocked(force bool) bool {
 			return false
 		}
 	}
-	ring, err := NewRing(set, m.vnodes)
+	ring, err := NewRing(set, DefaultVnodes)
 	if err != nil {
 		// Unreachable: the set always contains self.
 		return false
@@ -325,7 +294,7 @@ func (m *Manager) propagate(op, subject string) {
 		}
 		peer := p
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*m.probeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*probeTimeout)
 			defer cancel()
 			_, _ = m.client.ApplyMembership(ctx, peer, op, subject, false)
 		}()

@@ -2,11 +2,16 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
+	"reflect"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func newTestManager(t *testing.T, self string, peers []string) *Manager {
@@ -69,29 +74,29 @@ func TestObserveProbeHysteresis(t *testing.T) {
 	v0 := m.Version()
 
 	// suspectAfter-1 failures: still alive.
-	m.observeProbe(peer, false)
+	m.observe(peer, false)
 	if st := m.MemberStates()[peer]; st != StateAlive {
 		t.Fatalf("state after 1 failure = %s, want alive", st)
 	}
 	// One more: suspect — but still in the ring, version unchanged.
-	if m.observeProbe(peer, false) {
+	if m.observe(peer, false) {
 		t.Fatal("suspicion transitioned the ring")
 	}
 	if st := m.MemberStates()[peer]; st != StateSuspect {
-		t.Fatalf("state after %d failures = %s, want suspect", DefaultSuspectAfter, st)
+		t.Fatalf("state after %d failures = %s, want suspect", suspectAfter, st)
 	}
 	if m.Version() != v0 {
 		t.Fatal("version bumped without a ring change")
 	}
 	// A single success clears suspicion entirely.
-	m.observeProbe(peer, true)
+	m.observe(peer, true)
 	if st := m.MemberStates()[peer]; st != StateAlive {
 		t.Fatalf("state after recovery = %s, want alive", st)
 	}
 	// Fail through to eviction: the ring transitions exactly once.
 	transitions := 0
-	for i := 0; i < DefaultEvictAfter; i++ {
-		if m.observeProbe(peer, false) {
+	for i := 0; i < evictAfter; i++ {
+		if m.observe(peer, false) {
 			transitions++
 		}
 	}
@@ -99,7 +104,7 @@ func TestObserveProbeHysteresis(t *testing.T) {
 		t.Fatalf("eviction caused %d ring transitions, want 1", transitions)
 	}
 	if st := m.MemberStates()[peer]; st != StateEvicted {
-		t.Fatalf("state after %d failures = %s, want evicted", DefaultEvictAfter, st)
+		t.Fatalf("state after %d failures = %s, want evicted", evictAfter, st)
 	}
 	if m.Version() != v0+1 {
 		t.Fatalf("version = %d after eviction, want %d", m.Version(), v0+1)
@@ -110,18 +115,18 @@ func TestObserveProbeHysteresis(t *testing.T) {
 		}
 	}
 	// Rejoin hysteresis: one success is not enough…
-	m.observeProbe(peer, true)
+	m.observe(peer, true)
 	if st := m.MemberStates()[peer]; st != StateEvicted {
 		t.Fatalf("state after 1 success = %s, want still evicted", st)
 	}
 	// …and a failure resets the streak.
-	m.observeProbe(peer, false)
-	m.observeProbe(peer, true)
-	m.observeProbe(peer, true)
+	m.observe(peer, false)
+	m.observe(peer, true)
+	m.observe(peer, true)
 	if st := m.MemberStates()[peer]; st != StateEvicted {
 		t.Fatal("rejoin streak survived an interleaved failure")
 	}
-	if !m.observeProbe(peer, true) {
+	if !m.observe(peer, true) {
 		t.Fatal("rejoin streak did not re-admit the peer")
 	}
 	if st := m.MemberStates()[peer]; st != StateAlive {
@@ -198,11 +203,100 @@ func TestStatusErrorEnvelopeParse(t *testing.T) {
 	if se.Body != "Bad Gateway" {
 		t.Errorf("plain body first line = %q", se.Body)
 	}
-	// 5xx status errors stay breaker-worthy, envelope or not.
-	if !transient(mk(503, `{"error":{"code":"draining","message":"x"}}`)) {
-		t.Error("enveloped 503 not transient")
+	// Only a missing response counts against the peer: any status error,
+	// a 5xx included, means the peer answered.
+	if unreachable(mk(503, `{"error":{"code":"draining","message":"x"}}`)) {
+		t.Error("enveloped 503 counted as unreachable")
 	}
-	if transient(mk(400, `{"error":{"code":"invalid_request","message":"x"}}`)) {
-		t.Error("enveloped 400 counted as transient")
+	if unreachable(mk(400, `{"error":{"code":"invalid_request","message":"x"}}`)) {
+		t.Error("enveloped 400 counted as unreachable")
+	}
+	if unreachable(fmt.Errorf("cluster: decoding /v1/analyze response: %w", io.ErrUnexpectedEOF)) {
+		t.Error("a response that failed to decode counted as unreachable")
+	}
+	if !unreachable(&url.Error{Op: "Post", URL: "http://peer/v1/analyze", Err: syscall.ECONNREFUSED}) {
+		t.Error("a refused connection not counted as unreachable")
+	}
+}
+
+// TestForwardOutcomesDriveMembership pins the observation rules of the
+// forward path: forwards that get no HTTP response move a peer alive →
+// suspect → evicted at the same counts as failed probes, any HTTP
+// response (4xx and 5xx included) shows it alive, and a forward whose
+// caller canceled or timed out is not an observation at all.
+func TestForwardOutcomesDriveMembership(t *testing.T) {
+	self, peer := testPeers[0], testPeers[1]
+	m := newTestManager(t, self, testPeers)
+	b, err := New(Options{Manager: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	refused := &url.Error{Op: "Post", URL: peer + "/v1/analyze", Err: syscall.ECONNREFUSED}
+	state := func() string { return m.MemberStates()[peer] }
+
+	// An error status between two transport failures resets the streak:
+	// were it counted as a failure, the peer would be suspect.
+	for _, status := range []int{500, 502, 503, 504, 400, 429} {
+		b.settle(ctx, peer, refused)
+		b.settle(ctx, peer, &StatusError{Status: status})
+		if st := state(); st != StateAlive {
+			t.Fatalf("state after a failure and a %d = %s, want alive", status, st)
+		}
+	}
+	b.settle(ctx, peer, nil)
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	expired, cancel2 := context.WithTimeout(ctx, -time.Second)
+	defer cancel2()
+	for i := 0; i < 2*evictAfter; i++ {
+		b.settle(canceled, peer, &url.Error{Op: "Post", URL: peer, Err: context.Canceled})
+		b.settle(expired, peer, &url.Error{Op: "Post", URL: peer, Err: context.DeadlineExceeded})
+	}
+	if st := state(); st != StateAlive {
+		t.Fatalf("state after caller-side cancellations = %s, want alive", st)
+	}
+
+	v0 := m.Version()
+	for i := 1; i <= evictAfter; i++ {
+		b.settle(ctx, peer, refused)
+		want := StateAlive
+		switch {
+		case i >= evictAfter:
+			want = StateEvicted
+		case i >= suspectAfter:
+			want = StateSuspect
+		}
+		if st := state(); st != want {
+			t.Fatalf("state after %d failed forwards = %s, want %s", i, st, want)
+		}
+	}
+	if m.Version() != v0+1 || len(m.Peers()) != len(testPeers)-1 {
+		t.Fatalf("eviction left version %d (want %d) and ring %v", m.Version(), v0+1, m.Peers())
+	}
+}
+
+// TestProbeJitterSeededBySelf pins the per-instance jitter stream:
+// managers with different Self URLs draw different probe sleeps, and
+// the same Self draws the same sequence every time.
+func TestProbeJitterSeededBySelf(t *testing.T) {
+	draws := func(self string) []time.Duration {
+		m := newTestManager(t, self, testPeers)
+		out := make([]time.Duration, 8)
+		for i := range out {
+			out[i] = m.nextProbeDelay()
+			if lo, hi := DefaultProbeInterval*3/4, DefaultProbeInterval*5/4; out[i] < lo || out[i] >= hi {
+				t.Fatalf("probe delay %v outside [%v, %v)", out[i], lo, hi)
+			}
+		}
+		return out
+	}
+	a := draws(testPeers[0])
+	if reflect.DeepEqual(a, draws(testPeers[1])) {
+		t.Errorf("two instances drew the same jitter sequence %v", a)
+	}
+	if again := draws(testPeers[0]); !reflect.DeepEqual(a, again) {
+		t.Errorf("same Self drew %v, then %v", a, again)
 	}
 }

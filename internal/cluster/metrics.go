@@ -12,7 +12,6 @@ const (
 	metricPeerRequests  = "mbserve_peer_requests_total"
 	metricRingPeers     = "mbserve_ring_peers"
 	metricRingShare     = "mbserve_ring_share"
-	metricPeerBreaker   = "mbserve_peer_breaker_open"
 	metricRingVersion   = "mbserve_ring_version"
 	metricMembership    = "mbserve_membership_peers"
 	metricProbeFailures = "mbserve_probe_failures_total"
@@ -75,41 +74,14 @@ func (m *Manager) countProbeFailure(peer string) {
 
 // Register binds the backend's metrics into reg (normally the serving
 // instance's own registry, so cluster families appear on GET /metrics):
-// per-peer forward counters by result, the ring membership gauge, each
-// remote peer's breaker state, and — through the shared manager — the
-// membership, version, probe, and share families.
+// per-peer forward counters by result, the ring membership gauge, and —
+// through the shared manager — the membership, version, probe, and
+// share families.
 func (b *Backend) Register(reg *obs.Registry) {
 	b.reg.Store(&registryHook{reg: reg})
 	b.manager.Register(reg)
 	reg.GaugeFunc(metricRingPeers, "cluster ring membership (peers, self included)",
 		func() float64 { return float64(len(b.manager.Peers())) })
-	b.bmu.Lock()
-	peers := make([]string, 0, len(b.breakers))
-	for p := range b.breakers {
-		peers = append(peers, p)
-	}
-	b.bmu.Unlock()
-	for _, p := range peers {
-		b.registerBreakerGauge(p)
-	}
-}
-
-// registerBreakerGauge binds one peer's breaker-state gauge; a no-op
-// until Register has bound a registry. Breakers are created lazily as
-// the ring meets new peers, so gauge registration follows creation.
-func (b *Backend) registerBreakerGauge(peer string) {
-	h := b.reg.Load()
-	if h == nil {
-		return
-	}
-	p := peer
-	h.reg.GaugeFunc(metricPeerBreaker, "peer breaker state (1 open: shard failing over to local compute)",
-		func() float64 {
-			if b.breakerFor(p).Open() {
-				return 1
-			}
-			return 0
-		}, obs.L("peer", p))
 }
 
 // countPeer ticks the per-peer forward counter; a no-op until Register
@@ -120,6 +92,6 @@ func (b *Backend) countPeer(peer, result string) {
 		return
 	}
 	h.reg.Counter(metricPeerRequests,
-		"peer forwards by destination and result (ok, error, open=breaker refused, or the peer's envelope code)",
+		"peer forwards by destination and result (ok, error, or the peer's envelope code)",
 		obs.L("peer", peer), obs.L("result", result)).Inc()
 }

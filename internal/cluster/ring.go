@@ -1,19 +1,20 @@
 // Package cluster implements horizontal scale-out for mbserve
 // (DESIGN.md §14): a consistent-hash ring over canonical cache keys, an
-// HTTP peer client with retry and per-peer circuit breakers, and a
-// routing compute.Backend that forwards each evaluation to the key's
-// owning instance — where it joins the owner's singleflight, so
-// concurrent identical requests arriving anywhere in the cluster
-// compute exactly once. A coordinator variant additionally partitions
-// whole sweep grids across peers and merges the streamed shards back
-// into deterministic grid order.
+// HTTP peer client with one transport retry, a membership manager that
+// judges peer health, and a routing compute.Backend that forwards each
+// evaluation to the key's owning instance — where it joins the owner's
+// singleflight, so concurrent identical requests arriving anywhere in
+// the cluster compute exactly once. A coordinator variant additionally
+// partitions whole sweep grids across peers and merges the streamed
+// shards back into deterministic grid order.
 //
 // Everything routes by the same canonical key strings the cache stores
 // under (scenario.Built.AnalyzeKey / SimulateKey / SweepPointKey): two
 // instances agree on ownership because they hash identical bytes, the
 // same property that makes their cache entries interchangeable. Peer
-// failures degrade per shard — a dead peer trips only its own breaker
-// and its keys fail over to local compute — never the whole service.
+// failures degrade per shard — a dead peer's keys fail over to local
+// compute until its failed forwards and probes evict it from the ring —
+// never the whole service.
 package cluster
 
 import (
@@ -109,6 +110,11 @@ func (r *Ring) Share(peer string) float64 {
 	pi := sort.SearchStrings(r.peers, peer)
 	if pi == len(r.peers) || r.peers[pi] != peer {
 		return 0
+	}
+	if len(r.peers) == 1 {
+		// A sole peer owns every arc, and their lengths sum to 2^64,
+		// which wraps to 0 below.
+		return 1
 	}
 	var owned uint64
 	for i, h := range r.hashes {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 var testPeers = []string{
@@ -86,6 +85,22 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// TestRingShareSolePeer pins the share of a one-member ring, which a
+// cluster reaches when every other peer is evicted: the survivor owns
+// the whole hash space.
+func TestRingShareSolePeer(t *testing.T) {
+	r, err := NewRing(testPeers[:1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Share(testPeers[0]); got != 1 {
+		t.Errorf("sole peer share = %v, want 1", got)
+	}
+	if got := r.Share(testPeers[1]); got != 0 {
+		t.Errorf("non-member share = %v, want 0", got)
+	}
+}
+
 func TestNewRingRejectsEmpty(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Error("empty peer list accepted")
@@ -98,30 +113,5 @@ func TestNewRingRejectsEmpty(t *testing.T) {
 func TestNewRequiresManager(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("backend without a membership manager accepted")
-	}
-}
-
-func TestBreakerTripAndRecover(t *testing.T) {
-	br := &breaker{threshold: 3, cooldown: 20 * time.Millisecond}
-	if !br.Allow() {
-		t.Fatal("new breaker refuses")
-	}
-	br.Failure()
-	br.Failure()
-	if !br.Allow() {
-		t.Fatal("breaker tripped before threshold")
-	}
-	br.Failure()
-	if br.Allow() {
-		t.Fatal("breaker still admitting after threshold failures")
-	}
-	time.Sleep(25 * time.Millisecond)
-	if !br.Allow() {
-		t.Fatal("breaker refuses probes after cooldown")
-	}
-	br.Success()
-	br.Failure()
-	if !br.Allow() {
-		t.Fatal("success did not reset the failure streak")
 	}
 }

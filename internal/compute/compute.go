@@ -1,7 +1,9 @@
 // Package compute defines the transport-agnostic compute seam of the
 // serving stack: the Backend interface the service's gate and the sweep
 // engine call instead of invoking the multibus façade directly, the
-// wire-shaped result types every transport serializes, and the
+// wire-shaped result types every transport serializes, the request
+// shapes of the peer endpoints (one definition for the client in
+// internal/cluster and the handlers in internal/service), and the
 // forwarded-hop marker that keeps cluster routing loop-free.
 //
 // The package is a leaf below service, sweep, and cluster: it knows how
@@ -121,6 +123,47 @@ type PointJob struct {
 // the cluster ring shards on and every memo layer stores under.
 func (jb PointJob) Key() string {
 	return jb.Built.SweepPointKey(jb.Axis, jb.WithSim)
+}
+
+// Spec strips the job to its wire form. X and Structure stay behind:
+// the receiving worker re-derives both from the canonical scenario.
+func (jb PointJob) Spec() PointSpec {
+	return PointSpec{Scenario: jb.Built.Scenario, Axis: jb.Axis, Model: jb.Model, WithSim: jb.WithSim}
+}
+
+// PointSpec is one sweep grid point on the wire, the request item of
+// POST /v1/cluster/sweep: the full canonical scenario (rate included)
+// plus the sweep axis tags that complete its SweepPointKey. Shipping the
+// tags, rather than deriving them, keeps the worker's cache key
+// byte-identical to the key the coordinator's own enumerator produced.
+type PointSpec struct {
+	Scenario scenario.Scenario `json:"scenario"`
+	Axis     string            `json:"axis"`
+	Model    string            `json:"model"`
+	WithSim  bool              `json:"withSim,omitempty"`
+}
+
+// ShardRequest is the body of POST /v1/cluster/sweep.
+type ShardRequest struct {
+	Points []PointSpec `json:"points"`
+}
+
+// MembershipRequest is the body of POST /v1/cluster/membership: one
+// join or leave application, fanned out to the rest of the ring when
+// Propagate is set.
+type MembershipRequest struct {
+	Op        string `json:"op"`
+	Peer      string `json:"peer"`
+	Propagate bool   `json:"propagate"`
+}
+
+// MembershipView answers a membership application with the applied
+// instance's resulting view; a joiner adopts Peers from it.
+type MembershipView struct {
+	Version uint64            `json:"version"`
+	Peers   []string          `json:"peers"`
+	States  map[string]string `json:"states"`
+	Changed bool              `json:"changed"`
 }
 
 // Backend evaluates canonical scenarios. Implementations must be safe

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"multibus/internal/compute"
-	"multibus/internal/scenario"
 	"multibus/internal/sweep"
 )
 
@@ -28,23 +27,6 @@ import (
 // completion interleaving. Per-point errors never abort the shard —
 // the coordinator retries failed indices locally.
 
-// ClusterPointSpec is one sweep grid point on the wire: the full
-// canonical scenario (rate included) plus the sweep axis tags that
-// complete its SweepPointKey. Shipping the tags — rather than deriving
-// them — keeps the worker's cache key byte-identical to the key the
-// coordinator's own enumerator produced.
-type ClusterPointSpec struct {
-	Scenario scenario.Scenario `json:"scenario"`
-	Axis     string            `json:"axis"`
-	Model    string            `json:"model"`
-	WithSim  bool              `json:"withSim,omitempty"`
-}
-
-// ClusterSweepRequest is the body of POST /v1/cluster/sweep.
-type ClusterSweepRequest struct {
-	Points []ClusterPointSpec `json:"points"`
-}
-
 // maxClusterPoints bounds one shard request, mirroring maxBatchItems'
 // role for /v1/batch; coordinators chunk larger shards.
 const maxClusterPoints = 4096
@@ -58,7 +40,7 @@ type clusterPointRecord struct {
 
 // handleClusterSweep serves POST /v1/cluster/sweep.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
-	var req ClusterSweepRequest
+	var req compute.ShardRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}

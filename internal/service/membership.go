@@ -30,23 +30,6 @@ type ClusterControl interface {
 	Leave(ctx context.Context)
 }
 
-// membershipRequest is the body of POST /v1/cluster/membership.
-type membershipRequest struct {
-	Op        string `json:"op"`
-	Peer      string `json:"peer"`
-	Propagate bool   `json:"propagate"`
-}
-
-// membershipBody answers a membership application with the applied
-// instance's resulting view. internal/cluster.MembershipView mirrors
-// this shape (parity pinned by tests).
-type membershipBody struct {
-	Version uint64            `json:"version"`
-	Peers   []string          `json:"peers"`
-	States  map[string]string `json:"states"`
-	Changed bool              `json:"changed"`
-}
-
 // clusterGuard runs the shared preamble of the cluster control-plane
 // handlers: hop-guard authentication first (403 — the endpoint does not
 // exist for non-peers, even to report whether cluster mode is on), then
@@ -72,7 +55,7 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 	if !s.clusterGuard(w, r) {
 		return
 	}
-	var req membershipRequest
+	var req compute.MembershipRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
@@ -81,7 +64,7 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, membershipBody{
+	writeJSON(w, http.StatusOK, compute.MembershipView{
 		Version: version,
 		Peers:   peers,
 		States:  s.cluster.MemberStates(),

@@ -162,7 +162,7 @@ func TestMembershipApply(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("membership apply = %d: %s", rec.Code, rec.Body)
 	}
-	var body membershipBody
+	var body compute.MembershipView
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}

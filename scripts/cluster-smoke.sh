@@ -10,6 +10,8 @@
 #   - peer 1's partitioned /v1/sweep merge is byte-for-byte identical
 #     to the standalone instance's sweep
 #   - peer traffic is visible in mbserve_peer_requests_total
+#   - right after a hard kill, fresh keys (at least one owned by the dead
+#     peer) still answer 200, byte-identical to the standalone instance
 #   - a hard-killed peer is probed, evicted, and visible in
 #     mbserve_membership_peers{state="evicted"}; restarted with -join it
 #     re-enters the ring, turns ready, and answers every pre-death
@@ -142,6 +144,33 @@ done
 # suspect, confirm, and evict it from the ring.
 P3PID="$(echo $PIDS | awk '{print $NF}')"
 kill -9 "$P3PID" 2>/dev/null || true
+
+# Before eviction the dead peer still owns its keys: keys nobody has
+# computed yet, posted through P2, must answer 200 and match the
+# standalone instance byte for byte, whether P2 forwarded them to a
+# survivor, computed them itself, or fell back after a failed forward.
+# At least 10 keys go out; if none of them was owned by the dead peer
+# (no failed forward on P2), more follow, up to 40, until one was.
+dead_forwards() {
+    curl -s "$P2/metrics" | grep "^mbserve_peer_requests_total{peer=\"$P3\",result=\"error\"}" |
+        awk '{s += $NF} END {print s + 0}'
+}
+FAILED=0
+i=1
+while [ "$i" -le 10 ] || { [ "$i" -le 40 ] && [ "$FAILED" = 0 ]; }; do
+    R="$(awk "BEGIN{printf \"%g\", $i/40}")"
+    FRESH="{\"network\":{\"scheme\":\"full\",\"n\":12,\"b\":6},\"model\":{\"kind\":\"hier\"},\"r\":$R}"
+    STATUS="$(curl -s -o "$WORK/fresh$i" -w '%{http_code}' -X POST "$P2/v1/analyze" -d "$FRESH")"
+    [ "$STATUS" = 200 ] || { echo "cluster-smoke: post-kill analyze r=$R returned $STATUS"; exit 1; }
+    STATUS="$(curl -s -o "$WORK/fresh-ref$i" -w '%{http_code}' -X POST "http://$REF/v1/analyze" -d "$FRESH")"
+    [ "$STATUS" = 200 ] || { echo "cluster-smoke: standalone analyze r=$R returned $STATUS"; exit 1; }
+    cmp -s "$WORK/fresh$i" "$WORK/fresh-ref$i" || { echo "cluster-smoke: post-kill answer for r=$R differs from standalone"; exit 1; }
+    [ "$i" -ge 10 ] && FAILED="$(dead_forwards)"
+    i=$((i + 1))
+done
+[ "$FAILED" -ge 1 ] || { echo "cluster-smoke: none of $((i - 1)) fresh keys was forwarded to the dead peer"; exit 1; }
+echo "cluster-smoke: $((i - 1)) fresh keys after the kill byte-identical to standalone ($FAILED failed forwards to the dead peer)"
+
 EVICTED=""
 for _ in $(seq 1 120); do
     V="$(curl -s "$P1/metrics" | sed -n 's/^mbserve_membership_peers{state="evicted"} //p')"
