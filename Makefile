@@ -113,12 +113,13 @@ bench:
 # benchmarks into a scratch report and diffs it against the committed
 # BENCH_sim.json. Fails on >20% ns/op growth or any allocs/op growth in
 # the pinned set (Table*, Analytic*, BinomialRow*, BuildKey*,
-# Topology*); run it before committing changes to the analytic hot path
-# or the topology representation. -count=5 because the compare keeps the
+# Topology*, ServeAnalyzeMissLarge); run it before committing changes to
+# the analytic hot path, the topology representation or scenario
+# building. -count=5 because the compare keeps the
 # best of repeated runs, which suppresses scheduler noise on shared
 # machines; -cpu=1 as in `make bench`.
 bench-compare:
-	$(GO) test -bench='BenchmarkTable|BenchmarkAnalytic|BenchmarkBinomialRow|BenchmarkBuildKey|BenchmarkTopology' -benchmem -run=NONE -count=5 -cpu=1 . | $(GO) run ./cmd/benchjson -o /tmp/multibus-bench-new.json
+	$(GO) test -bench='BenchmarkTable|BenchmarkAnalytic|BenchmarkBinomialRow|BenchmarkBuildKey|BenchmarkTopology|BenchmarkServeAnalyzeMissLarge' -benchmem -run=NONE -count=5 -cpu=1 . | $(GO) run ./cmd/benchjson -o /tmp/multibus-bench-new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_sim.json /tmp/multibus-bench-new.json
 
 # Full reproduction verdict: every paper table/figure plus the

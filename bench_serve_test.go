@@ -4,6 +4,7 @@
 package multibus_test
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -68,4 +69,48 @@ func BenchmarkServeAnalyzeCached(b *testing.B) {
 			b.Fatalf("hits = %d, want 0 — miss benchmark got cache hits", hits)
 		}
 	})
+}
+
+// BenchmarkServeAnalyzeMissLarge measures POST /v1/analyze on the miss
+// path at N=M=512, B=64 across the four paper schemes, each request at a
+// rate no earlier request used, with a one-entry cache so every call
+// computes. This is the shape where the wiring and its fingerprint would
+// dominate if they were rebuilt per request; the intern table serves
+// them, so the cost left is decode, canonicalize, the closed form and
+// encode.
+func BenchmarkServeAnalyzeMissLarge(b *testing.B) {
+	const rates = 256
+	schemes := []string{"full", "single", "partial", "kclass"}
+	bodies := make([]string, 0, len(schemes)*rates)
+	for k := 0; k < rates; k++ {
+		r := 0.05 + 0.9*(float64(k)+0.5)/rates
+		for _, sc := range schemes {
+			bodies = append(bodies, fmt.Sprintf(`{"network":{"scheme":%q,"n":512,"m":512,"b":64},"model":{"kind":"uniform"},"r":%v}`, sc, r))
+		}
+	}
+	s, err := service.New(service.Options{CacheSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(body string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("analyze = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for _, body := range bodies[:len(schemes)] {
+		post(body) // wire each network once before timing
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+	b.StopTimer()
+	if hits := s.Cache().Stats().Hits; hits != 0 {
+		b.Fatalf("hits = %d, want 0 — miss benchmark got cache hits", hits)
+	}
 }

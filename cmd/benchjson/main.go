@@ -20,8 +20,8 @@
 // collapsed to their best result before comparing, which suppresses
 // scheduler noise. Pinned benchmarks are selected by name prefix
 // (-pins, default the analytic hot-path set plus the topology
-// build/key benchmarks); `make bench-compare` wires this against the
-// committed baseline.
+// build/key benchmarks and the large analyze-miss serve benchmark);
+// `make bench-compare` wires this against the committed baseline.
 //
 // Each benchmark line like
 //
@@ -67,7 +67,7 @@ type Report struct {
 func main() {
 	out := flag.String("o", "", "output JSON file (required unless -compare)")
 	compareMode := flag.Bool("compare", false, "compare two report files (benchjson -compare OLD NEW) instead of parsing stdin")
-	pins := flag.String("pins", "BenchmarkTable,BenchmarkAnalytic,BenchmarkBinomialRow,BenchmarkBuildKey,BenchmarkTopology",
+	pins := flag.String("pins", "BenchmarkTable,BenchmarkAnalytic,BenchmarkBinomialRow,BenchmarkBuildKey,BenchmarkTopology,BenchmarkServeAnalyzeMissLarge",
 		"comma-separated benchmark name prefixes checked in -compare mode")
 	nsTol := flag.Float64("ns-tolerance", 0.20, "allowed fractional ns/op growth in -compare mode")
 	flag.Parse()

@@ -181,12 +181,11 @@ func BusUtilizationPrefixClasses(classes []PrefixClass, b int, x float64) ([]flo
 	ys := make([]float64, b)
 	e := evalPool.Get().(*Evaluator)
 	defer evalPool.Put(e)
-	for i := 1; i <= b; i++ {
-		y, err := e.busUtilizationPrefix(classes, i, x)
-		if err != nil {
-			return nil, err
-		}
-		ys[i-1] = y
+	if err := e.prefixIdle(classes, x, ys); err != nil {
+		return nil, err
+	}
+	for i, q := range ys {
+		ys[i] = 1 - q
 	}
 	return ys, nil
 }

@@ -31,6 +31,7 @@ type Evaluator struct {
 	next int // round-robin eviction cursor over rows
 
 	classes []PrefixClass // scratch for BandwidthKClasses
+	idle    []float64     // scratch for BandwidthPrefixClasses
 }
 
 // evaluatorMaxRows bounds the per-Evaluator row cache. A full-connection
@@ -174,32 +175,49 @@ func (e *Evaluator) BandwidthPrefixClasses(classes []PrefixClass, b int, x float
 	if err := validatePrefixClasses(classes, b, x); err != nil {
 		return 0, err
 	}
+	if cap(e.idle) < b {
+		e.idle = make([]float64, b)
+	}
+	idle := e.idle[:b]
+	if err := e.prefixIdle(classes, x, idle); err != nil {
+		return 0, err
+	}
 	var sum numerics.KahanSum
-	for i := 1; i <= b; i++ {
-		y, err := e.busUtilizationPrefix(classes, i, x)
-		if err != nil {
-			return 0, err
-		}
-		sum.Add(y)
+	for _, q := range idle {
+		sum.Add(1 - q)
 	}
 	return sum.Value(), nil
 }
 
-// busUtilizationPrefix returns Y_i of equation (11) for bus position i
-// (1-based), using cached rows for the per-class CDF factors.
-func (e *Evaluator) busUtilizationPrefix(classes []PrefixClass, i int, x float64) (float64, error) {
-	idle := 1.0
+// prefixIdle fills idle[i−1] with the probability that bus i (1-based)
+// stays idle under equation (11): the product over classes c with
+// L_c ≥ i of P[Binomial(M_c, X) ≤ L_c − i], so Y_i = 1 − idle[i−1].
+// The loop runs class-outer: each class's row is looked up once rather
+// than once per bus, which keeps a K = B network at K lookups instead of
+// B·K scans of the row cache. Every bus still multiplies its factors in
+// class order, so each product is bit-identical to the bus-outer form.
+// At most one row pointer is held, and it is dropped before the next
+// lookup, so cache eviction can never invalidate it.
+func (e *Evaluator) prefixIdle(classes []PrefixClass, x float64, idle []float64) error {
+	for i := range idle {
+		idle[i] = 1
+	}
+	var r *numerics.BinomialRow
 	for _, cl := range classes {
-		if cl.PrefixLen < i || cl.Size == 0 {
+		if cl.Size == 0 {
 			continue
 		}
-		r, err := e.row(cl.Size, x)
-		if err != nil {
-			return 0, err
+		if r == nil || r.N() != cl.Size {
+			var err error
+			if r, err = e.row(cl.Size, x); err != nil {
+				return err
+			}
 		}
-		idle *= r.CDF(cl.PrefixLen - i)
+		for i := 1; i <= cl.PrefixLen; i++ {
+			idle[i-1] *= r.CDF(cl.PrefixLen - i)
+		}
 	}
-	return 1 - idle, nil
+	return nil
 }
 
 // BandwidthKClasses is Evaluator-backed BandwidthKClasses: paper

@@ -2,7 +2,10 @@ package analytic
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"multibus/internal/numerics"
 )
 
 // TestEvaluatorMatchesPackageFunctions pins the Evaluator methods
@@ -164,5 +167,115 @@ func TestEvaluatorStructureDispatch(t *testing.T) {
 	}
 	if v, err := e.BandwidthStructure(groups, 4, math.NaN()); err == nil {
 		t.Errorf("NaN x accepted: %v", v)
+	}
+}
+
+// referencePrefixUtilization is the bus-outer form of equation (11):
+// for each bus i, the product of the CDF factors of every class with
+// L_c ≥ i, taken in class order, each from a freshly built row. It is
+// the reference the class-outer evaluator loop must match bit for bit.
+func referencePrefixUtilization(classes []PrefixClass, b int, x float64) ([]float64, float64, error) {
+	ys := make([]float64, b)
+	var sum numerics.KahanSum
+	var r numerics.BinomialRow
+	for i := 1; i <= b; i++ {
+		idle := 1.0
+		for _, cl := range classes {
+			if cl.PrefixLen < i || cl.Size == 0 {
+				continue
+			}
+			if err := r.Reset(cl.Size, x); err != nil {
+				return nil, 0, err
+			}
+			idle *= r.CDF(cl.PrefixLen - i)
+		}
+		ys[i-1] = 1 - idle
+		sum.Add(ys[i-1])
+	}
+	return ys, sum.Value(), nil
+}
+
+// randomPrefixClasses draws a valid class set over b buses: arbitrary
+// (not necessarily nested or sorted) prefix lengths, sizes up to 47, and
+// empty classes, some of them with PrefixLen 0.
+func randomPrefixClasses(rng *rand.Rand, b int) []PrefixClass {
+	classes := make([]PrefixClass, 1+rng.Intn(48))
+	for c := range classes {
+		if rng.Intn(6) == 0 {
+			classes[c] = PrefixClass{Size: 0, PrefixLen: rng.Intn(b + 1)}
+			continue
+		}
+		classes[c] = PrefixClass{Size: 1 + rng.Intn(47), PrefixLen: 1 + rng.Intn(b)}
+	}
+	return classes
+}
+
+// TestPrefixClassesMatchBusOuterReference pins BandwidthPrefixClasses
+// and BusUtilizationPrefixClasses bit for bit against the bus-outer
+// reference on seeded random class sets. One Evaluator serves every set
+// at a fresh rate each time, so its row cache is full of stale rows and
+// sets with more than evaluatorMaxRows distinct sizes force evictions
+// in the middle of an evaluation.
+func TestPrefixClassesMatchBusOuterReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	// Always include one set with more distinct sizes than the row cache
+	// holds, an empty class with PrefixLen 0, and the edge rates.
+	wide := make([]PrefixClass, 0, 2*evaluatorMaxRows+1)
+	for sz := 1; sz <= 2*evaluatorMaxRows; sz++ {
+		wide = append(wide, PrefixClass{Size: sz, PrefixLen: 1 + (sz*7)%64})
+	}
+	wide = append(wide, PrefixClass{Size: 0, PrefixLen: 0})
+	type tc struct {
+		classes []PrefixClass
+		b       int
+		x       float64
+	}
+	cases := []tc{{wide, 64, 0.37}, {wide, 64, 0}, {wide, 64, 1}}
+	for i := 0; i < 300; i++ {
+		b := 1 + rng.Intn(64)
+		cases = append(cases, tc{randomPrefixClasses(rng, b), b, rng.Float64()})
+	}
+	e := NewEvaluator()
+	distinctWide := 0
+	for _, c := range cases {
+		sizes := map[int]bool{}
+		for _, cl := range c.classes {
+			if cl.Size > 0 {
+				sizes[cl.Size] = true
+			}
+		}
+		if len(sizes) > evaluatorMaxRows {
+			distinctWide++
+		}
+		wantYs, want, err := referencePrefixUtilization(c.classes, c.b, c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.BandwidthPrefixClasses(c.classes, c.b, c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("BandwidthPrefixClasses(%v, b=%d, x=%v) = %v, bus-outer reference %v", c.classes, c.b, c.x, got, want)
+		}
+		pkg, err := BandwidthPrefixClasses(c.classes, c.b, c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(pkg) != math.Float64bits(want) {
+			t.Errorf("package BandwidthPrefixClasses(%v, b=%d, x=%v) = %v, reference %v", c.classes, c.b, c.x, pkg, want)
+		}
+		ys, err := BusUtilizationPrefixClasses(c.classes, c.b, c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ys {
+			if math.Float64bits(ys[i]) != math.Float64bits(wantYs[i]) {
+				t.Errorf("BusUtilizationPrefixClasses(%v, b=%d, x=%v)[%d] = %v, reference %v", c.classes, c.b, c.x, i, ys[i], wantYs[i])
+			}
+		}
+	}
+	if distinctWide == 0 {
+		t.Fatal("no case had more distinct class sizes than the row cache holds")
 	}
 }

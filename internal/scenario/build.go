@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"multibus/internal/arbiter"
 	"multibus/internal/cache"
@@ -30,35 +29,23 @@ type Built struct {
 	// nil exactly when the model kind has no closed form (hotspot).
 	Model    *hrm.Hierarchy
 	Crossbar bool
-
-	// fp memoizes Fingerprints: the network fingerprint streams the
-	// wiring bitset from the sorted adjacency (O(connections) for
-	// sparse schemes, O(B·M/64) words worst case) and key derivation
-	// runs on every request and every sweep point, so it is computed
-	// once per Built. The pointer is shared by WithRate copies — the
-	// rate axis never changes the structural fingerprints.
-	fp *fpMemo
-}
-
-// fpMemo holds the once-computed (network, model) fingerprint pair.
-type fpMemo struct {
-	once     sync.Once
-	nfp, mfp uint64
 }
 
 // Build canonicalizes the scenario and constructs its topology and
 // request model. Errors wrap ErrInvalid (and ErrUnsatisfiable for
-// structural constraint violations).
+// structural constraint violations). The topology of a shape the process
+// has built before is the same shared, immutable *topology.Network (see
+// the intern table), so callers must treat it as read-only.
 func (s Scenario) Build() (*Built, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	nw, err := c.Network.build()
+	nw, err := c.Network.wire()
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{Scenario: c, Network: nw, Crossbar: c.Network.Scheme == SchemeCrossbar, fp: &fpMemo{}}
+	b := &Built{Scenario: c, Network: nw, Crossbar: c.Network.Scheme == SchemeCrossbar}
 	if c.Model.Kind != ModelHotSpot {
 		b.Model, err = c.Model.build(nw.M())
 		if err != nil {
@@ -107,13 +94,14 @@ func (n Network) build() (*topology.Network, error) {
 }
 
 // Build canonicalizes and wires a standalone network spec (the cliutil
-// delegate path; full scenarios go through Scenario.Build).
+// delegate path; full scenarios go through Scenario.Build). Like
+// Scenario.Build it returns the shared network of an interned shape.
 func (n Network) Build() (*topology.Network, error) {
 	c, err := n.canonical()
 	if err != nil {
 		return nil, err
 	}
-	return c.build()
+	return c.wire()
 }
 
 // build constructs the canonical model over the given module count.
@@ -174,24 +162,12 @@ func (m Model) buildWorkload(n, mods int, r float64) (workload.Generator, error)
 }
 
 // Fingerprints returns the (network, model) fingerprint pair every
-// cache key is built from. The hotspot model has no hrm object, so it
-// contributes its own variant-tagged hash (tag 3; hrm uses 1 and 2).
-// The pair is computed once per Built (WithRate copies share the memo):
-// the inputs are immutable after Build, so the memoized pair is
-// byte-identical to a fresh recomputation.
+// cache key is built from. The network memoizes its own fingerprint, and
+// an interned network is shared by every Build of its shape, so the
+// O(connections) hash runs once per shape; the model fingerprint is
+// O(levels) and computed on demand. The hotspot model has no hrm object,
+// so it contributes its own variant-tagged hash (tag 3; hrm uses 1 and 2).
 func (b *Built) Fingerprints() (networkFP, modelFP uint64) {
-	if b.fp == nil {
-		// A hand-constructed Built (no Build call); compute directly.
-		return b.fingerprints()
-	}
-	b.fp.once.Do(func() {
-		b.fp.nfp, b.fp.mfp = b.fingerprints()
-	})
-	return b.fp.nfp, b.fp.mfp
-}
-
-// fingerprints derives the pair from the wired network and model.
-func (b *Built) fingerprints() (networkFP, modelFP uint64) {
 	networkFP = b.Network.Fingerprint()
 	if b.Model != nil {
 		return networkFP, b.Model.Fingerprint()

@@ -77,6 +77,23 @@ func FuzzScenarioCanonical(f *testing.F) {
 		if k1, k2 := b1.SimulateKey(), b2.SimulateKey(); k1 != k2 {
 			t.Fatalf("SimulateKey changed across re-marshal of %s: %q vs %q", raw, k1, k2)
 		}
+		// Two Builds of one canonical scenario (the second one from the
+		// intern table when the shape fits) key identically and wire
+		// networks Equal to a fresh construction.
+		b3, err := c.Build()
+		if err != nil {
+			t.Fatalf("canonical %s does not build: %v", raw, err)
+		}
+		if k1, k3 := b1.AnalyzeKey(), b3.AnalyzeKey(); k1 != k3 {
+			t.Fatalf("AnalyzeKey differs across two Builds of %s: %q vs %q", raw, k1, k3)
+		}
+		if k1, k3 := b1.SimulateKey(), b3.SimulateKey(); k1 != k3 {
+			t.Fatalf("SimulateKey differs across two Builds of %s: %q vs %q", raw, k1, k3)
+		}
+		fresh := freshBuilt(t, c)
+		if !b1.Network.Equal(b3.Network) || !b3.Network.Equal(fresh.Network) {
+			t.Fatalf("Builds of %s wired unequal networks", raw)
+		}
 	})
 }
 

@@ -59,6 +59,10 @@ func renderGoldenKeys(t *testing.T) []byte {
 // logical entry across incompatible key spaces mid-upgrade.
 func TestCanonicalKeysGolden(t *testing.T) {
 	got := renderGoldenKeys(t)
+	// The second render finds every network in the intern table.
+	if again := renderGoldenKeys(t); !bytes.Equal(again, got) {
+		t.Errorf("keys from interned networks differ from the first render:\n got:\n%s\nfirst:\n%s", again, got)
+	}
 	path := filepath.Join("testdata", "keys.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

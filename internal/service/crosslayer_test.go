@@ -10,6 +10,7 @@ import (
 	"multibus/internal/cliutil"
 	"multibus/internal/scenario"
 	"multibus/internal/sweep"
+	"multibus/internal/topology"
 )
 
 // TestCrossLayerEquivalence is the scenario layer's contract test: one
@@ -175,6 +176,57 @@ func TestCrossLayerEquivalence(t *testing.T) {
 					t.Errorf("memo point %+v != sweep point %+v", v, res.Points[0])
 				}
 			})
+		}
+	}
+}
+
+// TestInternedNetworksStayPristineAfterServing pins the read-only
+// contract network interning rests on: after analyze, simulate and a
+// simulated sweep have run on a shape, the network scenario.Build hands
+// out for it still equals a fresh construction, wiring and fingerprint
+// alike.
+func TestInternedNetworksStayPristineAfterServing(t *testing.T) {
+	h := newTestServer(t, Options{}).Handler()
+	shapes := []struct {
+		spec  scenario.Network
+		fresh func() (*topology.Network, error)
+	}{
+		{scenario.Network{Scheme: "full", N: 16, B: 8}, func() (*topology.Network, error) { return topology.Full(16, 16, 8) }},
+		{scenario.Network{Scheme: "single", N: 16, B: 8}, func() (*topology.Network, error) { return topology.SingleBus(16, 16, 8) }},
+		{scenario.Network{Scheme: "partial", N: 16, B: 8, Groups: 2}, func() (*topology.Network, error) { return topology.PartialGroups(16, 16, 8, 2) }},
+		{scenario.Network{Scheme: "kclass", N: 16, B: 8}, func() (*topology.Network, error) { return topology.EvenKClasses(16, 16, 8, 8) }},
+		{scenario.Network{Scheme: "kclass", N: 16, B: 8, ClassSizes: []int{2, 6, 8}}, func() (*topology.Network, error) { return topology.KClasses(16, 8, []int{2, 6, 8}) }},
+	}
+	for _, sh := range shapes {
+		spec, err := json.Marshal(sh.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct{ path, body string }{
+			{"/v1/analyze", fmt.Sprintf(`{"network":%s,"model":{"kind":"uniform"},"r":0.7}`, spec)},
+			{"/v1/simulate", fmt.Sprintf(`{"network":%s,"model":{"kind":"uniform"},"r":0.7,"sim":{"cycles":500,"seed":5}}`, spec)},
+		} {
+			if rec := postJSON(t, h, call.path, call.body); rec.Code != 200 {
+				t.Fatalf("%s %s = %d: %s", call.path, call.body, rec.Code, rec.Body)
+			}
+		}
+	}
+	sweepBody := `{"ns":[16],"bs":[8],"rs":[0.5,1],"schemes":["full","single","partial","kclasses"],` +
+		`"networks":[{"scheme":"kclass","classSizes":[2,6,8]}],"withSim":true,"simCycles":500}`
+	if rec := postJSON(t, h, "/v1/sweep", sweepBody); rec.Code != 200 {
+		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body)
+	}
+	for _, sh := range shapes {
+		got, err := sh.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sh.fresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%+v: the interned network no longer matches a fresh construction after serving", sh.spec)
 		}
 	}
 }

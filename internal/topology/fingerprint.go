@@ -23,8 +23,15 @@ package topology
 // of all-zero words between connections collapse into one multiplication
 // by prime^(8·run) (FNV-1a absorbs a zero byte as a bare multiply), so
 // the cost is O(connections + log(B·M)) rather than O(B·M) for sparse
-// wirings.
+// wirings. A Network is immutable, so the hash is computed on the first
+// call and every later call (from any goroutine) returns the memo.
 func (nw *Network) Fingerprint() uint64 {
+	nw.fpOnce.Do(func() { nw.fp = nw.fingerprint() })
+	return nw.fp
+}
+
+// fingerprint computes the hash Fingerprint memoizes.
+func (nw *Network) fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Scheme identifies the bus–memory connection scheme of a Network.
@@ -73,7 +74,9 @@ var (
 )
 
 // Network is an immutable N×M×B multiple bus network topology. The zero
-// value is not usable; build one with a constructor.
+// value is not usable; build one with a constructor. Because nothing
+// mutates a Network after construction, one value may be shared by any
+// number of goroutines and callers.
 type Network struct {
 	n, m, b int
 	scheme  Scheme
@@ -91,6 +94,9 @@ type Network struct {
 	classSizes []int // KClasses only: M_1 … M_K
 
 	failedBuses []int // buses removed by WithoutBus, ascending
+
+	fpOnce sync.Once // guards fp, the memoized Fingerprint
+	fp     uint64
 }
 
 // iotaSeq returns the shared row material 0 … k−1 the scheme
