@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-compare repro examples fmt vet cover clean check lint serve-smoke chaos-smoke cluster-smoke scenarios-check api-check perfbench-check
+.PHONY: all build test race fuzz bench bench-compare repro examples fmt vet cover clean check lint layering serve-smoke chaos-smoke cluster-smoke scenarios-check api-check perfbench-check
 
 all: build vet test
 
-# Full gate: compile, lint, unit tests, the race detector over the
-# concurrent packages, bounded fuzz runs, scenario-file validation, the
-# benchmark module's own build and tests, and end-to-end boots of the
-# HTTP service (healthy, under chaos injection, and as a cluster). Run
+# Full gate: compile, lint, the layering rule, unit tests, the race
+# detector over the concurrent packages, bounded fuzz runs,
+# scenario-file validation, the benchmark module's own build and tests,
+# and end-to-end boots of the HTTP service (healthy, under chaos injection, and as a cluster). Run
 # `make bench-compare` alongside it when touching the analytic hot path.
-check: build lint test race fuzz scenarios-check api-check perfbench-check serve-smoke chaos-smoke cluster-smoke
+check: build lint layering test race fuzz scenarios-check api-check perfbench-check serve-smoke chaos-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,17 @@ perfbench-check:
 scenarios-check:
 	$(GO) run ./cmd/mbscenario -quiet examples/scenarios/*.json
 	@echo "scenarios-check: PASS"
+
+# Layering gate: the root multibus package is the library façade for
+# users, examples and tests. No package under internal/ or cmd/ may
+# import it; the serving stack evaluates through internal/compute, and
+# the façade stays the independent reference its tests compare against.
+layering:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' ./internal/... ./cmd/... | grep -E '[[ ]multibus[] ]' | cut -d' ' -f1); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: packages importing the root multibus package:"; echo "$$bad"; exit 1; \
+	fi; \
+	echo "layering: PASS"
 
 # Static analysis: go vet always; staticcheck when it is on PATH (the CI
 # image may not ship it, and we do not install tools on the fly).

@@ -123,6 +123,9 @@ type fixture struct {
 	// Follow drives the job lifecycle after a 202: poll the Location,
 	// page results, drain the stream, cancel.
 	Follow bool `json:"follow,omitempty"`
+	// RawBody, when set, is sent verbatim instead of Body: for request
+	// bodies that are not one valid JSON value.
+	RawBody string `json:"rawBody,omitempty"`
 }
 
 type checker struct {
@@ -332,7 +335,11 @@ func main() {
 		if !ck.matchesContractPath(fx.Method, reqPath) {
 			ck.failf("%s: %s %s is not covered by any documented path", fx.Name, fx.Method, reqPath)
 		}
-		rec := ck.do(h, fx.Method, fx.Path, fx.Accept, fx.Body)
+		body := []byte(fx.Body)
+		if fx.RawBody != "" {
+			body = []byte(fx.RawBody)
+		}
+		rec := ck.do(h, fx.Method, fx.Path, fx.Accept, body)
 		if rec.Code != fx.Status {
 			ck.failf("%s: %s %s = %d, want %d: %s", fx.Name, fx.Method, fx.Path, rec.Code, fx.Status, rec.Body)
 			continue

@@ -8,7 +8,6 @@ import (
 
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
-	"multibus/internal/sweep"
 )
 
 // maxShardChunk bounds one shard request to a peer; larger shards are
@@ -131,33 +130,25 @@ func (b *Backend) Simulate(ctx context.Context, built *scenario.Built) (*compute
 }
 
 // SweepPoint implements compute.Backend by evaluating locally. Sweep
-// points cross instances only as shards: the sweep engine drives a
-// BatchSweeper through SweepBatch, and the one other caller — the
+// points cross instances only as shards: SweepBatch forwards the
+// peer-owned ones, the rest reach here through the sweep engine's local
+// loop (SweepBatch.Local), and the one other caller — the
 // /v1/cluster/sweep worker — runs under the hop guard, which always
 // routes locally.
 func (b *Backend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.Point, error) {
 	return b.local.SweepPoint(ctx, jb)
 }
 
-// partition splits grid indices (all of batch when idxs is nil) by ring
-// ownership: remote shards per owning peer, plus the self-owned rest.
+// partition splits grid indices by ring ownership: remote shards per
+// owning peer, plus the self-owned rest.
 func (b *Backend) partition(ring *Ring, batch compute.SweepBatch, idxs []int) (map[string][]int, []int) {
 	shards := make(map[string][]int)
 	var local []int
-	assign := func(i int) {
+	for _, i := range idxs {
 		if owner := ring.Owner(batch.Jobs[i].Key()); owner != b.self {
 			shards[owner] = append(shards[owner], i)
 		} else {
 			local = append(local, i)
-		}
-	}
-	if idxs == nil {
-		for i := range batch.Jobs {
-			assign(i)
-		}
-	} else {
-		for _, i := range idxs {
-			assign(i)
 		}
 	}
 	return shards, local
@@ -188,7 +179,7 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 					specs[k] = batch.Jobs[gi].Spec()
 				}
 				done := make([]bool, len(chunk))
-				err := b.client.SweepShard(ctx, peer, specs, func(rec PointRecord) {
+				err := b.client.SweepShard(ctx, peer, specs, func(rec compute.ShardRecord) {
 					if rec.Index < 0 || rec.Index >= len(chunk) || rec.Point == nil {
 						return
 					}
@@ -229,15 +220,21 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 // indices a peer failed to deliver are retried. If the ring transitions
 // mid-sweep — a peer evicted, joined, or left while shards were in
 // flight — the failed indices are re-partitioned once under the new
-// ring, then anything still missing recomputes locally. Either way the
-// merged result is complete and byte-identical to a single-instance
-// sweep, and no grid index is ever emitted twice.
+// ring, then anything still missing recomputes locally. Local work —
+// the own shard and every failed-over index — runs through batch.Local,
+// the sweep engine's pool and memo layer. Either way the merged result
+// is complete and byte-identical to a single-instance sweep, and no
+// grid index is ever emitted twice.
 func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) error {
+	all := make([]int, len(batch.Jobs))
+	for i := range all {
+		all[i] = i
+	}
 	if compute.Forwarded(ctx) {
-		return b.evalLocal(ctx, batch, nil, true)
+		return batch.Local(ctx, all)
 	}
 	snap := b.manager.Snapshot()
-	shards, localIdx := b.partition(snap.Ring, batch, nil)
+	shards, localIdx := b.partition(snap.Ring, batch, all)
 	seen := make([]atomic.Bool, len(batch.Jobs))
 	emit := func(global int, pt compute.Point) {
 		// A duplicate or out-of-range index from a confused peer must
@@ -251,7 +248,7 @@ func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) erro
 	// stream; its first error aborts the sweep exactly as a local run's
 	// would.
 	localCh := make(chan error, 1)
-	go func() { localCh <- b.evalLocal(ctx, batch, localIdx, false) }()
+	go func() { localCh <- batch.Local(ctx, localIdx) }()
 	retry := b.fanOut(ctx, batch, shards, emit)
 	if localErr := <-localCh; localErr != nil {
 		return localErr
@@ -273,33 +270,5 @@ func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) erro
 	// Failed-over indices recompute locally: deterministic evaluation
 	// means the retried points are byte-identical to what the dead peer
 	// would have returned.
-	return b.evalLocal(ctx, batch, retry, false)
-}
-
-// evalLocal evaluates grid indices on the local worker pool through the
-// batch's memo layer: the whole grid when all is set, exactly idxs
-// otherwise. The explicit flag matters — an empty retry list is a nil
-// slice, which must mean "nothing left", never "everything again".
-func (b *Backend) evalLocal(ctx context.Context, batch compute.SweepBatch, idxs []int, all bool) error {
-	n := len(idxs)
-	pick := func(k int) int { return idxs[k] }
-	if all {
-		n = len(batch.Jobs)
-		pick = func(k int) int { return k }
-	}
-	if n == 0 {
-		return nil
-	}
-	return sweep.ForEachPool(ctx, n, sweep.PoolOptions{
-		Workers: batch.Workers,
-		Label:   "cluster",
-	}, func(ctx context.Context, k int) error {
-		i := pick(k)
-		pt, err := compute.MemoPoint(ctx, batch.Memo, b.local, batch.Jobs[i])
-		if err != nil {
-			return err
-		}
-		batch.Emit(i, pt)
-		return nil
-	})
+	return batch.Local(ctx, retry)
 }

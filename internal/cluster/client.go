@@ -87,15 +87,6 @@ func unreachable(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// PointRecord is one NDJSON response record of a shard request. Error
-// is kept raw: the coordinator retries failed indices locally, where
-// the same failure re-classifies natively.
-type PointRecord struct {
-	Index int             `json:"i"`
-	Point *compute.Point  `json:"point"`
-	Error json.RawMessage `json:"error"`
-}
-
 // Client speaks the mbserve peer protocol: the ordinary v1 endpoints
 // for single evaluations and /v1/cluster/sweep for shards, always with
 // the X-Mb-Forwarded hop guard set so the receiving instance computes
@@ -206,7 +197,7 @@ func (c *Client) Simulate(ctx context.Context, peer string, sc scenario.Scenario
 // records alike; indices refer to the points argument). A truncated
 // stream returns an error after the records that did arrive — the
 // caller treats unseen indices as failed and retries them locally.
-func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.PointSpec, onRecord func(PointRecord)) error {
+func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.PointSpec, onRecord func(compute.ShardRecord)) error {
 	resp, err := c.post(ctx, peer, "/v1/cluster/sweep", compute.ShardRequest{Points: points})
 	if err != nil {
 		return err
@@ -214,7 +205,7 @@ func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.P
 	defer resp.Body.Close()
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var rec PointRecord
+		var rec compute.ShardRecord
 		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/chaos"
 	"multibus/internal/cluster"
 	"multibus/internal/compute"
@@ -89,9 +88,9 @@ func startClusterH(t *testing.T, n int, hz clusterHarness) []*instance {
 	insts := make([]*instance, n)
 	for i := range insts {
 		inst := &instance{url: urls[i]}
-		analyze := compute.AnalyzeFunc(func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		analyze := compute.AnalyzeFunc(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			inst.computes.Add(1)
-			return multibus.AnalyzeContext(ctx, nw, model, r)
+			return compute.Local().Analyze(ctx, b)
 		})
 		if hz.wrapAnalyze != nil {
 			analyze = hz.wrapAnalyze(i, analyze)
@@ -287,10 +286,10 @@ func TestClusterConcurrentIdenticalRequestsDedup(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 3)
 	insts := startCluster(t, 3, func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
-		return func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		return func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			started <- struct{}{}
 			<-release
-			return fn(ctx, nw, model, r)
+			return fn(ctx, b)
 		}
 	})
 	_, key := analyzeScenarioAt(t, 1.0)
@@ -727,9 +726,9 @@ func TestEvictedPeerRejoins(t *testing.T) {
 	}
 	backend2, err := cluster.New(cluster.Options{
 		Manager: mgr2,
-		Local: compute.NewLocal(func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Local: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			computes2.Add(1)
-			return multibus.AnalyzeContext(ctx, nw, model, r)
+			return compute.Local().Analyze(ctx, b)
 		}, nil),
 	})
 	if err != nil {

@@ -38,31 +38,29 @@ func fuzzGrid(t testing.TB) sweep.Spec {
 }
 
 // gridKeys records the enumerated grid's per-point cache keys in grid
-// order (a BatchSweeper sees the whole grid) while evaluating locally.
+// order (a BatchSweeper sees the whole grid), then hands every index to
+// the sweep's own local loop.
 type gridKeys struct {
 	compute.Backend
 	keys []string
 }
 
 func (g *gridKeys) SweepBatch(ctx context.Context, batch compute.SweepBatch) error {
+	all := make([]int, len(batch.Jobs))
 	for i, jb := range batch.Jobs {
 		g.keys = append(g.keys, jb.Key())
-		pt, err := g.Backend.SweepPoint(ctx, jb)
-		if err != nil {
-			return err
-		}
-		batch.Emit(i, pt)
+		all[i] = i
 	}
-	return nil
+	return batch.Local(ctx, all)
 }
 
 // decodeShard reads an NDJSON shard stream the way the peer client
 // does: records in order until EOF or the first malformed one.
-func decodeShard(body []byte) []cluster.PointRecord {
-	var recs []cluster.PointRecord
+func decodeShard(body []byte) []compute.ShardRecord {
+	var recs []compute.ShardRecord
 	dec := json.NewDecoder(bytes.NewReader(body))
 	for {
-		var rec cluster.PointRecord
+		var rec compute.ShardRecord
 		if err := dec.Decode(&rec); err != nil {
 			return recs
 		}
@@ -109,7 +107,7 @@ func FuzzSweepShardStream(f *testing.F) {
 	}
 	enc := json.NewEncoder(&honest)
 	for k, gi := range shard {
-		if err := enc.Encode(cluster.PointRecord{Index: k, Point: &ref.Points[gi]}); err != nil {
+		if err := enc.Encode(compute.ShardRecord{Index: k, Point: &ref.Points[gi]}); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -24,6 +24,7 @@ package compute
 
 import (
 	"context"
+	"encoding/json"
 
 	"multibus/internal/analytic"
 	"multibus/internal/cache"
@@ -148,6 +149,17 @@ type ShardRequest struct {
 	Points []PointSpec `json:"points"`
 }
 
+// ShardRecord is one NDJSON record of a POST /v1/cluster/sweep
+// response: the point at index Index of the request's points, or the
+// error envelope object ({"code","message",...}) when it failed. Error stays raw on
+// the coordinator side, which retries failed indices locally where the
+// same failure re-classifies natively.
+type ShardRecord struct {
+	Index int             `json:"i"`
+	Point *Point          `json:"point,omitempty"`
+	Error json.RawMessage `json:"error,omitempty"`
+}
+
 // MembershipRequest is the body of POST /v1/cluster/membership: one
 // join or leave application, fanned out to the rest of the ring when
 // Propagate is set.
@@ -180,17 +192,17 @@ type Backend interface {
 }
 
 // SweepBatch is one partitioned sweep hand-off to a BatchSweeper: the
-// enumerated jobs in grid order, the memo layer to evaluate through,
+// enumerated jobs in grid order, the caller's local evaluation loop,
 // and the emit callback receiving each completed point with its grid
 // index. Emit may be called from multiple goroutines and in any order;
 // the caller reassembles grid order by index.
 type SweepBatch struct {
 	Jobs []PointJob
-	// Memo, when non-nil, memoizes per-point evaluation under each
-	// job's canonical key (see MemoPoint).
-	Memo *cache.Cache
-	// Workers bounds local evaluation concurrency (0 = GOMAXPROCS).
-	Workers int
+	// Local evaluates the listed grid indices on this instance —
+	// memoized, on the caller's worker pool — and emits each point
+	// through Emit. The first error (by lowest index) aborts it and is
+	// returned. Never nil.
+	Local func(ctx context.Context, idxs []int) error
 	// Emit receives each completed point. Must be safe for concurrent
 	// use; never nil.
 	Emit func(index int, pt Point)

@@ -3,76 +3,124 @@ package compute
 import (
 	"context"
 
-	"multibus"
 	"multibus/internal/analytic"
 	"multibus/internal/scenario"
 	"multibus/internal/sim"
 )
 
-// AnalyzeFunc is the closed-form computation seam. Tests count
-// invocations through it; nil means multibus.AnalyzeContext.
-type AnalyzeFunc func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error)
+// AnalyzeFunc is the closed-form computation seam. Tests count or fail
+// invocations through it; nil means the in-process closed forms.
+type AnalyzeFunc func(ctx context.Context, built *scenario.Built) (*Analysis, error)
 
-// SimulateFunc is the simulation computation seam; nil means
-// multibus.SimulateContext.
-type SimulateFunc func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error)
+// SimulateFunc is the simulation computation seam, handed the
+// scenario's Built.SimConfig; nil means sim.RunContext.
+type SimulateFunc func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 
-// LocalBackend evaluates scenarios in-process through the multibus
-// façade — the path every request took before the backend seam existed,
-// and the path every cluster instance still takes for the keys it owns.
+// LocalBackend evaluates scenarios in-process, straight from the built
+// scenario: the path a single instance takes for every request and a
+// cluster instance takes for the keys it owns. The multibus façade
+// computes the same answers independently; tests pin the two together.
 type LocalBackend struct {
 	analyze  AnalyzeFunc
 	simulate SimulateFunc
 }
 
-// NewLocal builds an in-process backend. Nil funcs take the façade
-// defaults; the service passes its test seams through so overriding
-// AnalyzeFunc/SimulateFunc keeps counting compute exactly as before.
+// NewLocal builds an in-process backend. Nil funcs take the defaults;
+// tests pass wrappers to count or fail compute.
 func NewLocal(analyze AnalyzeFunc, simulate SimulateFunc) *LocalBackend {
 	if analyze == nil {
-		analyze = multibus.AnalyzeContext
+		analyze = analyzeClosedForm
 	}
 	if simulate == nil {
-		simulate = multibus.SimulateContext
+		simulate = sim.RunContext
 	}
 	return &LocalBackend{analyze: analyze, simulate: simulate}
 }
 
-// defaultLocal is the shared façade-backed backend for callers that
+// defaultLocal is the shared default backend for callers that
 // configured nothing (stateless, so sharing is safe).
 var defaultLocal = NewLocal(nil, nil)
 
-// Local returns the shared façade-backed in-process backend.
+// Local returns the shared default in-process backend.
 func Local() *LocalBackend { return defaultLocal }
+
+// closedForm is the one closed-form path: X(r), then the crossbar
+// formula for crossbar points or the classified structure's bandwidth
+// for the rest. The job's precomputed X and
+// Structure are used when present — the sweep enumerator's
+// per-combination sharing — and derived on demand otherwise.
+func closedForm(jb PointJob) (x, bw float64, err error) {
+	built := jb.Built
+	x = jb.X
+	if !jb.XValid {
+		if x, err = built.Model.X(built.Scenario.R); err != nil {
+			return 0, 0, err
+		}
+	}
+	if built.Crossbar {
+		bw, err = analytic.BandwidthCrossbar(built.Network.M(), x)
+		return x, bw, err
+	}
+	structure := jb.Structure
+	if structure == nil {
+		if structure, err = analytic.Classify(built.Network); err != nil {
+			return 0, 0, err
+		}
+	}
+	bw, err = analytic.BandwidthStructure(structure, built.Network.B(), x)
+	return x, bw, err
+}
+
+// analyzeClosedForm is the default AnalyzeFunc: the closed-form
+// bandwidth plus the crossbar reference value and the performance/cost
+// ratio.
+func analyzeClosedForm(ctx context.Context, built *scenario.Built) (*Analysis, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	x, bw, err := closedForm(PointJob{Built: built})
+	if err != nil {
+		return nil, err
+	}
+	nw := built.Network
+	xbar, err := analytic.BandwidthCrossbar(nw.M(), x)
+	if err != nil {
+		return nil, err
+	}
+	ratio, err := analytic.PerformanceCostRatio(bw, nw.NumConnections())
+	if err != nil {
+		return nil, err
+	}
+	return &Analysis{
+		X:                    x,
+		Bandwidth:            bw,
+		CrossbarBandwidth:    xbar,
+		BusUtilization:       bw / float64(nw.B()),
+		PerformanceCostRatio: ratio,
+	}, nil
+}
 
 // Analyze implements Backend.
 func (l *LocalBackend) Analyze(ctx context.Context, built *scenario.Built) (*Analysis, error) {
 	if err := built.CanAnalyze(); err != nil {
 		return nil, err
 	}
-	a, err := l.analyze(ctx, built.Network, built.Model, built.Scenario.R)
+	return l.analyze(ctx, built)
+}
+
+// run simulates the built scenario through the simulate seam; Simulate
+// and simulated sweep points both go through it.
+func (l *LocalBackend) run(ctx context.Context, built *scenario.Built) (*sim.Result, error) {
+	cfg, err := built.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{
-		X:                    a.X,
-		Bandwidth:            a.Bandwidth,
-		CrossbarBandwidth:    a.CrossbarBandwidth,
-		BusUtilization:       a.BusUtilization,
-		PerformanceCostRatio: a.PerformanceCostRatio,
-	}, nil
+	return l.simulate(ctx, cfg)
 }
 
 // Simulate implements Backend.
 func (l *LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*SimResult, error) {
-	if err := built.CanSimulate(); err != nil {
-		return nil, err
-	}
-	gen, err := built.Workload()
-	if err != nil {
-		return nil, err
-	}
-	res, err := l.simulate(ctx, built.Network, gen, SimOptions(built.Scenario.Sim)...)
+	res, err := l.run(ctx, built)
 	if err != nil {
 		return nil, err
 	}
@@ -98,50 +146,20 @@ func (l *LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*Si
 // SweepPoint implements Backend: the analytic bandwidth at the point
 // and, with WithSim, an independently seeded simulator cross-check.
 // Crossbar points use the crossbar formula on the model's X and are
-// never simulated (the reference curve has no bus contention). The
-// job's precomputed X and Structure are used when present — the sweep
-// enumerator's per-combination sharing — and derived on demand when a
-// bare job arrives over the wire.
+// never simulated (the reference curve has no bus contention).
 func (l *LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, error) {
-	built := jb.Built
-	x := jb.X
-	if !jb.XValid {
-		var err error
-		x, err = built.Model.X(built.Scenario.R)
-		if err != nil {
-			return Point{}, err
-		}
-	}
-	var (
-		bw  float64
-		err error
-	)
-	if built.Crossbar {
-		bw, err = analytic.BandwidthCrossbar(built.Network.M(), x)
-	} else {
-		structure := jb.Structure
-		if structure == nil {
-			structure, err = analytic.Classify(built.Network)
-			if err != nil {
-				return Point{}, err
-			}
-		}
-		bw, err = analytic.BandwidthStructure(structure, built.Network.B(), x)
-	}
+	x, bw, err := closedForm(jb)
 	if err != nil {
 		return Point{}, err
 	}
+	built := jb.Built
 	pt := Point{
 		Scheme: jb.Axis, Model: jb.Model,
 		N: built.Network.N(), B: built.Network.B(), R: built.Scenario.R,
 		X: x, Bandwidth: bw,
 	}
 	if jb.WithSim && !built.Crossbar {
-		cfg, err := built.SimConfig()
-		if err != nil {
-			return Point{}, err
-		}
-		res, err := sim.RunContext(ctx, cfg)
+		res, err := l.run(ctx, built)
 		if err != nil {
 			return Point{}, err
 		}
@@ -150,28 +168,4 @@ func (l *LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, erro
 		pt.SimCI95 = res.BandwidthCI95
 	}
 	return pt, nil
-}
-
-// SimOptions renders a canonical sim block (every default spelled out
-// by scenario canonicalization) as façade options for the SimulateFunc
-// seam. A nil block means the canonical defaults.
-func SimOptions(s *scenario.Sim) []multibus.SimOption {
-	if s == nil {
-		def := scenario.DefaultSim()
-		s = &def
-	}
-	opts := []multibus.SimOption{
-		multibus.WithCycles(s.Cycles),
-		multibus.WithWarmup(s.Warmup),
-		multibus.WithBatches(s.Batches),
-		multibus.WithModuleServiceCycles(s.ServiceCycles),
-		multibus.WithSeed(s.Seed),
-	}
-	if s.Resubmit {
-		opts = append(opts, multibus.WithResubmit())
-	}
-	if s.RoundRobin {
-		opts = append(opts, multibus.WithRoundRobinMemoryArbiters())
-	}
-	return opts
 }

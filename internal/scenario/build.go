@@ -261,9 +261,10 @@ func (b *Built) Workload() (workload.Generator, error) {
 }
 
 // SimConfig assembles the simulator configuration for this scenario:
-// topology, workload, and the canonical sim knobs. Callers running
-// through the multibus façade instead translate the canonical Sim into
-// façade options; both paths configure the engine identically.
+// topology, workload, and the canonical sim knobs. It is the one way
+// the serving stack configures a run; the multibus façade builds the
+// same engine config from its public options, and compute's
+// TestLocalSimulateMatchesFacade pins the two runs identical.
 func (b *Built) SimConfig() (sim.Config, error) {
 	if err := b.CanSimulate(); err != nil {
 		return sim.Config{}, err

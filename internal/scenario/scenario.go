@@ -37,7 +37,7 @@
 package scenario
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -46,6 +46,7 @@ import (
 	"strings"
 
 	"multibus/internal/sim"
+	"multibus/internal/textio"
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -147,14 +148,9 @@ type Scenario struct {
 // Parse decodes a scenario from JSON, rejecting unknown fields and
 // trailing data — the same strictness as the HTTP layer.
 func Parse(data []byte) (Scenario, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	if err := textio.DecodeJSON(bytes.NewReader(data), &s); err != nil {
 		return Scenario{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if dec.More() {
-		return Scenario{}, fmt.Errorf("%w: trailing data after scenario JSON", ErrInvalid)
 	}
 	return s, nil
 }

@@ -240,6 +240,10 @@ func TestParseStrict(t *testing.T) {
 		`{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":1,"bogus":true}`,
 		`{"network":{"scheme":"full","n":16,"b":8,"q":1},"model":{"kind":"hier"},"r":1}`,
 		good + `{"again":true}`,
+		good + `}`,
+		good + `]`,
+		good + ` x`,
+		`{} {}`,
 		`not json`,
 	}
 	for i, body := range bad {

@@ -10,7 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
 )
 
 func decodeBatch(t *testing.T, body []byte) batchBody {
@@ -158,11 +159,11 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchCanceledMidFlight(t *testing.T) {
 	var started atomic.Int64
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			started.Add(1)
 			<-ctx.Done() // hold every item until the request dies
 			return nil, ctx.Err()
-		},
+		}, nil),
 	})
 	h := s.Handler()
 

@@ -19,24 +19,17 @@ import (
 // X-Mb-Forwarded, so the instrument middleware marks the context and a
 // routing backend evaluates the shard locally (one hop, never a loop).
 //
-// The response streams NDJSON, one record per point in completion
-// order: {"i":N,"point":{...}} on success, {"i":N,"error":{...}} on a
-// per-point failure. Indices refer to the request's points array; the
-// coordinator maps them back to global grid indices, which is how the
-// merged sweep stays in deterministic grid order regardless of peer
-// completion interleaving. Per-point errors never abort the shard —
+// The response streams NDJSON, one compute.ShardRecord per point in
+// completion order: {"i":N,"point":{...}} on success,
+// {"i":N,"error":{...}} on a per-point failure. Indices refer to the
+// request's points array; the coordinator maps them back to global grid
+// indices, which is how the merged sweep stays in deterministic grid
+// order regardless of peer completion interleaving. Per-point errors never abort the shard —
 // the coordinator retries failed indices locally.
 
 // maxClusterPoints bounds one shard request, mirroring maxBatchItems'
 // role for /v1/batch; coordinators chunk larger shards.
 const maxClusterPoints = 4096
-
-// clusterPointRecord is one NDJSON response record.
-type clusterPointRecord struct {
-	Index int             `json:"i"`
-	Point *sweepPointBody `json:"point,omitempty"`
-	Error *apiError       `json:"error,omitempty"`
-}
 
 // handleClusterSweep serves POST /v1/cluster/sweep.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
@@ -88,7 +81,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		var mu sync.Mutex
 		enc := json.NewEncoder(w)
 		flusher, _ := w.(http.Flusher)
-		emit := func(rec clusterPointRecord) {
+		emit := func(rec compute.ShardRecord) {
 			mu.Lock()
 			defer mu.Unlock()
 			// A failed write means the coordinator hung up; the context
@@ -102,16 +95,17 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			Label: "cluster sweep",
 			Done:  s.metrics.sweepPoints,
 		}, func(ctx context.Context, i int) error {
-			if buildErrs[i] != nil {
-				emit(clusterPointRecord{Index: i, Error: newAPIError(buildErrs[i])})
-				return nil
+			err := buildErrs[i]
+			if err == nil {
+				var pt compute.Point
+				if pt, err = compute.MemoPoint(ctx, s.cache, s.backend, jobs[i]); err == nil {
+					emit(compute.ShardRecord{Index: i, Point: &pt})
+					return nil
+				}
 			}
-			pt, err := compute.MemoPoint(ctx, s.cache, s.backend, jobs[i])
-			if err != nil {
-				emit(clusterPointRecord{Index: i, Error: newAPIError(err)})
-				return nil
-			}
-			emit(clusterPointRecord{Index: i, Point: &pt})
+			// apiError is a plain data struct; marshaling cannot fail.
+			raw, _ := json.Marshal(newAPIError(err))
+			emit(compute.ShardRecord{Index: i, Error: raw})
 			return nil
 		})
 	})

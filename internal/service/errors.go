@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"multibus"
 	"multibus/internal/analytic"
 	"multibus/internal/hrm"
 	"multibus/internal/jobs"
@@ -109,9 +108,6 @@ func retryAfterSeconds(d time.Duration) int64 {
 var badInputSentinels = []error{
 	errBadRequest,
 	scenario.ErrInvalid,
-	multibus.ErrNilArgument,
-	multibus.ErrDimensionMismatch,
-	multibus.ErrInvalidOption,
 	topology.ErrBadDimensions,
 	topology.ErrBadGrouping,
 	topology.ErrDisconnected,

@@ -137,12 +137,8 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 // a batch job holds no grid-wide admission — so the job counts as
 // running from dispatch.
 func (s *Server) batchJob(req BatchRequest) (int, jobs.RunFunc, error) {
-	if len(req.Scenarios) == 0 {
-		return 0, nil, fmt.Errorf("%w: scenarios list is empty", errBadRequest)
-	}
-	if len(req.Scenarios) > maxBatchItems {
-		return 0, nil, fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
-			errBadRequest, len(req.Scenarios), maxBatchItems)
+	if err := checkBatch(req); err != nil {
+		return 0, nil, err
 	}
 	scenarios := req.Scenarios
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {

@@ -13,8 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
+	"multibus/internal/compute"
 	"multibus/internal/jobs"
+	"multibus/internal/scenario"
 )
 
 // newJobTestServer builds a Server plus a real HTTP listener (streaming
@@ -221,16 +222,22 @@ func TestJobResultsPaginationMatchesSync(t *testing.T) {
 // (retained records are append-only in grid order).
 func TestJobCursorStableUnderConcurrentCompletion(t *testing.T) {
 	const items = 24
-	release := make(chan struct{}, items)
+	// Item i runs at r = 0.5 + i/100. The first half computes at once and
+	// the second half waits for hold, so the frontier stops at exactly
+	// items/2 whatever order the pool's workers run in.
+	firstHeld := 0.5 + float64(items/2)/100
+	hold := make(chan struct{})
 	s, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
-			select {
-			case <-release:
-				return &multibus.Analysis{X: r}, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
+			if b.Scenario.R >= firstHeld {
+				select {
+				case <-hold:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
 			}
-		},
+			return &compute.Analysis{X: b.Scenario.R}, nil
+		}, nil),
 	})
 	var sb strings.Builder
 	sb.WriteString(`{"batch":{"scenarios":[`)
@@ -259,10 +266,7 @@ func TestJobCursorStableUnderConcurrentCompletion(t *testing.T) {
 		return page
 	}
 
-	// Let half the items through, wait until the frontier covers them.
-	for i := 0; i < items/2; i++ {
-		release <- struct{}{}
-	}
+	// Wait until the frontier covers the unheld half.
 	deadline := time.Now().Add(10 * time.Second)
 	for getJobStatus(t, ts, id).Completed < items/2 {
 		if time.Now().After(deadline) {
@@ -279,9 +283,7 @@ func TestJobCursorStableUnderConcurrentCompletion(t *testing.T) {
 	}
 
 	// Release the rest, wait for done, and re-read the same cursor.
-	for i := items / 2; i < items; i++ {
-		release <- struct{}{}
-	}
+	close(hold)
 	waitJobState(t, ts, id, jobs.StateDone)
 	final := readPage("v1:0", items)
 	if len(final.Records) != items {
@@ -315,7 +317,7 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 	started := make(chan struct{}, 64)
 	var inflight atomic.Int64
 	s, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			inflight.Add(1)
 			defer inflight.Add(-1)
 			select {
@@ -324,7 +326,7 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}, nil),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[`+
@@ -374,14 +376,14 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 func TestJobStreamDefaultOutlivesDisconnect(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			select {
 			case <-release:
-				return &multibus.Analysis{X: r}, nil
+				return &compute.Analysis{X: b.Scenario.R}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}, nil),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`)
@@ -408,14 +410,14 @@ func TestJobStreamDefaultOutlivesDisconnect(t *testing.T) {
 func TestJobCancelEndpoint(t *testing.T) {
 	started := make(chan struct{}, 8)
 	_, ts := newJobTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}, nil),
 	})
 	id, _ := submitJob(t, ts,
 		`{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`)
@@ -510,10 +512,10 @@ func TestJobSubmitValidationAndLookup(t *testing.T) {
 func TestJobStoreFullSheds429(t *testing.T) {
 	_, ts := newJobTestServer(t, Options{
 		JobsMax: 1,
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}, nil),
 	})
 	body := `{"batch":{"scenarios":[{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.5}]}}`
 	submitJob(t, ts, body)

@@ -15,8 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/chaos"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
 )
 
 func mustInjector(t *testing.T, cfg chaos.Config) *chaos.Injector {
@@ -65,13 +66,13 @@ func TestComputeFailureIsNotCachedAndWarmKeyHits(t *testing.T) {
 	var failing atomic.Bool
 	var computations atomic.Int64
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			computations.Add(1)
 			if failing.Load() {
 				return nil, errors.New("compute backend failed")
 			}
-			return multibus.AnalyzeContext(ctx, nw, model, r)
-		},
+			return compute.Local().Analyze(ctx, b)
+		}, nil),
 	})
 	h := s.Handler()
 
@@ -136,7 +137,7 @@ func TestShedUnderSaturatingBurst(t *testing.T) {
 	s := newTestServer(t, Options{
 		AdmissionLimit: 1,
 		QueueDepth:     -1, // no queue: saturated means shed
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			cur := inCompute.Add(1)
 			for {
 				prev := maxInCompute.Load()
@@ -147,8 +148,8 @@ func TestShedUnderSaturatingBurst(t *testing.T) {
 			defer inCompute.Add(-1)
 			enterOnce.Do(func() { close(entered) })
 			<-release
-			return &multibus.Analysis{Bandwidth: 1}, nil
-		},
+			return &compute.Analysis{Bandwidth: 1}, nil
+		}, nil),
 	})
 	h := s.Handler()
 
@@ -214,11 +215,11 @@ func TestQueueDelaysInsteadOfShedding(t *testing.T) {
 	s := newTestServer(t, Options{
 		AdmissionLimit: 1,
 		QueueDepth:     4,
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			enterOnce.Do(func() { close(entered) })
 			<-release
-			return &multibus.Analysis{Bandwidth: r}, nil
-		},
+			return &compute.Analysis{Bandwidth: b.Scenario.R}, nil
+		}, nil),
 	})
 	h := s.Handler()
 
@@ -293,11 +294,11 @@ func TestHealthzDraining(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			close(entered)
 			<-release
-			return &multibus.Analysis{Bandwidth: 1}, nil
-		},
+			return &compute.Analysis{Bandwidth: 1}, nil
+		}, nil),
 	})
 	h := s.Handler()
 

@@ -67,7 +67,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"multibus"
 	"multibus/internal/cache"
 	"multibus/internal/chaos"
 	"multibus/internal/compute"
@@ -75,6 +74,7 @@ import (
 	"multibus/internal/obs"
 	"multibus/internal/scenario"
 	"multibus/internal/sweep"
+	"multibus/internal/textio"
 )
 
 // Defaults for Options zero values.
@@ -107,16 +107,10 @@ type Options struct {
 	Timeout time.Duration
 	// MaxBodyBytes bounds request bodies.
 	MaxBodyBytes int64
-	// AnalyzeFunc overrides the analysis computation (tests count
-	// invocations through this seam). Nil means multibus.AnalyzeContext.
-	AnalyzeFunc func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error)
-	// SimulateFunc overrides the simulation computation. Nil means
-	// multibus.SimulateContext.
-	SimulateFunc func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error)
 	// Backend overrides the compute backend every evaluation goes
-	// through. Nil means the in-process compute.LocalBackend built from
-	// AnalyzeFunc/SimulateFunc — the single-instance path. cmd/mbserve
-	// injects the cluster routing backend here in -peers mode; the
+	// through. Nil means compute.Local(), the single-instance path.
+	// cmd/mbserve injects the cluster routing backend here in -peers
+	// mode, and tests inject compute.NewLocal with counting seams; the
 	// service itself never imports internal/cluster.
 	Backend compute.Backend
 	// Logger receives one structured access-log record per instrumented
@@ -186,14 +180,8 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.AnalyzeFunc == nil {
-		opts.AnalyzeFunc = multibus.AnalyzeContext
-	}
-	if opts.SimulateFunc == nil {
-		opts.SimulateFunc = multibus.SimulateContext
-	}
 	if opts.Backend == nil {
-		opts.Backend = compute.NewLocal(opts.AnalyzeFunc, opts.SimulateFunc)
+		opts.Backend = compute.Local()
 	}
 	if opts.AdmissionLimit < 0 {
 		return nil, fmt.Errorf("service: admission limit %d must be ≥ 0", opts.AdmissionLimit)
@@ -415,17 +403,7 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 // trailing garbage are 400s, an oversized body is a 413. It writes the
 // error response itself and reports whether decoding succeeded.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
-		// A second value in the body is a malformed request, not data to
-		// silently ignore.
-		if dec.More() {
-			err = fmt.Errorf("%w: trailing data after JSON body", errBadRequest)
-		}
-	}
-	if err != nil {
+	if err := textio.DecodeJSON(r.Body, dst); err != nil {
 		// Body-shape failures classify as invalid_request like every
 		// other client fault.
 		var tooBig *http.MaxBytesError
@@ -602,6 +580,19 @@ func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
 	return spec, nil
 }
 
+// checkBatch validates a batch request's size for the sync handler and
+// batch jobs alike: an empty list or one over maxBatchItems is a 400.
+func checkBatch(req BatchRequest) error {
+	if len(req.Scenarios) == 0 {
+		return fmt.Errorf("%w: scenarios list is empty", errBadRequest)
+	}
+	if len(req.Scenarios) > maxBatchItems {
+		return fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
+			errBadRequest, len(req.Scenarios), maxBatchItems)
+	}
+	return nil
+}
+
 // handleSweep serves POST /v1/sweep. Grid points are memoized in the
 // shared cache, so overlapping grids across requests — and identical
 // points requested concurrently — are computed once. Skipped grid
@@ -649,13 +640,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if len(req.Scenarios) == 0 {
-		writeClassified(w, fmt.Errorf("%w: scenarios list is empty", errBadRequest))
-		return
-	}
-	if len(req.Scenarios) > maxBatchItems {
-		writeClassified(w, fmt.Errorf("%w: %d scenarios exceed the %d-item batch limit",
-			errBadRequest, len(req.Scenarios), maxBatchItems))
+	if err := checkBatch(req); err != nil {
+		writeClassified(w, err)
 		return
 	}
 	items := make([]batchItemBody, len(req.Scenarios))

@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"multibus"
 	"multibus/internal/analytic"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
+	"multibus/internal/sim"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -90,11 +92,11 @@ func TestConcurrentIdenticalAnalyzeComputesOnce(t *testing.T) {
 	var computations atomic.Int64
 	release := make(chan struct{})
 	s := newTestServer(t, Options{
-		AnalyzeFunc: func(ctx context.Context, nw *multibus.Network, model multibus.RequestModel, r float64) (*multibus.Analysis, error) {
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
 			computations.Add(1)
 			<-release // hold the flight open so every request piles on
-			return multibus.AnalyzeContext(ctx, nw, model, r)
-		},
+			return compute.Local().Analyze(ctx, b)
+		}, nil),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -151,10 +153,10 @@ func TestConcurrentIdenticalAnalyzeComputesOnce(t *testing.T) {
 func TestSimulateCachedSecondCall(t *testing.T) {
 	var computations atomic.Int64
 	s := newTestServer(t, Options{
-		SimulateFunc: func(ctx context.Context, nw *multibus.Network, w multibus.Workload, opts ...multibus.SimOption) (*multibus.SimResult, error) {
+		Backend: compute.NewLocal(nil, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 			computations.Add(1)
-			return multibus.SimulateContext(ctx, nw, w, opts...)
-		},
+			return sim.RunContext(ctx, cfg)
+		}),
 	})
 	h := s.Handler()
 	body := `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":0.8,"sim":{"cycles":2000,"seed":7}}`
@@ -298,6 +300,9 @@ func TestValidationMapsToTyped400(t *testing.T) {
 		{"unknown field", "/v1/analyze", `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"frobnicate":true}`, "invalid_request", true},
 		{"malformed json", "/v1/analyze", `{"network":`, "invalid_request", true},
 		{"trailing garbage", "/v1/analyze", analyzeBody + `{"again":true}`, "invalid_request", true},
+		{"trailing brace", "/v1/analyze", analyzeBody + `}`, "invalid_request", true},
+		{"trailing bracket", "/v1/analyze", analyzeBody + `]`, "invalid_request", true},
+		{"trailing word", "/v1/analyze", analyzeBody + ` x`, "invalid_request", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -207,48 +207,45 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	points := make([]Point, len(jobs))
-	if bs, ok := backend.(compute.BatchSweeper); ok {
-		// Whole-grid seam: the backend (a cluster coordinator) sees the
-		// enumerated grid at once, partitions it by key ownership, and
-		// emits completed points by grid index — the same per-point
-		// memoization and deterministic reassembly as the local pool.
-		var mu sync.Mutex
-		err = bs.SweepBatch(ctx, compute.SweepBatch{
-			Jobs:    jobs,
-			Memo:    spec.Memo,
-			Workers: spec.Workers,
-			Emit: func(i int, pt Point) {
-				mu.Lock()
-				points[i] = pt
-				mu.Unlock()
-				if spec.Progress != nil {
-					spec.Progress.Add(1)
-				}
-				if spec.OnPoint != nil {
-					spec.OnPoint(i, pt)
-				}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Points: points, Skipped: skipped}, nil
-	}
-	err = ForEachPool(ctx, len(jobs), PoolOptions{
-		Workers: spec.Workers,
-		Label:   "sweep",
-		Done:    spec.Progress,
-	}, func(ctx context.Context, i int) error {
-		pt, err := compute.MemoPoint(ctx, spec.Memo, backend, jobs[i])
-		if err != nil {
-			return err
-		}
+	var mu sync.Mutex
+	emit := func(i int, pt Point) {
+		mu.Lock()
 		points[i] = pt
+		mu.Unlock()
+		if spec.Progress != nil {
+			spec.Progress.Add(1)
+		}
 		if spec.OnPoint != nil {
 			spec.OnPoint(i, pt)
 		}
-		return nil
-	})
+	}
+	// local is the one loop that evaluates grid points on this instance:
+	// the whole grid here, or whichever indices a BatchSweeper keeps.
+	local := func(ctx context.Context, idxs []int) error {
+		return ForEachPool(ctx, len(idxs), PoolOptions{Workers: spec.Workers, Label: "sweep"},
+			func(ctx context.Context, k int) error {
+				i := idxs[k]
+				pt, err := compute.MemoPoint(ctx, spec.Memo, backend, jobs[i])
+				if err != nil {
+					return err
+				}
+				emit(i, pt)
+				return nil
+			})
+	}
+	if bs, ok := backend.(compute.BatchSweeper); ok {
+		// Whole-grid seam: the backend (a cluster coordinator) sees the
+		// enumerated grid at once, partitions it by key ownership, runs
+		// its own share through local, and emits remote points by grid
+		// index.
+		err = bs.SweepBatch(ctx, compute.SweepBatch{Jobs: jobs, Local: local, Emit: emit})
+	} else {
+		all := make([]int, len(jobs))
+		for i := range all {
+			all[i] = i
+		}
+		err = local(ctx, all)
+	}
 	if err != nil {
 		return nil, err
 	}

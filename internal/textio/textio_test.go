@@ -3,6 +3,8 @@ package textio
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -71,5 +73,67 @@ func TestEachDataLineStopsOnCallbackError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("callback ran %d times, want 2 (stop at error)", calls)
+	}
+}
+
+func TestDecodeJSONStrict(t *testing.T) {
+	type doc struct {
+		R float64 `json:"r"`
+	}
+	cases := []struct {
+		name, in string
+		want     error // nil: decodes; ErrTrailingData; errAny: some other error
+	}{
+		{"plain", `{"r":1}`, nil},
+		{"trailing whitespace", "{\"r\":1} \n\t", nil},
+		{"trailing brace", `{"r":1}}`, ErrTrailingData},
+		{"trailing bracket", `{"r":1}]`, ErrTrailingData},
+		{"trailing word", `{"r":1} x`, ErrTrailingData},
+		{"second value", `{} {}`, ErrTrailingData},
+		{"second scalar", `{"r":1} 2`, ErrTrailingData},
+		{"unknown field", `{"r":1,"q":2}`, errAny},
+		{"malformed", `{"r":`, errAny},
+		{"empty", ``, errAny},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var d doc
+			err := DecodeJSON(strings.NewReader(tc.in), &d)
+			switch tc.want {
+			case nil:
+				if err != nil {
+					t.Fatalf("DecodeJSON(%q) = %v, want success", tc.in, err)
+				}
+				if d.R != 1 {
+					t.Errorf("decoded r = %v, want 1", d.R)
+				}
+			case errAny:
+				if err == nil || errors.Is(err, ErrTrailingData) {
+					t.Errorf("DecodeJSON(%q) = %v, want a decode error", tc.in, err)
+				}
+			default:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("DecodeJSON(%q) = %v, want %v", tc.in, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+var errAny = errors.New("any decode error")
+
+// TestDecodeJSONKeepsReadErrors: a body cut off by a size limit after a
+// complete value surfaces the limit's own error (the HTTP layer maps
+// it to 413), not a trailing-data error.
+func TestDecodeJSONKeepsReadErrors(t *testing.T) {
+	body := `{"r":1}` + strings.Repeat(" ", 8192)
+	r := http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), 64)
+	var d struct {
+		R float64 `json:"r"`
+	}
+	err := DecodeJSON(r, &d)
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		t.Fatalf("DecodeJSON over the limit = %v, want *http.MaxBytesError", err)
 	}
 }
