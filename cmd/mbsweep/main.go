@@ -23,7 +23,6 @@ import (
 
 	"multibus/internal/asciiplot"
 	"multibus/internal/cliutil"
-	"multibus/internal/obs"
 	"multibus/internal/scenario"
 	"multibus/internal/sweep"
 )
@@ -138,9 +137,8 @@ func run(o options) error {
 	for b := 1; b <= o.n; b *= 2 {
 		bs = append(bs, b)
 	}
-	// The progress counter rides the sweep's worker pool; at -log-level
-	// debug the completion summary reports points and throughput.
-	points := obs.NewRegistry().Counter("mbsweep_points_total", "sweep points evaluated")
+	// At -log-level debug the completion summary reports points and
+	// throughput.
 	start := time.Now()
 	res, err := sweep.Run(sweep.Spec{
 		Ns:        []int{o.n},
@@ -152,17 +150,16 @@ func run(o options) error {
 		SimCycles: o.cycles,
 		Seed:      o.seed,
 		Workers:   o.workers,
-		Progress:  points,
 	})
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	logger.Debug("sweep complete",
-		"points", points.Value(),
+		"points", len(res.Points),
 		"skipped", len(res.Skipped),
 		"elapsed", elapsed,
-		"points_per_sec", float64(points.Value())/elapsed.Seconds())
+		"points_per_sec", float64(len(res.Points))/elapsed.Seconds())
 
 	if o.asCSV {
 		fmt.Println("scheme,model,n,b,r,x,analytic,simulated,sim_ci95")

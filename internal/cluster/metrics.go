@@ -10,7 +10,6 @@ import (
 // service layer, which owns the cache.
 const (
 	metricPeerRequests  = "mbserve_peer_requests_total"
-	metricRingPeers     = "mbserve_ring_peers"
 	metricRingShare     = "mbserve_ring_share"
 	metricRingVersion   = "mbserve_ring_version"
 	metricMembership    = "mbserve_membership_peers"
@@ -74,14 +73,11 @@ func (m *Manager) countProbeFailure(peer string) {
 
 // Register binds the backend's metrics into reg (normally the serving
 // instance's own registry, so cluster families appear on GET /metrics):
-// per-peer forward counters by result, the ring membership gauge, and —
-// through the shared manager — the membership, version, probe, and
-// share families.
+// per-peer forward counters by result and — through the shared manager
+// — the membership, version, probe, and share families.
 func (b *Backend) Register(reg *obs.Registry) {
 	b.reg.Store(&registryHook{reg: reg})
 	b.manager.Register(reg)
-	reg.GaugeFunc(metricRingPeers, "cluster ring membership (peers, self included)",
-		func() float64 { return float64(len(b.manager.Peers())) })
 }
 
 // countPeer ticks the per-peer forward counter; a no-op until Register

@@ -80,14 +80,12 @@ const DefaultMaxJobs = 64
 // in admission's wait queue.
 const maxActive = 2
 
-// Hooks receive job lifecycle events for metrics. All callbacks may be
+// Hooks receive job lifecycle events for metrics. Transition may be
 // nil and must be safe for concurrent use.
 type Hooks struct {
 	// Transition fires on every state change with the job's operation
 	// label ("sweep", "batch") and destination state.
 	Transition func(op string, to State)
-	// Emitted fires once per record accepted past the frontier.
-	Emitted func(n int64)
 }
 
 // Options configures a Store.
@@ -397,24 +395,6 @@ func (s *Store) cancelLocked(j *Job) {
 	s.signalIdleLocked()
 }
 
-// Stats is a snapshot of store-level counters for gauges.
-type Stats struct {
-	Resident int
-	Queued   int
-	Running  int
-}
-
-// Stats returns live counts.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Resident: len(s.jobs),
-		Queued:   int(s.counts[StateQueued]),
-		Running:  int(s.counts[StateRunning]),
-	}
-}
-
 // signalIdleLocked wakes Drain waiters to re-check the queue.
 func (s *Store) signalIdleLocked() {
 	close(s.idle)
@@ -531,9 +511,6 @@ func (p *Publisher) Emit(index int, rec []byte) {
 		delete(j.pending, len(j.records))
 		j.records = append(j.records, next)
 		advanced = true
-		if h := s.opts.Hooks.Emitted; h != nil {
-			h(1)
-		}
 	}
 	if advanced {
 		j.bumpLocked()

@@ -390,23 +390,18 @@ func TestRunPanicBecomesFailure(t *testing.T) {
 	waitState(t, j2, StateDone)
 }
 
-// TestHooksAndStats.
+// TestHooksAndStats: the transition hook fires once per state change,
+// and the store's listing reports the finished job resident and done.
 func TestHooksAndStats(t *testing.T) {
 	var (
 		mu          sync.Mutex
 		transitions = map[State]int{}
-		emitted     int64
 	)
 	s := NewStore(Options{
 		Hooks: Hooks{
 			Transition: func(op string, to State) {
 				mu.Lock()
 				transitions[to]++
-				mu.Unlock()
-			},
-			Emitted: func(n int64) {
-				mu.Lock()
-				emitted += n
 				mu.Unlock()
 			},
 		},
@@ -423,15 +418,11 @@ func TestHooksAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
-	st := s.Stats()
-	if st.Resident != 1 || st.Queued != 0 || st.Running != 0 {
-		t.Errorf("stats = %+v", st)
+	if all := s.Jobs(); len(all) != 1 || all[0].State != StateDone || all[0].Completed != 3 {
+		t.Errorf("jobs = %+v, want one done job with 3 records", all)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if emitted != 3 {
-		t.Errorf("Emitted hook counted %d records, want 3", emitted)
-	}
 	for _, want := range []State{StateQueued, StateRunning, StateDone} {
 		if transitions[want] != 1 {
 			t.Errorf("transition to %s fired %d times, want 1", want, transitions[want])

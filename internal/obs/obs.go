@@ -1,20 +1,20 @@
 // Package obs is the observability layer of the serving stack:
-// per-instance metric registries — counters, gauges, and bounded-bucket
-// latency histograms — with Prometheus text exposition (see
+// per-instance metric registries — counters, function gauges, and
+// bounded-bucket latency histograms — with Prometheus text exposition (see
 // prometheus.go) and quantile snapshots (see histogram.go).
 //
-// A Registry belongs to one component instance (one service.Server, one
-// long sweep), never to the process: two Servers in one process — the
+// A Registry belongs to one component instance (one service.Server),
+// never to the process: two Servers in one process — the
 // daemon plus a test fixture, or two test servers side by side — must
 // report independent numbers. That is the correctness lesson of the
 // old expvar layer, whose sync.Once published the *first* Server's
 // cache stats process-wide forever; see DESIGN.md §10.
 //
 // Metrics are identified by a family name plus an ordered set of
-// labels. Getter methods (Counter, Gauge, Histogram, ...) are
-// get-or-create: the first call for a (name, labels) pair allocates the
-// series, later calls return the same instance, so hot paths can either
-// cache the pointer or re-look it up. Registering one family name with
+// labels. The getters Counter and Histogram are get-or-create: the
+// first call for a (name, labels) pair allocates the series, later
+// calls return the same instance, so hot paths can either cache the
+// pointer or re-look it up. Registering one family name with
 // two different metric types (or two different help strings or bucket
 // layouts) is a programming error and panics.
 //
@@ -26,7 +26,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -58,17 +57,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable float64 metric. Safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // metric type tags for conflict detection and TYPE exposition lines.
 const (
 	typeCounter   = "counter"
@@ -81,7 +69,6 @@ const (
 type series struct {
 	labels  []Label
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -111,12 +98,6 @@ func NewRegistry() *Registry {
 // first use. It panics if name is already registered as another type.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.lookup(name, help, typeCounter, nil, labels).counter
-}
-
-// Gauge returns the gauge series for (name, labels), creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, typeGauge, nil, labels).gauge
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at
@@ -176,8 +157,6 @@ func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []Lab
 		switch typ {
 		case typeCounter:
 			s.counter = &Counter{}
-		case typeGauge:
-			s.gauge = &Gauge{}
 		case typeHistogram:
 			s.hist = newHistogram(f.bounds)
 		}

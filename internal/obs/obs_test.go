@@ -44,18 +44,18 @@ func TestTypeConflictPanics(t *testing.T) {
 			t.Fatal("registering counter name as gauge did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
+// TestGaugeAndGaugeFunc: a GaugeFunc series exposes as a gauge read at
+// scrape time, and re-registering the series replaces its function.
 func TestGaugeAndGaugeFunc(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("temp", "a gauge")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Errorf("gauge = %v, want 2.5", got)
-	}
 	v := 7.0
 	r.GaugeFunc("fn", "a live gauge", func() float64 { return v })
+	r.GaugeFunc("temp", "a replaced gauge", func() float64 { return 1 })
+	r.GaugeFunc("temp", "a replaced gauge", func() float64 { return 2.5 })
+	v = 8
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE temp gauge\n", "temp 2.5\n",
-		"# TYPE fn gauge\n", "fn 7\n",
+		"# TYPE fn gauge\n", "fn 8\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -52,8 +52,6 @@ func writeSeries(b *strings.Builder, f *family, sig string, s *series) {
 		fmt.Fprintf(b, "%s%s %d\n", f.name, braced(sig), s.counter.Value())
 	case s.gaugeFn != nil:
 		fmt.Fprintf(b, "%s%s %s\n", f.name, braced(sig), formatFloat(s.gaugeFn()))
-	case s.gauge != nil:
-		fmt.Fprintf(b, "%s%s %s\n", f.name, braced(sig), formatFloat(s.gauge.Value()))
 	case s.hist != nil:
 		snap := s.hist.Snapshot()
 		var cum uint64

@@ -197,13 +197,9 @@ func (a *admission) Inflight() int64 {
 	return a.inflight
 }
 
-// Queued returns the number of waiting acquisitions (the
-// mbserve_queue_depth gauge).
+// Queued returns the number of waiting acquisitions.
 func (a *admission) Queued() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.queue.Len()
 }
-
-// Capacity returns the configured unit bound.
-func (a *admission) Capacity() int64 { return a.capacity }

@@ -93,7 +93,6 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil, sweep.ForEachPool(ctx, len(req.Points), sweep.PoolOptions{
 			Label: "cluster sweep",
-			Done:  s.metrics.sweepPoints,
 		}, func(ctx context.Context, i int) error {
 			err := buildErrs[i]
 			if err == nil {

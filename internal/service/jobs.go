@@ -145,7 +145,6 @@ func (s *Server) batchJob(req BatchRequest) (int, jobs.RunFunc, error) {
 		pub.Started()
 		err := sweep.ForEachPool(ctx, len(scenarios), sweep.PoolOptions{
 			Label: "job-batch",
-			Done:  s.metrics.batchItems,
 		}, func(ctx context.Context, i int) error {
 			item := s.evalBatchItem(ctx, i, scenarios[i])
 			rec, merr := json.Marshal(item)

@@ -354,10 +354,18 @@ func TestJobStreamDisconnectCancelsWorkers(t *testing.T) {
 
 	waitJobState(t, ts, id, jobs.StateCanceled)
 	deadline := time.Now().Add(10 * time.Second)
-	for inflight.Load() != 0 || s.Jobs().Stats().Running != 0 {
+	running := func() (n int) {
+		for _, st := range s.Jobs().Jobs() {
+			if st.State == jobs.StateRunning {
+				n++
+			}
+		}
+		return n
+	}
+	for inflight.Load() != 0 || running() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("workers leaked after disconnect: inflight=%d running=%d",
-				inflight.Load(), s.Jobs().Stats().Running)
+				inflight.Load(), running())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -13,30 +13,24 @@ import (
 
 // Metric families exposed at GET /metrics. The vocabulary is shared
 // with the bench pipeline: request latencies use the same
-// count/sum/bucket histogram shape BENCH_*.json records, and cache
-// gauges mirror cache.Stats field for field.
+// count/sum/bucket histogram shape BENCH_*.json records. Every family
+// answers one operator question; DESIGN.md §10 tabulates question,
+// family and reader, and TestMetricFamiliesDocumented keeps the table
+// and the exposition equal.
 const (
 	metricRequestsTotal   = "mbserve_requests_total"
 	metricResponsesTotal  = "mbserve_responses_total"
 	metricDurationSeconds = "mbserve_request_duration_seconds"
 	metricCacheRequests   = "mbserve_cache_requests_total"
-	metricBatchItems      = "mbserve_batch_items_total"
-	metricSweepPoints     = "mbserve_sweep_points_total"
 
 	// Robustness-layer families (DESIGN.md §11).
-	metricInflightCompute   = "mbserve_inflight_compute"
-	metricQueueDepth        = "mbserve_queue_depth"
-	metricAdmissionCapacity = "mbserve_admission_capacity"
-	metricQueueWaitSeconds  = "mbserve_queue_wait_seconds"
-	metricShedTotal         = "mbserve_shed_total"
-	metricPanicsTotal       = "mbserve_panics_total"
+	metricInflightCompute  = "mbserve_inflight_compute"
+	metricQueueWaitSeconds = "mbserve_queue_wait_seconds"
+	metricShedTotal        = "mbserve_shed_total"
+	metricPanicsTotal      = "mbserve_panics_total"
 
-	// Async-job families (DESIGN.md §13).
-	metricJobsTotal    = "mbserve_jobs_total"
-	metricJobsRunning  = "mbserve_jobs_active"
-	metricJobsQueued   = "mbserve_jobs_queued"
-	metricJobsResident = "mbserve_jobs_resident"
-	metricJobRecords   = "mbserve_job_records_total"
+	// Async-job family (DESIGN.md §13).
+	metricJobsTotal = "mbserve_jobs_total"
 
 	// Cluster family (DESIGN.md §14): forwarded requests that joined an
 	// in-flight computation on this instance — the cross-instance dedup
@@ -52,12 +46,10 @@ const (
 // servers side by side) report independent numbers — the property the
 // old process-global expvar publication violated.
 type serverMetrics struct {
-	reg         *obs.Registry
-	batchItems  *obs.Counter
-	sweepPoints *obs.Counter
-	panics      *obs.Counter
-	peerDedup   *obs.Counter
-	queueWait   *obs.Histogram
+	reg       *obs.Registry
+	panics    *obs.Counter
+	peerDedup *obs.Counter
+	queueWait *obs.Histogram
 }
 
 // shed resolves the per-route shed counter (admission queue full →
@@ -68,26 +60,19 @@ func (m *serverMetrics) shed(route string) *obs.Counter {
 		"requests shed by admission control (429 overloaded)", obs.L("route", route))
 }
 
-// bindAdmission registers the semaphore's live gauges and the queue
-// wait histogram.
+// bindAdmission registers the in-flight gauge and the queue wait
+// histogram.
 func (m *serverMetrics) bindAdmission(a *admission) {
 	m.queueWait = m.reg.Histogram(metricQueueWaitSeconds,
 		"time spent queued for admission before compute (seconds)", nil)
 	m.reg.GaugeFunc(metricInflightCompute,
 		"admission units currently held by in-flight compute",
 		func() float64 { return float64(a.Inflight()) })
-	m.reg.GaugeFunc(metricQueueDepth,
-		"acquisitions waiting in the admission queue",
-		func() float64 { return float64(a.Queued()) })
-	m.reg.GaugeFunc(metricAdmissionCapacity,
-		"configured admission capacity (units)",
-		func() float64 { return float64(a.Capacity()) })
 }
 
-// jobHooks returns the store's instrumentation callbacks: one
-// mbserve_jobs_total tick per state transition (labeled by op and
-// destination state) and one record counter tick per emitted result
-// record.
+// jobHooks returns the store's instrumentation callback: one
+// mbserve_jobs_total tick per state transition, labeled by op and
+// destination state.
 func (m *serverMetrics) jobHooks() jobs.Hooks {
 	return jobs.Hooks{
 		Transition: func(op string, to jobs.State) {
@@ -95,24 +80,7 @@ func (m *serverMetrics) jobHooks() jobs.Hooks {
 				"async job state transitions by op and destination state",
 				obs.L("op", op), obs.L("state", string(to))).Inc()
 		},
-		Emitted: func(n int64) {
-			m.reg.Counter(metricJobRecords,
-				"result records emitted by async jobs").Add(n)
-		},
 	}
-}
-
-// bindJobs registers live gauges over the job store's counters.
-func (m *serverMetrics) bindJobs(st *jobs.Store) {
-	m.reg.GaugeFunc(metricJobsRunning,
-		"async jobs currently running (admitted compute)",
-		func() float64 { return float64(st.Stats().Running) })
-	m.reg.GaugeFunc(metricJobsQueued,
-		"async jobs waiting in the store's FIFO dispatch queue",
-		func() float64 { return float64(st.Stats().Queued) })
-	m.reg.GaugeFunc(metricJobsResident,
-		"async jobs resident in the store (any state)",
-		func() float64 { return float64(st.Stats().Resident) })
 }
 
 // newServerMetrics builds the registry and binds the cache's stats to
@@ -121,10 +89,6 @@ func newServerMetrics(c *cache.Cache) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
-		batchItems: reg.Counter(metricBatchItems,
-			"batch scenarios evaluated on the worker pool"),
-		sweepPoints: reg.Counter(metricSweepPoints,
-			"sweep grid points evaluated on the worker pool"),
 		panics: reg.Counter(metricPanicsTotal,
 			"panics recovered by the middleware"),
 		peerDedup: reg.Counter(metricPeerDedup,
@@ -137,16 +101,10 @@ func newServerMetrics(c *cache.Cache) *serverMetrics {
 		func(s cache.Stats) int64 { return s.Hits })
 	stat("mbserve_cache_misses", "cumulative cache lookups that missed (computed, joined a flight, or found nothing)",
 		func(s cache.Stats) int64 { return s.Misses })
-	stat("mbserve_cache_shared_flights", "cumulative lookups that joined another caller's in-flight computation",
-		func(s cache.Stats) int64 { return s.SharedFlights })
 	stat("mbserve_cache_evictions", "cumulative entries evicted to respect the capacity bound",
 		func(s cache.Stats) int64 { return s.Evictions })
-	stat("mbserve_cache_errors", "cumulative computations that failed (never cached)",
-		func(s cache.Stats) int64 { return s.Errors })
 	stat("mbserve_cache_entries", "resident cache entries",
 		func(s cache.Stats) int64 { return int64(s.Size) })
-	stat("mbserve_cache_capacity", "configured cache capacity",
-		func(s cache.Stats) int64 { return int64(s.Capacity) })
 	return m
 }
 

@@ -219,7 +219,6 @@ func New(opts Options) (*Server, error) {
 			MaxJobs: opts.JobsMax,
 			Hooks:   s.metrics.jobHooks(),
 		})
-		s.metrics.bindJobs(s.jobs)
 	}
 	return s, nil
 }
@@ -570,7 +569,6 @@ func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
 		SimCycles:    req.SimCycles,
 		Seed:         req.Seed,
 		Memo:         s.cache,
-		Progress:     s.metrics.sweepPoints,
 		Backend:      s.backend,
 	}
 	if n := spec.EstimatePoints(); n > maxSweepPoints {
@@ -649,7 +647,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// recorded per item so one bad scenario cannot abort its neighbors.
 	err := sweep.ForEachPool(r.Context(), len(req.Scenarios), sweep.PoolOptions{
 		Label: "batch",
-		Done:  s.metrics.batchItems,
 	}, func(ctx context.Context, i int) error {
 		items[i] = s.evalBatchItem(ctx, i, req.Scenarios[i])
 		return nil

@@ -7,8 +7,6 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 	"testing"
-
-	"multibus/internal/obs"
 )
 
 // TestParallelDeterminism checks the worker pool's core contract: the
@@ -76,64 +74,40 @@ func TestParallelDeterminismWithSim(t *testing.T) {
 	}
 }
 
-// tick is a minimal Progress implementation for tests.
-type tick struct{ n atomic.Int64 }
-
-func (t *tick) Add(delta int64) { t.n.Add(delta) }
-func (t *tick) Load() int64     { return t.n.Load() }
-
-// TestForEachPoolProgressCounters: Done ticks once per index on
-// success; on an aborted run it stays below n.
+// TestForEachPoolProgressCounters: per-index counters show every index
+// runs exactly once on success, and an error at index 3 on one worker
+// stops the pool after it.
 func TestForEachPoolProgressCounters(t *testing.T) {
-	var done tick
-	err := ForEachPool(context.Background(), 20, PoolOptions{
-		Workers: 4,
-		Done:    &done,
-	}, func(ctx context.Context, i int) error { return nil })
+	var calls [20]atomic.Int64
+	err := ForEachPool(context.Background(), len(calls), PoolOptions{Workers: 4},
+		func(ctx context.Context, i int) error {
+			calls[i].Add(1)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.Load() != 20 {
-		t.Errorf("done = %d, want 20", done.Load())
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("index %d ran %d times, want 1", i, n)
+		}
 	}
 
 	boom := errors.New("boom")
-	var done2 tick
-	err = ForEachPool(context.Background(), 20, PoolOptions{
-		Workers: 1,
-		Done:    &done2,
-	}, func(ctx context.Context, i int) error {
-		if i == 3 {
-			return boom
-		}
-		return nil
-	})
+	var ran atomic.Int64
+	err = ForEachPool(context.Background(), 20, PoolOptions{Workers: 1},
+		func(ctx context.Context, i int) error {
+			ran.Add(1)
+			if i == 3 {
+				return boom
+			}
+			return nil
+		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if done2.Load() != 3 {
-		t.Errorf("done after abort at index 3 = %d, want 3", done2.Load())
-	}
-}
-
-// TestForEachPoolObsCounter: obs.Counter satisfies Progress — the
-// wiring the service's batch endpoint and Spec.Progress rely on.
-func TestForEachPoolObsCounter(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("sweep_points_total", "grid points evaluated")
-	spec := Spec{
-		Ns:       []int{8},
-		Bs:       []int{2, 4},
-		Rs:       []float64{1.0},
-		Schemes:  schemes(t, "full"),
-		Progress: c,
-	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Value(); got != int64(len(res.Points)) {
-		t.Errorf("progress counter = %d, want %d", got, len(res.Points))
+	if n := ran.Load(); n != 4 {
+		t.Errorf("ran %d indices before abort at index 3, want 4", n)
 	}
 }
 

@@ -74,10 +74,6 @@ type Spec struct {
 	// byte-identical to a recompute. Concurrent identical points
 	// compute once via singleflight.
 	Memo *cache.Cache
-	// Progress, when non-nil, is incremented once per completed grid
-	// point as workers finish them — wire an obs.Counter here so a long
-	// sweep's throughput is visible while it runs.
-	Progress Progress
 	// OnPlan, when non-nil, is called exactly once after grid
 	// enumeration succeeds, before any point is evaluated, with the
 	// number of points the run will attempt and every skipped
@@ -123,13 +119,6 @@ func (s Spec) EstimatePoints() int {
 		}
 	}
 	return points
-}
-
-// Progress receives completion ticks from the worker pool. obs.Counter
-// satisfies it; any atomic counter will do. Implementations must be
-// safe for concurrent use.
-type Progress interface {
-	Add(delta int64)
 }
 
 // Point is one evaluated configuration. Scheme and Model are the axis
@@ -212,9 +201,6 @@ func Run(spec Spec) (*Result, error) {
 		mu.Lock()
 		points[i] = pt
 		mu.Unlock()
-		if spec.Progress != nil {
-			spec.Progress.Add(1)
-		}
 		if spec.OnPoint != nil {
 			spec.OnPoint(i, pt)
 		}
@@ -253,7 +239,7 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // PoolOptions configures ForEachPool; the zero value runs GOMAXPROCS
-// unlabeled workers with no progress counter.
+// unlabeled workers.
 type PoolOptions struct {
 	// Workers bounds concurrency: 0 means GOMAXPROCS, 1 forces
 	// sequential evaluation.
@@ -263,9 +249,6 @@ type PoolOptions struct {
 	// pool time to the caller (sweep vs batch) instead of one
 	// anonymous worker-pool frame.
 	Label string
-	// Done, when non-nil, is incremented as each index completes — a
-	// progress/throughput counter for long fan-outs.
-	Done Progress
 }
 
 // ForEachPool runs fn(ctx, i) for i in [0, n) on a pool of workers. The
@@ -312,9 +295,6 @@ func ForEachPool(ctx context.Context, n int, opts PoolOptions, fn func(ctx conte
 				mu.Unlock()
 				aborted.Store(true)
 				return
-			}
-			if opts.Done != nil {
-				opts.Done.Add(1)
 			}
 		}
 	}
