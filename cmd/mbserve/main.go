@@ -81,7 +81,7 @@ func main() {
 		drain         = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 		admit         = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
 		queue         = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
-		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default, negative = disable the /v1/jobs surface)")
+		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default)")
 		chaosSpec     = flag.String("chaos", "", "fault injection spec, e.g. \"latency=2s,latencyRate=1,seed=7\" (testing only)")
 		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
 		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")

@@ -548,15 +548,13 @@ func TestJobStoreFullSheds429(t *testing.T) {
 	}
 }
 
-// TestJobsDisabledRoutesAbsent: JobsMax < 0 removes the surface.
-func TestJobsDisabledRoutesAbsent(t *testing.T) {
-	s := newTestServer(t, Options{JobsMax: -1})
-	if s.Jobs() != nil {
-		t.Fatal("JobsMax -1 still built a store")
-	}
-	rec := postJSON(t, s.Handler(), "/v1/jobs", sweepJobBody)
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("disabled jobs submit = %d, want 404", rec.Code)
+// TestNewRejectsNegativeBounds: negative admission and job bounds are
+// configuration errors, not modes.
+func TestNewRejectsNegativeBounds(t *testing.T) {
+	for _, opts := range []Options{{AdmissionLimit: -1}, {JobsMax: -1}} {
+		if _, err := New(opts); err == nil {
+			t.Errorf("New(%+v) accepted a negative bound", opts)
+		}
 	}
 }
 

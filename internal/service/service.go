@@ -140,8 +140,8 @@ type Options struct {
 	Cluster ClusterControl
 
 	// JobsMax bounds resident async jobs (queued + running + terminal
-	// kept for pagination). 0 means jobs.DefaultMaxJobs; negative
-	// disables the /v1/jobs surface entirely (the routes 404).
+	// kept for pagination). 0 means jobs.DefaultMaxJobs; negative is
+	// rejected by New.
 	JobsMax int
 }
 
@@ -155,7 +155,7 @@ type Server struct {
 	backend compute.Backend
 
 	adm  *admission
-	jobs *jobs.Store // nil when the jobs surface is disabled
+	jobs *jobs.Store
 	// cluster mirrors Options; clusterReady gates GET /readyz until
 	// StartCluster has run.
 	cluster      ClusterControl
@@ -186,6 +186,9 @@ func New(opts Options) (*Server, error) {
 	if opts.AdmissionLimit < 0 {
 		return nil, fmt.Errorf("service: admission limit %d must be ≥ 0", opts.AdmissionLimit)
 	}
+	if opts.JobsMax < 0 {
+		return nil, fmt.Errorf("service: jobs bound %d must be ≥ 0", opts.JobsMax)
+	}
 	if opts.AdmissionLimit == 0 {
 		opts.AdmissionLimit = DefaultAdmissionLimit()
 	}
@@ -214,28 +217,22 @@ func New(opts Options) (*Server, error) {
 		cluster: opts.Cluster,
 	}
 	s.metrics.bindAdmission(s.adm)
-	if opts.JobsMax >= 0 {
-		s.jobs = jobs.NewStore(jobs.Options{
-			MaxJobs: opts.JobsMax,
-			Hooks:   s.metrics.jobHooks(),
-		})
-	}
+	s.jobs = jobs.NewStore(jobs.Options{
+		MaxJobs: opts.JobsMax,
+		Hooks:   s.metrics.jobHooks(),
+	})
 	return s, nil
 }
 
-// Jobs exposes the async job store (nil when disabled); tests and the
-// drain path reach it directly.
+// Jobs exposes the async job store; tests and the drain path reach it
+// directly.
 func (s *Server) Jobs() *jobs.Store { return s.jobs }
 
 // DrainJobs drains the job store for graceful shutdown: submissions
 // are refused, queued jobs are canceled, and running jobs get until
 // ctx's deadline to finish before being canceled. Call it after
 // http.Server.Shutdown has stopped request traffic.
-func (s *Server) DrainJobs(ctx context.Context) {
-	if s.jobs != nil {
-		s.jobs.Drain(ctx)
-	}
-}
+func (s *Server) DrainJobs(ctx context.Context) { s.jobs.Drain(ctx) }
 
 // BeginDrain flips the server into draining mode: GET /healthz starts
 // answering 503 draining so load balancers stop routing here, while
@@ -294,17 +291,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
 	mux.HandleFunc("POST /v1/cluster/sweep", s.instrument("cluster_sweep", s.handleClusterSweep))
 	mux.HandleFunc("POST /v1/cluster/membership", s.instrument("cluster_membership", s.handleClusterMembership))
-	if s.jobs != nil {
-		mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_submit", s.handleJobSubmit))
-		mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
-		mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs_status", s.handleJobStatus))
-		mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs_cancel", s.handleJobCancel))
-		mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("jobs_results", s.handleJobResults))
-		// The stream outlives the per-request compute deadline by
-		// design — a job streams for as long as it runs — so it takes
-		// the no-timeout variant of the middleware.
-		mux.HandleFunc("GET /v1/jobs/{id}/stream", s.instrumentOpts("jobs_stream", false, s.handleJobStream))
-	}
+	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_submit", s.handleJobSubmit))
+	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs_status", s.handleJobStatus))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs_cancel", s.handleJobCancel))
+	mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("jobs_results", s.handleJobResults))
+	// The stream outlives the per-request compute deadline by design — a
+	// job streams for as long as it runs — so it takes the no-timeout
+	// variant of the middleware.
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.instrumentOpts("jobs_stream", false, s.handleJobStream))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, "draining",
