@@ -1,6 +1,8 @@
 package service
 
 import (
+	"math"
+
 	"multibus/internal/scenario"
 	"multibus/internal/sweep"
 )
@@ -29,7 +31,17 @@ func ceilDiv(a, b int64) int64 {
 	if a <= 0 {
 		return 0
 	}
-	return (a + b - 1) / b
+	return a/b + min(a%b, 1)
+}
+
+// satMul multiplies two non-negative weights, saturating at
+// math.MaxInt64 instead of wrapping, so an estimate too large to count
+// still clamps to the full admission capacity.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // analyzeWeight is the admission cost of one closed-form analysis.
@@ -45,7 +57,7 @@ func simulateWeight(built *scenario.Built) int64 {
 	if cycles <= 0 {
 		cycles = scenario.DefaultSim().Cycles
 	}
-	w := ceilDiv(int64(cycles)*int64(built.Network.N()), weightUnitWork)
+	w := ceilDiv(satMul(int64(cycles), int64(built.Network.N())), weightUnitWork)
 	if w < 1 {
 		w = 1
 	}
@@ -79,9 +91,9 @@ func sweepWeight(spec sweep.Spec) int64 {
 			maxN = n
 		}
 	}
-	perPoint := ceilDiv(int64(cycles)*int64(maxN), weightUnitWork)
+	perPoint := ceilDiv(satMul(int64(cycles), int64(maxN)), weightUnitWork)
 	if perPoint < 1 {
 		perPoint = 1
 	}
-	return points * perPoint
+	return satMul(points, perPoint)
 }
