@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"multibus/internal/topology"
@@ -111,5 +112,67 @@ func TestModelBuildHierClusters(t *testing.T) {
 	}
 	if got := h.Shape()[0]; got != 2 {
 		t.Errorf("N=10 clusters = %d, want 2", got)
+	}
+}
+
+// TestConnectionsMatchTopology: the connection count canonicalization
+// derives from the scheme parameters equals the wired network's Table I
+// count, for every scheme and for shapes where B does not divide M.
+func TestConnectionsMatchTopology(t *testing.T) {
+	for _, nw := range []Network{
+		{Scheme: SchemeFull, N: 16, B: 8},
+		{Scheme: SchemeCrossbar, N: 8, M: 12, B: 3},
+		{Scheme: SchemeSingle, N: 16, M: 10, B: 4},
+		{Scheme: SchemeSingle, N: 4, M: 3, B: 7},
+		{Scheme: SchemePartial, N: 16, M: 24, B: 8, Groups: 4},
+		{Scheme: SchemeKClass, N: 16, B: 8},
+		{Scheme: SchemeKClass, N: 12, M: 12, B: 8, Classes: 3},
+		{Scheme: SchemeKClass, N: 3, B: 4, ClassSizes: []int{1, 2, 3}},
+		{Scheme: SchemeKClass, N: 5, B: 3, ClassSizes: []int{0, 4, 1}},
+		{Scheme: SchemeFull, N: 512, B: 64},
+	} {
+		c, err := nw.canonical()
+		if err != nil {
+			t.Fatalf("%+v: %v", nw, err)
+		}
+		wired, err := c.build()
+		if err != nil {
+			t.Fatalf("%+v: %v", nw, err)
+		}
+		if got, want := c.connections(), wired.NumConnections(); got != want {
+			t.Errorf("%+v: canonical count %d, wired %d", nw, got, want)
+		}
+	}
+}
+
+// TestNetworkConnectionCap: networks over maxConnections are invalid
+// before anything is wired, whatever the size of their fields; the
+// largest benchmarked shape and a network exactly at the limit are not.
+func TestNetworkConnectionCap(t *testing.T) {
+	over := []Network{
+		{Scheme: SchemeFull, N: 16384, B: 8192},
+		{Scheme: SchemeFull, N: 1024, B: 65},
+		{Scheme: SchemeSingle, N: 1, M: maxConnections, B: 1},
+		{Scheme: SchemeSingle, N: math.MaxInt, B: math.MaxInt},
+		{Scheme: SchemePartial, N: 1 << 40, M: 2, B: 2},
+		{Scheme: SchemeKClass, N: 2, B: math.MaxInt, Classes: 1},
+		{Scheme: SchemeKClass, N: 1, B: 2, ClassSizes: []int{math.MaxInt / 2, 1}},
+	}
+	for _, nw := range over {
+		if _, err := nw.canonical(); !errors.Is(err, ErrInvalid) || errors.Is(err, ErrUnsatisfiable) {
+			t.Errorf("%+v: err %v, want ErrInvalid", nw, err)
+		}
+	}
+	for _, nw := range []Network{
+		{Scheme: SchemeFull, N: 512, B: 64},
+		{Scheme: SchemeFull, N: 1024, B: 64}, // 2·1024·64 = maxConnections
+		{Scheme: SchemeSingle, N: 1, M: maxConnections - 1, B: 1},
+	} {
+		c, err := nw.canonical()
+		if err != nil {
+			t.Errorf("%+v: %v", nw, err)
+		} else if n := c.connections(); n > maxConnections {
+			t.Errorf("%+v: %d connections accepted over the limit", nw, n)
+		}
 	}
 }

@@ -8,21 +8,17 @@ import (
 	"testing"
 )
 
-// buildBudget caps the network size the fuzz target builds: Build
-// allocates O(M+B) and the network fingerprint hashes an O(M·B) bitset.
-// Canonical accepts any positive dimensions, so an unbounded input would
-// spend the fuzz budget building networks instead of exploring the
-// parser.
-const buildBudget = 1 << 16
-
 // FuzzScenarioCanonical checks the scenario parser and canonicalizer on
 // arbitrary bytes: Parse → Canonical → marshal → Parse → Canonical must
 // not panic, Canonical must be idempotent, the canonical form must
 // survive the JSON round trip unchanged, and Build must derive the same
 // AnalyzeKey and SimulateKey from the original and the re-marshaled
 // scenario — the cache-key stability the serving layer relies on when a
-// peer or a job replays a canonical scenario. Seeds are the committed
-// example scenarios and the request bodies of the API fixtures.
+// peer or a job replays a canonical scenario. Canonical bounds the
+// network at maxConnections, so every canonical scenario is built, and
+// the wired network has exactly the connections canonicalization
+// counted. Seeds are the committed example scenarios and the request
+// bodies of the API fixtures.
 func FuzzScenarioCanonical(f *testing.F) {
 	for _, seed := range scenarioSeeds(f) {
 		f.Add(seed)
@@ -59,10 +55,6 @@ func FuzzScenarioCanonical(f *testing.F) {
 			t.Fatalf("canonical form changed across re-marshal:\nbefore: %+v\nafter:  %+v", c, c2)
 		}
 
-		nw := c.Network
-		if nw.M > buildBudget || nw.B > buildBudget || nw.M*nw.B > buildBudget {
-			return
-		}
 		b1, err1 := s.Build()
 		b2, err2 := s2.Build()
 		if (err1 == nil) != (err2 == nil) {
@@ -70,6 +62,9 @@ func FuzzScenarioCanonical(f *testing.F) {
 		}
 		if err1 != nil {
 			return
+		}
+		if got, want := b1.Network.NumConnections(), c.Network.connections(); got != want || got > maxConnections {
+			t.Fatalf("%s wired %d connections, canonical count %d (limit %d)", raw, got, want, maxConnections)
 		}
 		if k1, k2 := b1.AnalyzeKey(), b2.AnalyzeKey(); k1 != k2 {
 			t.Fatalf("AnalyzeKey changed across re-marshal of %s: %q vs %q", raw, k1, k2)

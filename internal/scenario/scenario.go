@@ -281,7 +281,52 @@ func (n Network) canonical() (Network, error) {
 		return Network{}, fmt.Errorf("%w: unknown network.scheme %q (want full|single|partial|kclass)",
 			ErrInvalid, n.Scheme)
 	}
+	if c.connections() > maxConnections {
+		return Network{}, fmt.Errorf("%w: network n=%d m=%d b=%d has more than %d connections (B·N processor plus bus–memory, as Table I counts them)",
+			ErrInvalid, c.N, c.M, c.B, maxConnections)
+	}
 	return c, nil
+}
+
+// maxConnections bounds the networks a scenario may name. Wiring,
+// fingerprinting and analyzing a network costs time proportional to its
+// connections, and the wiring and key run before admission control, so
+// a tiny body could otherwise ask for seconds of work. 2^17 is exactly
+// the largest shape any benchmark builds (N=M=1024, B=64) and keeps the
+// worst cold Build + key + analyze near 5 ms; DESIGN.md §11 has the
+// measurements.
+const maxConnections = 1 << 17
+
+// connections returns the canonical network's connection count as the
+// paper's Table I prices it — B·N processor connections plus one per
+// wired bus–memory pair — from the scheme parameters alone, before
+// anything is wired. Any network over maxConnections reads as
+// maxConnections+1, so the arithmetic never overflows.
+func (n Network) connections() int {
+	// B·N and M each bound the count from below (every module is wired
+	// to at least one bus); once both are within the limit, no product
+	// below can overflow.
+	if n.B > maxConnections/n.N || n.M > maxConnections {
+		return maxConnections + 1
+	}
+	memory := n.M * n.B // full and crossbar
+	switch n.Scheme {
+	case SchemeSingle:
+		memory = n.M
+	case SchemePartial:
+		memory = n.M * n.B / n.Groups
+	case SchemeKClass:
+		// Class C_j (1-based) is wired to buses 1 … j+B−K.
+		memory = 0
+		for j := 1; j <= n.Classes; j++ {
+			size := n.M / n.Classes
+			if len(n.ClassSizes) > 0 {
+				size = n.ClassSizes[j-1]
+			}
+			memory += size * (j + n.B - n.Classes)
+		}
+	}
+	return n.B*n.N + memory
 }
 
 // canonical normalizes the model spec against the module count it will

@@ -57,6 +57,9 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	analytic := int64(0)
 	for i, ps := range req.Points {
 		built, err := ps.Scenario.Build()
+		if err == nil && ps.WithSim {
+			err = checkBuiltSimWork(built)
+		}
 		if err != nil {
 			buildErrs[i] = err
 			continue

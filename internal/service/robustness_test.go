@@ -37,13 +37,14 @@ func getPath(h http.Handler, path string) *httptest.ResponseRecorder {
 
 // TestOversizedRequestsDoNotLockOutRoute: requests whose own size runs
 // them past the deadline fail alone. Five simulate bodies too long for
-// a 30ms budget each answer 504 deadline_exceeded, and the next valid
-// small simulate on the same route still answers 200 — no client can
-// refuse the route to every other client by timing itself out.
+// a 30ms budget (2·10⁷ cycles, within the simulated-work cap) each
+// answer 504 deadline_exceeded, and the next valid small simulate on
+// the same route still answers 200 — no client can refuse the route to
+// every other client by timing itself out.
 func TestOversizedRequestsDoNotLockOutRoute(t *testing.T) {
 	h := newTestServer(t, Options{Timeout: 30 * time.Millisecond}).Handler()
 	for i := 0; i < 5; i++ {
-		body := fmt.Sprintf(`{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":200000000,"seed":%d}}`, i+1)
+		body := fmt.Sprintf(`{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"uniform"},"r":1,"sim":{"cycles":20000000,"seed":%d}}`, i+1)
 		rec := postJSON(t, h, "/v1/simulate", body)
 		var er errorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusGatewayTimeout ||

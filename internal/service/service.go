@@ -484,6 +484,9 @@ func (s *Server) simulateScenario(ctx context.Context, built *scenario.Built) (*
 	if err := built.CanSimulate(); err != nil {
 		return nil, false, err
 	}
+	if err := checkBuiltSimWork(built); err != nil {
+		return nil, false, err
+	}
 	// Workload construction is re-run by the backend; building it here
 	// keeps unsatisfiable workloads failing fast as 4xx before the gate.
 	if _, err := built.Workload(); err != nil {
@@ -540,9 +543,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepSpec renders a sweep request as the grid the sync handler and
-// sweep jobs run, wired to this server's cache, point counter, and
-// backend. Grids estimated over maxSweepPoints are refused here, before
-// admission and before enumeration.
+// sweep jobs run, wired to this server's cache and backend. Grids
+// estimated over maxSweepPoints, and simulated grids whose largest point
+// exceeds maxSimWork, are refused here, before admission and before
+// enumeration.
 func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
 	templates := make([]scenario.Network, 0, len(req.Schemes)+len(req.Networks))
 	for _, name := range req.Schemes {
@@ -569,6 +573,13 @@ func (s *Server) sweepSpec(req SweepRequest) (sweep.Spec, error) {
 	if n := spec.EstimatePoints(); n > maxSweepPoints {
 		return sweep.Spec{}, fmt.Errorf("%w: sweep grid of %d points exceeds the %d-point limit",
 			errBadRequest, n, maxSweepPoints)
+	}
+	if spec.WithSim {
+		// Grid points take the default warm-up, a tenth of the cycles.
+		cycles, maxN := simGrid(spec)
+		if err := checkSimWork(cycles/10, cycles, maxN); err != nil {
+			return sweep.Spec{}, err
+		}
 	}
 	return spec, nil
 }

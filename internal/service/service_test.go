@@ -278,6 +278,69 @@ func TestSweepGridAtCapServed(t *testing.T) {
 	}
 }
 
+// TestWorkCapsRefused: a network over the connection cap and a
+// simulation over the simulated-work cap are 400 invalid_request on
+// every route that accepts them, before any compute; the benchmarked
+// large shapes stay legal.
+func TestWorkCapsRefused(t *testing.T) {
+	s := newTestServer(t, Options{})
+	h := s.Handler()
+	const (
+		bigNet = `{"network":{"scheme":"full","n":16384,"b":8192},"model":{"kind":"uniform"},"r":0.5}`
+		bigSim = `{"network":{"scheme":"full","n":16,"b":4},"model":{"kind":"uniform"},"r":0.5,"sim":{"cycles":4611686018427387904}}`
+		// 16 × (1 525 000 + 15 250 000) = 268 400 000 fits under 2^28;
+		// 17 processors do not.
+		edgeSim = `{"network":{"scheme":"full","n":17,"b":4},"model":{"kind":"uniform"},"r":0.5,"sim":{"cycles":15250000,"warmup":1525000}}`
+	)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", bigNet},
+		{"/v1/simulate", bigSim},
+		{"/v1/simulate", edgeSim},
+		{"/v1/sweep", `{"ns":[16384],"bs":[8192],"rs":[0.5],"schemes":["full"]}`},
+		{"/v1/sweep", `{"ns":[16,64],"bs":[4],"rs":[0.5],"schemes":["full"],"withSim":true,"simCycles":4000000}`},
+		{"/v1/jobs", `{"sweep":{"ns":[16],"bs":[4],"rs":[0.5],"schemes":["full"],"withSim":true,"simCycles":100000000}}`},
+	} {
+		rec := postJSON(t, h, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest || errCode(t, rec) != "invalid_request" {
+			t.Errorf("POST %s %s = %d %s, want 400 invalid_request", tc.path, tc.body, rec.Code, rec.Body)
+		}
+	}
+	if st := s.Cache().Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("refused bodies reached the cache %d times, want 0", st.Hits+st.Misses)
+	}
+	// Inside a batch and a shard, an over-cap item is a per-item 400.
+	rec := postJSON(t, h, "/v1/batch", `{"scenarios":[`+bigSim+`,`+analyzeBody+`]}`)
+	var batch struct {
+		Items []struct {
+			Error *apiError `json:"error"`
+		} `json:"items"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || rec.Code != http.StatusOK || len(batch.Items) != 2 {
+		t.Fatalf("batch = %d %s", rec.Code, rec.Body)
+	}
+	if e := batch.Items[0].Error; e == nil || e.Code != "invalid_request" || batch.Items[1].Error != nil {
+		t.Errorf("batch items = %s, want invalid_request then a result", rec.Body)
+	}
+	rec = postJSON(t, h, "/v1/cluster/sweep", `{"points":[{"scenario":`+bigSim+`,"axis":"full","model":"uniform","withSim":true}]}`)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"code":"invalid_request"`) {
+		t.Errorf("over-cap shard point = %d %s, want an invalid_request record", rec.Code, rec.Body)
+	}
+
+	// The edge itself is checked without running a quarter-billion
+	// processor-cycles.
+	if err := checkSimWork(1525000, 15250000, 16); err != nil {
+		t.Errorf("simulation at the work limit refused: %v", err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/analyze", `{"network":{"scheme":"full","n":512,"m":512,"b":64},"model":{"kind":"uniform"},"r":0.5}`},
+		{"/v1/sweep", `{"ns":[16],"bs":[4,8],"rs":[0.5,1],"schemes":["full","single","partial","kclasses"],"hierarchical":true,"withSim":true,"simCycles":200,"seed":3}`},
+	} {
+		if rec := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Errorf("POST %s %s = %d %s, want 200", tc.path, tc.body, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestValidationMapsToTyped400(t *testing.T) {
 	h := newTestServer(t, Options{}).Handler()
 	cases := []struct {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math"
 
 	"multibus/internal/scenario"
@@ -44,6 +45,36 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
+// maxSimWork bounds the simulated work one request may ask for, in
+// processor-cycles: (warmup + cycles) × N for a simulation, and per
+// point for a simulated sweep. At the measured 40–85 ns per
+// processor-cycle it is 11–23 s of compute, inside the default 30 s
+// deadline; larger work could not finish in time anyway, so it is
+// refused with a 400 before admission instead of holding units until
+// the deadline. Derivation in DESIGN.md §11.
+const maxSimWork = 1 << 28
+
+// checkSimWork refuses a simulation of warmup+cycles cycles on n
+// processors whose work exceeds maxSimWork. The arithmetic is in
+// float64 so no input overflows it; below 2^53 the comparison is exact.
+func checkSimWork(warmup, cycles, n int) error {
+	if (float64(warmup)+float64(cycles))*float64(n) > maxSimWork {
+		return fmt.Errorf("%w: simulating %d warm-up + %d cycles on n=%d processors exceeds the %d processor-cycle limit",
+			errBadRequest, warmup, cycles, n, maxSimWork)
+	}
+	return nil
+}
+
+// checkBuiltSimWork applies checkSimWork to a built simulate scenario's
+// canonical simulator knobs.
+func checkBuiltSimWork(built *scenario.Built) error {
+	sim := scenario.DefaultSim()
+	if built.Scenario.Sim != nil {
+		sim = *built.Scenario.Sim
+	}
+	return checkSimWork(sim.Warmup, sim.Cycles, built.Network.N())
+}
+
 // analyzeWeight is the admission cost of one closed-form analysis.
 func analyzeWeight(*scenario.Built) int64 { return 1 }
 
@@ -81,19 +112,24 @@ func sweepWeight(spec sweep.Spec) int64 {
 		}
 		return w
 	}
-	cycles := spec.SimCycles
-	if cycles <= 0 {
-		cycles = weightUnitCycles
-	}
-	maxN := 1
-	for _, n := range spec.Ns {
-		if n > maxN {
-			maxN = n
-		}
-	}
+	cycles, maxN := simGrid(spec)
 	perPoint := ceilDiv(satMul(int64(cycles), int64(maxN)), weightUnitWork)
 	if perPoint < 1 {
 		perPoint = 1
 	}
 	return satMul(points, perPoint)
+}
+
+// simGrid returns a simulated sweep's canonical per-point cycle count
+// and its largest N: the dimensions of its costliest point.
+func simGrid(spec sweep.Spec) (cycles, maxN int) {
+	cycles = spec.SimCycles
+	if cycles <= 0 {
+		cycles = scenario.DefaultSim().Cycles
+	}
+	maxN = 1
+	for _, n := range spec.Ns {
+		maxN = max(maxN, n)
+	}
+	return cycles, maxN
 }
