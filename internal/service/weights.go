@@ -65,14 +65,19 @@ func checkSimWork(warmup, cycles, n int) error {
 	return nil
 }
 
-// checkBuiltSimWork applies checkSimWork to a built simulate scenario's
-// canonical simulator knobs.
+// checkBuiltSimWork applies checkSimWork to a built simulate scenario.
 func checkBuiltSimWork(built *scenario.Built) error {
-	sim := scenario.DefaultSim()
-	if built.Scenario.Sim != nil {
-		sim = *built.Scenario.Sim
-	}
+	sim := simOf(built)
 	return checkSimWork(sim.Warmup, sim.Cycles, built.Network.N())
+}
+
+// simOf returns a built scenario's canonical simulator knobs: its own,
+// or the defaults a scenario without a sim block simulates with.
+func simOf(built *scenario.Built) scenario.Sim {
+	if built.Scenario.Sim != nil {
+		return *built.Scenario.Sim
+	}
+	return scenario.DefaultSim()
 }
 
 // analyzeWeight is the admission cost of one closed-form analysis.
@@ -81,14 +86,7 @@ func analyzeWeight(*scenario.Built) int64 { return 1 }
 // simulateWeight estimates one simulation's admission cost from its
 // canonical cycle count and network size.
 func simulateWeight(built *scenario.Built) int64 {
-	cycles := 0
-	if built.Scenario.Sim != nil {
-		cycles = built.Scenario.Sim.Cycles
-	}
-	if cycles <= 0 {
-		cycles = scenario.DefaultSim().Cycles
-	}
-	w := ceilDiv(satMul(int64(cycles), int64(built.Network.N())), weightUnitWork)
+	w := ceilDiv(satMul(int64(simOf(built).Cycles), int64(built.Network.N())), weightUnitWork)
 	if w < 1 {
 		w = 1
 	}
