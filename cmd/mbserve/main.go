@@ -46,10 +46,6 @@
 // seed's view is adopted) — point load-balancer readiness there,
 // liveness at /healthz. A single-instance deployment omits the cluster
 // flags and pays no cluster overhead.
-// The hidden -chaos flag injects seeded faults (latency, panics)
-// into every computation for resilience testing — e.g.
-// -chaos "latency=2s,latencyRate=1,seed=7" — and must never be set in
-// production.
 package main
 
 import (
@@ -66,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"multibus/internal/chaos"
 	"multibus/internal/cliutil"
 	"multibus/internal/cluster"
 	"multibus/internal/service"
@@ -82,7 +77,6 @@ func main() {
 		admit         = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
 		queue         = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
 		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default)")
-		chaosSpec     = flag.String("chaos", "", "fault injection spec, e.g. \"latency=2s,latencyRate=1,seed=7\" (testing only)")
 		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
 		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
 		join          = flag.String("join", "", "base URL of a running cluster member to join through (alternative to -peers)")
@@ -92,17 +86,13 @@ func main() {
 	flag.Parse()
 	logger, err := logFlags.Logger(os.Stderr)
 	if err == nil {
-		var injector *chaos.Injector
-		injector, err = buildInjector(logger, *chaosSpec)
 		var backend *cluster.Backend
-		if err == nil {
-			backend, err = buildCluster(logger, clusterFlags{
-				peers:         *peers,
-				self:          *self,
-				join:          *join,
-				probeInterval: *probeInterval,
-			})
-		}
+		backend, err = buildCluster(logger, clusterFlags{
+			peers:         *peers,
+			self:          *self,
+			join:          *join,
+			probeInterval: *probeInterval,
+		})
 		if err == nil {
 			err = run(logger, *addr, *drain, *join, backend, service.Options{
 				CacheSize:    *cacheSize,
@@ -116,7 +106,6 @@ func main() {
 					return *admit
 				}(),
 				QueueDepth: *queue,
-				Chaos:      injector,
 				JobsMax:    *jobsMax,
 			})
 		}
@@ -125,25 +114,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mbserve:", err)
 		os.Exit(1)
 	}
-}
-
-// buildInjector parses the -chaos spec into an injector (nil for an
-// empty spec), logging loudly when fault injection is live: a chaos
-// profile left on in production should be impossible to miss.
-func buildInjector(logger *slog.Logger, spec string) (*chaos.Injector, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	cfg, err := chaos.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	in, err := chaos.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	logger.Warn("chaos injection enabled", "spec", spec)
-	return in, nil
 }
 
 // clusterFlags bundles the cluster-mode flag values.

@@ -15,19 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"multibus/internal/chaos"
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
 )
-
-func mustInjector(t *testing.T, cfg chaos.Config) *chaos.Injector {
-	t.Helper()
-	in, err := chaos.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
-}
 
 func getPath(h http.Handler, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
@@ -257,13 +247,21 @@ func TestQueueDelaysInsteadOfShedding(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveryMiddleware (satellite): a chaos-injected panic in
-// compute unwinds through the singleflight leader into the instrument
-// middleware — the client gets a 500 internal_error, the panic counter
-// ticks, and the server keeps serving afterwards.
+// TestPanicRecoveryMiddleware (satellite): a panic in compute unwinds
+// through the singleflight leader into the instrument middleware — the
+// client gets a 500 internal_error, the panic counter ticks, and the
+// server keeps serving afterwards.
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	in := mustInjector(t, chaos.Config{PanicRate: 1})
-	s := newTestServer(t, Options{Chaos: in})
+	var panicking atomic.Bool
+	panicking.Store(true)
+	s := newTestServer(t, Options{
+		Backend: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
+			if panicking.Load() {
+				panic("injected compute panic")
+			}
+			return compute.Local().Analyze(ctx, b)
+		}, nil),
+	})
 	h := s.Handler()
 
 	rec := postJSON(t, h, "/v1/analyze", analyzeBody)
@@ -280,10 +278,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if got := metricValue(t, scrapeMetrics(t, h), "mbserve_panics_total"); got != 1 {
 		t.Errorf("mbserve_panics_total = %v, want 1", got)
 	}
-	// The server survives: quiet chaos, same request, normal answer.
-	if err := in.Configure(chaos.Config{}); err != nil {
-		t.Fatal(err)
-	}
+	// The server survives: compute recovers, same request, normal answer.
+	panicking.Store(false)
 	if rec := postJSON(t, h, "/v1/analyze", analyzeBody); rec.Code != http.StatusOK {
 		t.Fatalf("request after recovered panic = %d, want 200; %s", rec.Code, rec.Body.String())
 	}
@@ -337,11 +333,10 @@ func TestHealthzDraining(t *testing.T) {
 // evaluating must answer with the classified error envelope, never a
 // 200 carrying an empty or partial points list.
 func TestSweepCanceledMidFlightReturnsEnvelope(t *testing.T) {
-	// 100% injected latency parks the gated compute where the test can
-	// cancel it deterministically.
-	s := newTestServer(t, Options{
-		Chaos: mustInjector(t, chaos.Config{LatencyRate: 1, Latency: 30 * time.Second}),
-	})
+	// Every grid point parks until its context ends, so the test cancels
+	// while the grid is provably evaluating.
+	backend := &parkingSweepBackend{Backend: compute.Local(), entered: make(chan struct{})}
+	s := newTestServer(t, Options{Backend: backend})
 	h := s.Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
@@ -353,7 +348,7 @@ func TestSweepCanceledMidFlightReturnsEnvelope(t *testing.T) {
 		defer close(done)
 		h.ServeHTTP(rec, req)
 	}()
-	time.Sleep(20 * time.Millisecond) // let the handler enter the gate
+	<-backend.entered // a grid point is evaluating
 	cancel()
 	<-done
 
@@ -370,4 +365,18 @@ func TestSweepCanceledMidFlightReturnsEnvelope(t *testing.T) {
 	if strings.Contains(rec.Body.String(), `"points"`) {
 		t.Errorf("canceled sweep still shipped points: %s", rec.Body.String())
 	}
+}
+
+// parkingSweepBackend is a compute backend whose sweep points block
+// until their context ends; entered closes when the first one starts.
+type parkingSweepBackend struct {
+	compute.Backend
+	entered   chan struct{}
+	enterOnce sync.Once
+}
+
+func (b *parkingSweepBackend) SweepPoint(ctx context.Context, _ compute.PointJob) (compute.Point, error) {
+	b.enterOnce.Do(func() { close(b.entered) })
+	<-ctx.Done()
+	return compute.Point{}, ctx.Err()
 }
