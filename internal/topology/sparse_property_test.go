@@ -216,6 +216,14 @@ func TestSparseMatchesDenseReferenceAllSchemes(t *testing.T) {
 		{"kclass-16-16-8-k8", func() (*Network, error) { return EvenKClasses(16, 16, 8, 8) }, refKClasses(16, 8, []int{2, 2, 2, 2, 2, 2, 2, 2})},
 		// Wide sparse row: long zero runs exercise the skip-multiply path.
 		{"single-2-1000-4", func() (*Network, error) { return SingleBus(2, 1000, 4) }, refSingleBus(2, 1000, 4)},
+		// Contiguous rows spanning several words, starting and ending
+		// mid-word: the masked whole-word path.
+		{"full-4-200-3", func() (*Network, error) { return Full(4, 200, 3) }, refFull(4, 200, 3)},
+		// Rows ending exactly on a word boundary.
+		{"full-4-64-3", func() (*Network, error) { return Full(4, 64, 3) }, refFull(4, 64, 3)},
+		{"partial-4-300-6-g3", func() (*Network, error) { return PartialGroups(4, 300, 6, 3) }, refPartialGroups(4, 300, 6, 3)},
+		{"kclass-4-3-sizes", func() (*Network, error) { return KClasses(4, 3, []int{70, 60, 70}) }, refKClasses(4, 3, []int{70, 60, 70})},
+		{"custom-mixed-rows", func() (*Network, error) { return Custom(2, mixedRowsRef().conn) }, mixedRowsRef()},
 	}
 	for _, c := range cases {
 		nw, err := c.build()
@@ -224,6 +232,23 @@ func TestSparseMatchesDenseReferenceAllSchemes(t *testing.T) {
 		}
 		checkAgainstDense(t, c.name, nw, c.ref)
 	}
+}
+
+// mixedRowsRef wires contiguous rows (one spanning words from mid-word
+// to mid-word, one covering exactly word 5 of the bit stream) around a
+// non-contiguous row, so both fingerprint paths feed one accumulator.
+func mixedRowsRef() *denseRef {
+	ref := newDenseRef(2, 150, 3)
+	for j := 10; j <= 140; j++ {
+		ref.conn[0][j] = true
+	}
+	for j := 0; j < 150; j++ {
+		ref.conn[1][j] = j != 75
+	}
+	for j := 20; j < 84; j++ { // bits 320..383 of the B·M stream
+		ref.conn[2][j] = true
+	}
+	return ref
 }
 
 func TestSparseMatchesDenseReferenceRandomCustom(t *testing.T) {
