@@ -53,7 +53,7 @@ func (s *Server) jobBody(j *jobs.Job) jobStatusBody {
 // jobSweepSummary is the sweep job's terminal summary: the skipped grid
 // combinations the synchronous response carries inline.
 type jobSweepSummary struct {
-	Skipped []sweepSkipBody `json:"skipped"`
+	Skipped []sweep.Skip `json:"skipped"`
 }
 
 // handleJobSubmit serves POST /v1/jobs: validate the spec up front
@@ -115,7 +115,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 				sp.Context = ctx
 				sp.OnPlan = func(points int, _ []sweep.Skip) { pub.SetTotal(points) }
 				sp.OnPoint = func(index int, pt sweep.Point) {
-					rec, merr := json.Marshal(newSweepPointBody(pt))
+					rec, merr := json.Marshal(pt)
 					if merr != nil {
 						return // plain data struct; cannot happen
 					}
@@ -127,7 +127,7 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 			return nil, err
 		}
 		res := v.(*sweep.Result)
-		return json.Marshal(jobSweepSummary{Skipped: newSweepSkipBodies(res.Skipped)})
+		return json.Marshal(jobSweepSummary{Skipped: res.Skipped})
 	}
 	return spec.EstimatePoints(), run, nil
 }

@@ -155,6 +155,9 @@ func TestJobSweepStreamMatchesSyncSweep(t *testing.T) {
 	if len(summary.Skipped) != len(syncBody.Skipped) {
 		t.Errorf("summary skipped = %d, sync skipped = %d", len(summary.Skipped), len(syncBody.Skipped))
 	}
+	if len(syncBody.Skipped) == 0 && string(st.Summary) != `{"skipped":[]}` {
+		t.Errorf("summary with no skips = %s, want {\"skipped\":[]}", st.Summary)
+	}
 }
 
 // TestJobResultsPaginationMatchesSync walks the cursor pages of a

@@ -201,6 +201,10 @@ func TestSweepEndpointAndCrossRequestMemo(t *testing.T) {
 	if len(resp.Points) == 0 {
 		t.Fatal("sweep returned no points")
 	}
+	// Nothing in this grid is skipped; the list is still an array.
+	if !bytes.HasSuffix(bytes.TrimSpace(first.Body.Bytes()), []byte(`,"skipped":[]}`)) {
+		t.Errorf("sweep with no skips does not end in an empty skipped array: %s", first.Body.String())
+	}
 	missesAfterFirst := s.Cache().Stats().Misses
 
 	second := postJSON(t, h, "/v1/sweep", body)

@@ -130,16 +130,19 @@ type Point = compute.Point
 
 // Skip records one (scheme, model, N, B) grid combination that was not
 // evaluated, and why. Rates are not enumerated: a structural skip
-// applies to every r.
+// applies to every r. It is also the wire shape of a skipped
+// combination in the service's sweep responses.
 type Skip struct {
-	Scheme string
-	Model  string
-	N, B   int
-	Reason string
+	Scheme string `json:"scheme"`
+	Model  string `json:"model"`
+	N      int    `json:"n"`
+	B      int    `json:"b"`
+	Reason string `json:"reason"`
 }
 
 // Result is a completed sweep: the evaluated points in deterministic
-// grid order plus every skipped combination.
+// grid order plus every skipped combination. Skipped is never nil, so
+// a grid with no skips encodes as [] rather than null.
 type Result struct {
 	Points  []Point
 	Skipped []Skip
@@ -329,10 +332,8 @@ func enumerate(spec Spec) ([]compute.PointJob, []Skip, error) {
 			models = []scenario.Model{{Kind: scenario.ModelUniform}}
 		}
 	}
-	var (
-		jobs    []compute.PointJob
-		skipped []Skip
-	)
+	var jobs []compute.PointJob
+	skipped := []Skip{}
 	xs := make(map[xKey]float64)
 	for _, tmpl := range spec.Schemes {
 		axis := tmpl.AxisName()
