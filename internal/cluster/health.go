@@ -21,8 +21,8 @@ import (
 // ProbeOnce runs one synchronous probe round over every probeable
 // member, in sorted order (deterministic tests drive rounds directly),
 // and reports whether the round caused a ring transition. Probes use
-// the manager's shared client transport, so the chaos peer-transport
-// injector perturbs them exactly like forwards.
+// the manager's shared client transport, so a transport a test injects
+// through ManagerOptions.HTTP perturbs them exactly like forwards.
 func (m *Manager) ProbeOnce(ctx context.Context) bool {
 	m.mu.Lock()
 	var targets []string

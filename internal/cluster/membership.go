@@ -67,7 +67,7 @@ type ManagerOptions struct {
 	// instance joining via -join starts with just itself).
 	Peers []string
 	// HTTP overrides the peer transport (nil = http.DefaultClient) —
-	// the seam the chaos peer-transport injector wires through.
+	// the seam tests use to make peer calls fail.
 	HTTP *http.Client
 
 	// ProbeInterval is the base health-probe period; each round's actual

@@ -4,10 +4,10 @@
 //
 // The derivations reproduce math/rand.(*Rand) over a Source64 whose
 // Uint64 is the PCG output and whose Int63 is that output shifted right
-// by one, draw for draw. Recorded simulations, traces and chaos
-// schedules therefore keep their values, while the hot loop calls
-// concrete methods the compiler can inline instead of going through the
-// math/rand Source interface.
+// by one, draw for draw. Recorded simulations and traces therefore
+// keep their values, while the hot loop calls concrete methods the
+// compiler can inline instead of going through the math/rand Source
+// interface.
 package rng
 
 import "math/rand/v2"

@@ -28,9 +28,8 @@ func splitmix64(x uint64) uint64 {
 // NewSeededRand returns the deterministic stream for a seed, normalized
 // through EffectiveSeed. It is the one seed-derivation path for the
 // whole repo: the engine, façade helpers (multibus.RecordWorkload), the
-// cmd/ tools (mbtrace), the chaos injectors and the cluster prober's
-// jitter all route through it, so "seed s" names the same stream
-// everywhere.
+// cmd/ tools (mbtrace) and the cluster prober's jitter all route
+// through it, so "seed s" names the same stream everywhere.
 func NewSeededRand(seed int64) *rng.Rand {
 	return newRNG(EffectiveSeed(seed))
 }
