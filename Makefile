@@ -81,9 +81,14 @@ layering:
 	fi; \
 	echo "layering: PASS"
 
-# Static analysis: go vet always; staticcheck when it is on PATH (the CI
+# Static analysis: go vet and a read-only gofmt check always (any file
+# gofmt would rewrite fails); staticcheck when it is on PATH (the CI
 # image may not ship it, and we do not install tools on the fly).
 lint: vet
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: files not gofmt-formatted (run make fmt):"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

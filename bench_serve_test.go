@@ -1,12 +1,14 @@
-// Service-path benchmarks. These live in the external test package
-// (multibus_test) because internal/service imports the multibus façade,
-// so the in-package bench_test.go cannot import it back without a cycle.
+// Service-path benchmarks. They drive internal/service through its
+// HTTP handler and use nothing of the multibus façade, so they sit in
+// the external test package (multibus_test), apart from the in-package
+// table benchmarks.
 package multibus_test
 
 import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,6 +112,40 @@ func BenchmarkServeAnalyzeMissLarge(b *testing.B) {
 		post(bodies[i%len(bodies)])
 	}
 	b.StopTimer()
+	if hits := s.Cache().Stats().Hits; hits != 0 {
+		b.Fatalf("hits = %d, want 0 — miss benchmark got cache hits", hits)
+	}
+}
+
+// BenchmarkServeSweepAnalyticMiss measures POST /v1/sweep on the miss
+// path: a 112-point analytic grid (N=64, seven bus counts, sixteen
+// rates) whose seed changes every op. The seed is part of every point's
+// cache key, so each point misses and passes admission on its own.
+// ns/point divides the op time by the grid's 112 points.
+func BenchmarkServeSweepAnalyticMiss(b *testing.B) {
+	const points = 7 * 16
+	rs := make([]string, 16)
+	for k := range rs {
+		rs[k] = strconv.FormatFloat(float64(k+1)/16, 'g', -1, 64)
+	}
+	grid := `{"ns":[64],"bs":[1,2,4,8,16,32,64],"rs":[` + strings.Join(rs, ",") + `],"schemes":["full"],"seed":%d}`
+	s, err := service.New(service.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(fmt.Sprintf(grid, i+1)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*points), "ns/point")
 	if hits := s.Cache().Stats().Hits; hits != 0 {
 		b.Fatalf("hits = %d, want 0 — miss benchmark got cache hits", hits)
 	}

@@ -1,6 +1,6 @@
-// The sweep benchmark lives in the external test package: the sweep
-// layer now rides on internal/compute, which imports the multibus
-// façade, so an in-package test importing sweep would be a cycle.
+// The sweep benchmarks drive internal/sweep directly and use nothing of
+// the multibus façade, so they sit in the external test package beside
+// the service-path benchmarks.
 package multibus_test
 
 import (

@@ -25,7 +25,7 @@ func AnalyzeKey(networkFP, modelFP uint64, r float64) string {
 // SimParams carries every simulator knob that changes a run's result;
 // all of them fold into SimulateKey. Zero values mean "engine default"
 // and key identically to the explicit defaults only if callers
-// normalize first (the service layer normalizes; see service.simParams).
+// normalize first (scenario.Built normalizes; see (*Built).simParams).
 type SimParams struct {
 	Cycles        int
 	Warmup        int

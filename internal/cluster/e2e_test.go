@@ -44,12 +44,14 @@ type instance struct {
 // clusterHarness holds the optional per-instance decorations the
 // failover tests need: wrapAnalyze hooks the closed-form seam,
 // wrapLocal the whole local backend (the sweep-point path does not go
-// through AnalyzeFunc), and httpFor overrides an instance's peer
-// transport (the fault injection seam for the peer client).
+// through AnalyzeFunc), httpFor overrides an instance's peer
+// transport (the fault injection seam for the peer client), and
+// serviceOpts adjusts an instance's service options (admission sizing).
 type clusterHarness struct {
 	wrapAnalyze func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc
 	wrapLocal   func(i int, b compute.Backend) compute.Backend
 	httpFor     func(i int) *http.Client
+	serviceOpts func(i int, o *service.Options)
 }
 
 // localHook decorates one instance's local backend, running before
@@ -113,7 +115,11 @@ func startClusterH(t *testing.T, n int, hz clusterHarness) []*instance {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := service.New(service.Options{Backend: backend, Cluster: mgr})
+		opts := service.Options{Backend: backend, Cluster: mgr}
+		if hz.serviceOpts != nil {
+			hz.serviceOpts(i, &opts)
+		}
+		srv, err := service.New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,6 +392,85 @@ func TestCoordinatorSweepByteIdenticalToSingleInstance(t *testing.T) {
 	// shard must have gone over the wire.
 	if forwards := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `result="ok"`); forwards < 1 {
 		t.Errorf("coordinator forwarded no shards (peer ok count = %v)", forwards)
+	}
+}
+
+// TestCoordinatorSweepMergesAroundSheddingPeer: peers with one
+// admission unit, no queue, and that unit held answer their shards with
+// an overloaded record per point; the coordinator retries every one of
+// them locally, and the merged sweep is still byte-identical to a
+// standalone instance's. Both peers shed, so the test does not depend on
+// how the random ports split the grid between them.
+func TestCoordinatorSweepMergesAroundSheddingPeer(t *testing.T) {
+	const heldRate = 0.125
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	insts := startClusterH(t, 3, clusterHarness{
+		wrapAnalyze: func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
+			return func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
+				if i != 0 && b.Scenario.R == heldRate {
+					entered <- struct{}{}
+					<-release
+				}
+				return fn(ctx, b)
+			}
+		},
+		serviceOpts: func(i int, o *service.Options) {
+			if i != 0 {
+				o.AdmissionLimit, o.QueueDepth = 1, -1
+			}
+		},
+	})
+	// Park an analyze in each peer's only slot. The hop-guard header
+	// makes the peer compute it locally whichever instance owns the key.
+	var held sync.WaitGroup
+	body, _ := analyzeScenarioAt(t, heldRate)
+	for _, peer := range insts[1:] {
+		held.Add(1)
+		go func(url string) {
+			defer held.Done()
+			req, err := http.NewRequest(http.MethodPost, url+"/v1/analyze", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set(compute.ForwardedHeader, insts[0].url)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}(peer.url)
+		<-entered
+	}
+	defer func() {
+		close(release)
+		held.Wait()
+	}()
+
+	standalone, err := service.New(service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts := httptest.NewServer(standalone.Handler())
+	defer sts.Close()
+	status, _, want := post(t, sts.URL, "/v1/sweep", clusterSweepBody)
+	if status != http.StatusOK {
+		t.Fatalf("standalone sweep = %d: %s", status, want)
+	}
+	status, _, got := post(t, insts[0].url, "/v1/sweep", clusterSweepBody)
+	if status != http.StatusOK {
+		t.Fatalf("coordinator sweep = %d: %s", status, got)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("coordinator sweep differs from standalone:\nstandalone:  %s\ncoordinator: %s", want, got)
+	}
+	// The 36-point grid all but surely gives the peers a shard, and every
+	// point of it was shed there.
+	var shed float64
+	for _, peer := range insts[1:] {
+		shed += metricSum(t, peer.srv, "mbserve_shed_total", `route="sweep"`)
+	}
+	if shed < 1 {
+		t.Errorf("peers shed %v sweep points, want ≥ 1", shed)
 	}
 }
 

@@ -96,8 +96,8 @@ type Spec struct {
 
 // EstimatePoints returns the grid cardinality a Run of this Spec will
 // attempt: the product of the axis lengths, with an empty Models axis
-// counting as the one default model Run substitutes. The admission
-// layer weighs sweep requests by it before any evaluation starts, so it
+// counting as the one default model Run substitutes. The service
+// refuses over-cap grids by it before any evaluation starts, so it
 // deliberately counts infeasible combinations too (skips are only
 // discovered during the run) — an upper bound, cheap and allocation-free.
 // The product saturates at math.MaxInt instead of wrapping, so a grid
