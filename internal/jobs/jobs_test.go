@@ -48,7 +48,6 @@ func fillSlots(t *testing.T, s *Store, release <-chan struct{}) []*Job {
 	running := make([]*Job, maxActive)
 	for i := range running {
 		j, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-			pub.Started()
 			select {
 			case <-release:
 				return nil, nil
@@ -76,7 +75,6 @@ func TestFrontierReordersOutOfOrderEmits(t *testing.T) {
 	s := NewStore(Options{})
 	consumed := make(chan struct{})
 	j, err := s.Submit("sweep", total, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		pub.SetTotal(total)
 		for i := 0; i < total; i += 2 {
 			pub.Emit(i+1, []byte(fmt.Sprintf(`{"i":%d}`, i+1)))
@@ -126,7 +124,6 @@ func TestPageStableUnderConcurrentCompletion(t *testing.T) {
 	s := NewStore(Options{})
 	release := make(chan struct{})
 	j, err := s.Submit("sweep", total, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		pub.SetTotal(total)
 		<-release
 		var wg sync.WaitGroup
@@ -190,7 +187,6 @@ func TestCancelRunning(t *testing.T) {
 	s := NewStore(Options{})
 	started := make(chan struct{})
 	j, err := s.Submit("sweep", 10, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -247,7 +243,6 @@ func TestStoreBoundAndEviction(t *testing.T) {
 	s := NewStore(Options{MaxJobs: 2})
 	block := make(chan struct{})
 	slow := func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -273,7 +268,6 @@ func TestStoreBoundAndEviction(t *testing.T) {
 	waitState(t, j2, StateDone)
 	// j1 is the oldest terminal job → evicted → a new submission fits.
 	j3, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		return nil, nil
 	})
 	if err != nil {
@@ -323,7 +317,6 @@ func TestDrainCancelsQueuedAndWaitsRunning(t *testing.T) {
 func TestDrainForceCancelsStragglers(t *testing.T) {
 	s := NewStore(Options{})
 	j, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -344,7 +337,6 @@ func TestFailedRunRecordsError(t *testing.T) {
 	s := NewStore(Options{})
 	boom := errors.New("boom")
 	j, err := s.Submit("batch", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		return nil, boom
 	})
 	if err != nil {
@@ -372,7 +364,6 @@ func TestRunPanicBecomesFailure(t *testing.T) {
 	s.Cancel(running[0].ID())
 	waitState(t, running[0], StateCanceled)
 	j, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		panic("kaboom")
 	})
 	if err != nil {
@@ -381,7 +372,6 @@ func TestRunPanicBecomesFailure(t *testing.T) {
 	waitState(t, j, StateFailed)
 	// The slot must be free again.
 	j2, err := s.Submit("sweep", 1, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		return nil, nil
 	})
 	if err != nil {
@@ -407,7 +397,6 @@ func TestHooksAndStats(t *testing.T) {
 		},
 	})
 	j, err := s.Submit("sweep", 3, func(ctx context.Context, pub *Publisher) ([]byte, error) {
-		pub.Started()
 		pub.SetTotal(3)
 		for i := 0; i < 3; i++ {
 			pub.Emit(i, []byte(`{}`))
