@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -9,11 +10,6 @@ import (
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
 )
-
-// maxShardChunk bounds one shard request to a peer; larger shards are
-// split into sequential chunks, each safely under the worker's
-// maxClusterPoints request cap.
-const maxShardChunk = 2048
 
 // Options configures a cluster Backend.
 type Options struct {
@@ -44,8 +40,8 @@ type Options struct {
 // sweep partitions the grid by per-point key ownership under the
 // snapshot current at submission, shards stream back concurrently, and
 // points merge by grid index — deterministic order, byte-identical to a
-// single-instance sweep. A ring transition mid-sweep re-partitions only
-// the indices the old owners failed to deliver.
+// single-instance sweep. Indices a peer fails to deliver recompute on
+// this instance.
 type Backend struct {
 	self    string
 	manager *Manager
@@ -139,13 +135,14 @@ func (b *Backend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.
 	return b.local.SweepPoint(ctx, jb)
 }
 
-// partition splits grid indices by ring ownership: remote shards per
-// owning peer, plus the self-owned rest.
-func (b *Backend) partition(ring *Ring, batch compute.SweepBatch, idxs []int) (map[string][]int, []int) {
+// partition splits the grid by current ring ownership: remote shards
+// per owning peer, plus the self-owned rest.
+func (b *Backend) partition(batch compute.SweepBatch) (map[string][]int, []int) {
+	ring := b.Ring()
 	shards := make(map[string][]int)
 	var local []int
-	for _, i := range idxs {
-		if owner := ring.Owner(batch.Jobs[i].Key()); owner != b.self {
+	for i, jb := range batch.Jobs {
+		if owner := ring.Owner(jb.Key()); owner != b.self {
 			shards[owner] = append(shards[owner], i)
 		} else {
 			local = append(local, i)
@@ -154,33 +151,63 @@ func (b *Backend) partition(ring *Ring, batch compute.SweepBatch, idxs []int) (m
 	return shards, local
 }
 
-// fanOut streams every shard through its peer concurrently, emitting
-// delivered points through emit (global grid index), and returns the
-// indices the peers failed to deliver — per-point errors, truncated
-// streams, dead peers. Blocks until every shard settles.
+// shardChunk encodes the longest prefix of idxs that one shard request
+// carries — at most compute.MaxShardPoints points and, past the first
+// point, compute.MaxShardBytes of body — as a compute.ShardRequest,
+// straight from per-spec encodings. It returns the body and the prefix
+// length.
+func shardChunk(batch compute.SweepBatch, idxs []int) ([]byte, int, error) {
+	body := []byte(`{"points":[`)
+	n := 0
+	for ; n < len(idxs) && n < compute.MaxShardPoints; n++ {
+		raw, err := json.Marshal(batch.Jobs[idxs[n]].Spec())
+		if err != nil {
+			return nil, 0, err
+		}
+		if n > 0 {
+			if len(body)+1+len(raw)+len("]}") > compute.MaxShardBytes {
+				break
+			}
+			body = append(body, ',')
+		}
+		body = append(body, raw...)
+	}
+	return append(body, "]}"...), n, nil
+}
+
+// fanOut streams every shard through its peer concurrently, in chunks
+// shardChunk sizes, emitting delivered points through emit (global grid
+// index), and returns the indices the peers failed to deliver —
+// per-point errors, truncated streams, dead peers. Blocks until every
+// shard settles.
 func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards map[string][]int, emit func(int, compute.Point)) []int {
 	var (
-		mu    sync.Mutex
-		retry []int
-		wg    sync.WaitGroup
+		mu     sync.Mutex
+		failed []int
+		wg     sync.WaitGroup
 	)
+	fail := func(idxs ...int) {
+		mu.Lock()
+		failed = append(failed, idxs...)
+		mu.Unlock()
+	}
 	for peer, idxs := range shards {
 		wg.Add(1)
 		go func(peer string, idxs []int) {
 			defer wg.Done()
 			for len(idxs) > 0 {
-				chunk := idxs
-				if len(chunk) > maxShardChunk {
-					chunk = chunk[:maxShardChunk]
+				body, n, err := shardChunk(batch, idxs)
+				if err != nil {
+					// No request was sent; the local recompute reports the
+					// failure natively.
+					fail(idxs...)
+					return
 				}
-				idxs = idxs[len(chunk):]
-				specs := make([]compute.PointSpec, len(chunk))
-				for k, gi := range chunk {
-					specs[k] = batch.Jobs[gi].Spec()
-				}
-				done := make([]bool, len(chunk))
-				err := b.client.SweepShard(ctx, peer, specs, func(rec compute.ShardRecord) {
-					if rec.Index < 0 || rec.Index >= len(chunk) || rec.Point == nil {
+				chunk := idxs[:n]
+				idxs = idxs[n:]
+				done := make([]bool, n)
+				err = b.client.SweepShard(ctx, peer, body, func(rec compute.ShardRecord) {
+					if rec.Index < 0 || rec.Index >= n || rec.Point == nil {
 						return
 					}
 					done[rec.Index] = true
@@ -190,51 +217,43 @@ func (b *Backend) fanOut(ctx context.Context, batch compute.SweepBatch, shards m
 				mu.Lock()
 				for k, gi := range chunk {
 					if !done[k] {
-						retry = append(retry, gi)
+						failed = append(failed, gi)
 					}
 				}
 				mu.Unlock()
 				if unreachable(err) {
 					// The peer (or the path to it) is gone; fail the rest of
-					// its shard straight to the retry pass instead of
+					// its shard straight to local compute instead of
 					// hammering a dead endpoint chunk by chunk.
-					mu.Lock()
-					retry = append(retry, idxs...)
-					mu.Unlock()
+					fail(idxs...)
 					return
 				}
 			}
 		}(peer, idxs)
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return retry
+	return failed
 }
 
 // SweepBatch implements compute.BatchSweeper. Any instance serving a
 // sweep coordinates it (failover: there is no designated coordinator to
 // lose): the grid is partitioned by per-point key ownership under the
-// membership snapshot current at submission, each remote shard streams
-// back concurrently while this instance evaluates its own shard, and
-// indices a peer failed to deliver are retried. If the ring transitions
-// mid-sweep — a peer evicted, joined, or left while shards were in
-// flight — the failed indices are re-partitioned once under the new
-// ring, then anything still missing recomputes locally. Local work —
-// the own shard and every failed-over index — runs through batch.Local,
-// the sweep engine's pool and memo layer. Either way the merged result
-// is complete and byte-identical to a single-instance sweep, and no
-// grid index is ever emitted twice.
+// membership snapshot current at submission, and each remote shard
+// streams back concurrently while this instance evaluates its own
+// shard. Every index a peer failed to deliver — whether or not the ring
+// moved meanwhile — then recomputes here. Local work, the own shard and
+// every failed index, runs through batch.Local, the sweep engine's pool
+// and memo layer. The merged result is complete and byte-identical to a
+// single-instance sweep, and no grid index is ever emitted twice.
 func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) error {
-	all := make([]int, len(batch.Jobs))
-	for i := range all {
-		all[i] = i
-	}
 	if compute.Forwarded(ctx) {
+		all := make([]int, len(batch.Jobs))
+		for i := range all {
+			all[i] = i
+		}
 		return batch.Local(ctx, all)
 	}
-	snap := b.manager.Snapshot()
-	shards, localIdx := b.partition(snap.Ring, batch, all)
+	shards, localIdx := b.partition(batch)
 	seen := make([]atomic.Bool, len(batch.Jobs))
 	emit := func(global int, pt compute.Point) {
 		// A duplicate or out-of-range index from a confused peer must
@@ -249,26 +268,14 @@ func (b *Backend) SweepBatch(ctx context.Context, batch compute.SweepBatch) erro
 	// would.
 	localCh := make(chan error, 1)
 	go func() { localCh <- batch.Local(ctx, localIdx) }()
-	retry := b.fanOut(ctx, batch, shards, emit)
+	failed := b.fanOut(ctx, batch, shards, emit)
 	if localErr := <-localCh; localErr != nil {
 		return localErr
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(retry) > 0 {
-		if cur := b.manager.Snapshot(); cur.Version != snap.Version {
-			// Mid-sweep ring transition: only the undelivered indices
-			// re-partition under the new ring, for one extra remote round.
-			shards2, local2 := b.partition(cur.Ring, batch, retry)
-			retry = append(b.fanOut(ctx, batch, shards2, emit), local2...)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Failed-over indices recompute locally: deterministic evaluation
-	// means the retried points are byte-identical to what the dead peer
-	// would have returned.
-	return batch.Local(ctx, retry)
+	// Deterministic evaluation makes the recomputed points
+	// byte-identical to what the peer would have returned.
+	return batch.Local(ctx, failed)
 }

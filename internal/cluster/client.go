@@ -9,16 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
 )
-
-// retryBackoff is the pause before the single transport-level retry.
-// Short on purpose: the fallback behind a failed forward is local
-// compute, so there is no budget for patient retrying.
-const retryBackoff = 50 * time.Millisecond
 
 // StatusError is a peer response with a non-200 status. Whatever the
 // status, the peer answered, so it counts as alive: compute is pure,
@@ -90,9 +84,10 @@ func unreachable(err error) bool {
 // Client speaks the mbserve peer protocol: the ordinary v1 endpoints
 // for single evaluations and /v1/cluster/sweep for shards, always with
 // the X-Mb-Forwarded hop guard set so the receiving instance computes
-// locally. Transport errors get exactly one retry after a short
-// backoff; response deadlines are whatever ctx carries — the service's
-// per-request timeout propagates to the peer hop.
+// locally. Every call is one attempt: the recovery behind a failed
+// forward or shard is local compute, and the membership state machine
+// judges the peer. Response deadlines are whatever ctx carries — the
+// service's per-request timeout propagates to the peer hop.
 type Client struct {
 	// HTTP is the underlying client; nil means http.DefaultClient
 	// semantics with no client-level timeout (ctx deadlines govern).
@@ -108,34 +103,24 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// post sends body to peer+path, retrying once on transport failure.
-// The caller owns the response body on success; any non-200 is drained,
-// closed, and returned as a *StatusError.
-func (c *Client) post(ctx context.Context, peer, path string, body any) (*http.Response, error) {
-	buf, err := json.Marshal(body)
+// post sends the encoded body to peer+path in one attempt. The caller
+// owns the response body on success; any non-200 is drained, closed,
+// and returned as a *StatusError.
+func (c *Client) post(ctx context.Context, peer, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding request: %w", err)
+		return nil, err
 	}
-	var resp *http.Response
-	for attempt := 0; ; attempt++ {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(buf))
-		if rerr != nil {
-			return nil, rerr
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(compute.ForwardedHeader, c.Self)
-		resp, err = c.httpClient().Do(req)
-		if err == nil {
-			break
-		}
-		if attempt > 0 || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(retryBackoff):
-		}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(compute.ForwardedHeader, c.Self)
+	// Peer requests are idempotent (compute is pure, membership applies
+	// are idempotent), so net/http may replay one that failed on a reused
+	// keep-alive connection the peer had already closed. A nil value
+	// marks the request without sending the header.
+	req.Header["Idempotency-Key"] = nil
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, newStatusError(resp)
@@ -143,9 +128,14 @@ func (c *Client) post(ctx context.Context, peer, path string, body any) (*http.R
 	return resp, nil
 }
 
-// postJSON posts and decodes a single JSON response body into dst.
+// postJSON encodes body, posts it, and decodes a single JSON response
+// body into dst.
 func (c *Client) postJSON(ctx context.Context, peer, path string, body, dst any) error {
-	resp, err := c.post(ctx, peer, path, body)
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("cluster: encoding request: %w", err)
+	}
+	resp, err := c.post(ctx, peer, path, buf)
 	if err != nil {
 		return err
 	}
@@ -156,49 +146,37 @@ func (c *Client) postJSON(ctx context.Context, peer, path string, body, dst any)
 	return nil
 }
 
-// Analyze forwards one closed-form evaluation to peer. The analyze
-// surface has no sim block, so only the analytic fields cross the wire.
+// Analyze forwards one closed-form evaluation to peer as the canonical
+// scenario. The analyze surface has no sim block, so it is cleared.
 func (c *Client) Analyze(ctx context.Context, peer string, sc scenario.Scenario) (*compute.Analysis, error) {
-	body := struct {
-		Network scenario.Network `json:"network"`
-		Model   scenario.Model   `json:"model"`
-		R       float64          `json:"r"`
-	}{Network: sc.Network, Model: sc.Model, R: sc.R}
+	sc.Sim = nil
 	var out compute.Analysis
-	if err := c.postJSON(ctx, peer, "/v1/analyze", body, &out); err != nil {
+	if err := c.postJSON(ctx, peer, "/v1/analyze", sc, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// Simulate forwards one simulation to peer. A nil sim block is sent as
-// the canonical defaults — the identical cache key either way.
+// Simulate forwards one simulation to peer as the canonical scenario. A
+// nil sim block is omitted and canonicalizes on the peer to the
+// defaults — the identical cache key either way.
 func (c *Client) Simulate(ctx context.Context, peer string, sc scenario.Scenario) (*compute.SimResult, error) {
-	simBlock := sc.Sim
-	if simBlock == nil {
-		def := scenario.DefaultSim()
-		simBlock = &def
-	}
-	body := struct {
-		Network scenario.Network `json:"network"`
-		Model   scenario.Model   `json:"model"`
-		R       float64          `json:"r"`
-		Sim     scenario.Sim     `json:"sim"`
-	}{Network: sc.Network, Model: sc.Model, R: sc.R, Sim: *simBlock}
 	var out compute.SimResult
-	if err := c.postJSON(ctx, peer, "/v1/simulate", body, &out); err != nil {
+	if err := c.postJSON(ctx, peer, "/v1/simulate", sc, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// SweepShard streams one shard of points through peer, invoking
-// onRecord for every NDJSON record as it arrives (point and error
-// records alike; indices refer to the points argument). A truncated
-// stream returns an error after the records that did arrive — the
-// caller treats unseen indices as failed and retries them locally.
-func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.PointSpec, onRecord func(compute.ShardRecord)) error {
-	resp, err := c.post(ctx, peer, "/v1/cluster/sweep", compute.ShardRequest{Points: points})
+// SweepShard streams one shard through peer, invoking onRecord for
+// every NDJSON record as it arrives (point and error records alike;
+// indices refer to the shard's points). body is an encoded
+// compute.ShardRequest; the coordinator encodes it point by point to
+// keep it under the worker's limits. A truncated stream returns an
+// error after the records that did arrive — the caller treats unseen
+// indices as failed and recomputes them locally.
+func (c *Client) SweepShard(ctx context.Context, peer string, body []byte, onRecord func(compute.ShardRecord)) error {
+	resp, err := c.post(ctx, peer, "/v1/cluster/sweep", body)
 	if err != nil {
 		return err
 	}
@@ -216,10 +194,10 @@ func (c *Client) SweepShard(ctx context.Context, peer string, points []compute.P
 	}
 }
 
-// Probe checks peer's liveness with one GET /healthz — deliberately
-// without the transport retry, so the membership state machine sees
-// every wire fault (hysteresis, not retries, is the flap filter). Any
-// non-200 (a draining peer's 503 included) is a failed probe.
+// Probe checks peer's liveness with one GET /healthz, so the membership
+// state machine sees every wire fault (hysteresis, not retries, is the
+// flap filter). Any non-200 (a draining peer's 503 included) is a
+// failed probe.
 func (c *Client) Probe(ctx context.Context, peer string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 	if err != nil {

@@ -641,8 +641,8 @@ func TestPeerDeathDegradesOnlyItsShard(t *testing.T) {
 // TestSweepJobSurvivesPeerDeathMidSweep is the coordinator-failover
 // acceptance test: a partitioned sweep is submitted as an async job, a
 // peer dies while its shard is in flight, the prober evicts it (ring
-// transition mid-sweep), and the failed indices re-partition under the
-// new ring. The job's streamed records must be byte-identical to a
+// transition mid-sweep), and the undelivered indices recompute on the
+// coordinator. The job's streamed records must be byte-identical to a
 // standalone sweep, the jobs publisher panics on any duplicate emission
 // (the correctness oracle — a panic fails the test), and the evicted
 // peer is visible in mbserve_membership_peers{state="evicted"}.
@@ -664,26 +664,41 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The victim's sweep-point evaluation blocks until released, so its
-	// shard is deterministically in flight when the peer dies.
-	const victimIdx = 2
+	// Ring shares depend on the random ports and can be lopsided (a
+	// 78/16/6 split has been seen), so the coordinator is the instance
+	// with the smallest share, leaving most of the grid to the other two.
+	// Every instance is hooked and the hook skips the coordinator: the
+	// victim is whichever peer starts a sweep point first, and only its
+	// evaluations block until released, so its shard is
+	// deterministically in flight when it dies.
+	var coordIdx, victimIdx atomic.Int32
+	victimIdx.Store(-1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	var startOnce sync.Once
 	insts := startClusterH(t, 3, clusterHarness{
 		wrapLocal: func(i int, b compute.Backend) compute.Backend {
-			if i != victimIdx {
-				return b
-			}
 			return &localHook{Backend: b, beforeSweepPoint: func() {
-				startOnce.Do(func() { close(started) })
-				<-release
+				if i == int(coordIdx.Load()) {
+					return
+				}
+				if victimIdx.CompareAndSwap(-1, int32(i)) {
+					close(started)
+				}
+				if victimIdx.Load() == int32(i) {
+					<-release
+				}
 			}}
 		},
 	})
-	victim := insts[victimIdx]
+	ring := insts[0].backend.Ring()
+	for i, inst := range insts {
+		if ring.Share(inst.url) < ring.Share(insts[coordIdx.Load()].url) {
+			coordIdx.Store(int32(i))
+		}
+	}
+	coord := insts[coordIdx.Load()]
 
-	status, _, jobBody := post(t, insts[0].url, "/v1/jobs", `{"sweep":`+clusterSweepBody+`}`)
+	status, _, jobBody := post(t, coord.url, "/v1/jobs", `{"sweep":`+clusterSweepBody+`}`)
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("job submit = %d: %s", status, jobBody)
 	}
@@ -696,25 +711,26 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 	select {
 	case <-started:
 	case <-time.After(15 * time.Second):
-		t.Fatal("the victim never received a sweep shard")
+		t.Fatal("no peer received a sweep shard")
 	}
+	victim := insts[victimIdx.Load()]
 	// Kill the victim. Close shuts the listener immediately (probes start
 	// being refused) but blocks until the stalled handler returns, so it
 	// runs detached; the coordinator's shard stream stays open until the
 	// client connections are torn down below.
 	closed := make(chan struct{})
 	go func() { victim.ts.Close(); close(closed) }()
-	evictUntil(t, insts[0].mgr, victim.url)
+	evictUntil(t, coord.mgr, victim.url)
 	// The ring has transitioned; now break the in-flight shard stream.
-	// The coordinator sees the transport failure, re-partitions exactly
-	// the undelivered indices under the post-eviction ring, and finishes.
+	// The coordinator sees the transport failure, recomputes exactly the
+	// undelivered indices itself, and finishes.
 	victim.ts.CloseClientConnections()
 	close(release)
 	<-closed
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(insts[0].url + "/v1/jobs/" + job.ID)
+		resp, err := http.Get(coord.url + "/v1/jobs/" + job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,7 +753,7 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	resp, err := http.Get(insts[0].url + "/v1/jobs/" + job.ID + "/results?limit=1000")
+	resp, err := http.Get(coord.url + "/v1/jobs/" + job.ID + "/results?limit=1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -757,10 +773,10 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 			t.Errorf("record %d = %s, want %s", i, page.Records[i], want.Points[i])
 		}
 	}
-	if got := metricSum(t, insts[0].srv, "mbserve_membership_peers", `state="evicted"`); got != 1 {
+	if got := metricSum(t, coord.srv, "mbserve_membership_peers", `state="evicted"`); got != 1 {
 		t.Errorf("mbserve_membership_peers{state=\"evicted\"} = %v, want 1", got)
 	}
-	if v := metricSum(t, insts[0].srv, "mbserve_ring_version"); v < 2 {
+	if v := metricSum(t, coord.srv, "mbserve_ring_version"); v < 2 {
 		t.Errorf("mbserve_ring_version = %v, want >= 2 after the eviction", v)
 	}
 }

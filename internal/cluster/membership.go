@@ -45,7 +45,8 @@ const (
 // the ring built over the in-ring members. Readers load it through an
 // atomic pointer and never lock — the Backend routes and the
 // coordinator partitions against whatever snapshot was current when
-// they started, detecting mid-flight transitions by comparing versions.
+// they started. A transition mid-flight needs no detection: whatever
+// the ring did, a forward or shard that fails recomputes locally.
 type Snapshot struct {
 	Version uint64
 	Ring    *Ring

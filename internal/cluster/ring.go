@@ -1,6 +1,6 @@
 // Package cluster implements horizontal scale-out for mbserve
 // (DESIGN.md §14): a consistent-hash ring over canonical cache keys, an
-// HTTP peer client with one transport retry, a membership manager that
+// HTTP peer client that makes one attempt per call, a membership manager that
 // judges peer health, and a routing compute.Backend that forwards each
 // evaluation to the key's owning instance — where it joins the owner's
 // singleflight, so concurrent identical requests arriving anywhere in

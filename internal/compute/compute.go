@@ -144,6 +144,18 @@ type PointSpec struct {
 	WithSim  bool              `json:"withSim,omitempty"`
 }
 
+// MaxShardPoints and MaxShardBytes bound one POST /v1/cluster/sweep
+// request. The worker refuses a shard of more points; the coordinator
+// ends a chunk at whichever limit comes first. Counting points alone
+// does not keep a chunk under the worker's body limit: at N = 1024,
+// B = 64 a canonical point encodes to 142–214 B for the built-in
+// schemes, and an explicit kclass template with 64 class sizes takes it
+// past 550 B.
+const (
+	MaxShardPoints = 4096
+	MaxShardBytes  = 512 << 10
+)
+
 // ShardRequest is the body of POST /v1/cluster/sweep.
 type ShardRequest struct {
 	Points []PointSpec `json:"points"`
@@ -152,7 +164,7 @@ type ShardRequest struct {
 // ShardRecord is one NDJSON record of a POST /v1/cluster/sweep
 // response: the point at index Index of the request's points, or the
 // error envelope object ({"code","message",...}) when it failed. Error stays raw on
-// the coordinator side, which retries failed indices locally where the
+// the coordinator side, which recomputes failed indices locally where the
 // same failure re-classifies natively.
 type ShardRecord struct {
 	Index int             `json:"i"`

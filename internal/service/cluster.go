@@ -25,11 +25,7 @@ import (
 // request's points array; the coordinator maps them back to global grid
 // indices, which is how the merged sweep stays in deterministic grid
 // order regardless of peer completion interleaving. Per-point errors never abort the shard —
-// the coordinator retries failed indices locally.
-
-// maxClusterPoints bounds one shard request, mirroring maxBatchItems'
-// role for /v1/batch; coordinators chunk larger shards.
-const maxClusterPoints = 4096
+// the coordinator recomputes failed indices locally.
 
 // handleClusterSweep serves POST /v1/cluster/sweep.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
@@ -41,9 +37,9 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, fmt.Errorf("%w: points list is empty", errBadRequest))
 		return
 	}
-	if len(req.Points) > maxClusterPoints {
+	if len(req.Points) > compute.MaxShardPoints {
 		writeClassified(w, fmt.Errorf("%w: %d points exceed the %d-point shard limit",
-			errBadRequest, len(req.Points), maxClusterPoints))
+			errBadRequest, len(req.Points), compute.MaxShardPoints))
 		return
 	}
 	// Build every point up front: invalid scenarios become per-point
@@ -81,7 +77,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Each point is admitted on its own cache miss, on the sweep route: a
 	// worker saturated by local traffic sheds single points as overloaded
-	// records, which the coordinator retries locally like any failure.
+	// records, which the coordinator recomputes locally like any failure.
 	// The pool is sized like a sweep's (see sweepSpec), so the shard never
 	// sheds its own points.
 	// The pool only stops early when the request context ends, and the

@@ -7,6 +7,8 @@
 #   - a forwarded request answers 200, and repeating it on the same
 #     instance is an X-Cache: hit with a byte-identical body
 #   - the same request on every instance returns byte-identical bodies
+#   - a small simulate on every instance is byte-identical to the
+#     standalone instance's
 #   - peer 1's partitioned /v1/sweep merge is byte-for-byte identical
 #     to the standalone instance's sweep
 #   - peer traffic is visible in mbserve_peer_requests_total
@@ -93,6 +95,20 @@ cmp -s "$WORK/body0" "$WORK/body1" && cmp -s "$WORK/body1" "$WORK/body2" || {
     exit 1
 }
 echo "cluster-smoke: analyze byte-identical across all 3 instances"
+
+# A small simulation through every instance: the two non-owners forward
+# it, and every answer must match the standalone instance's bytes.
+SIMULATE='{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"hier"},"r":0.5,"sim":{"cycles":2000,"seed":3}}'
+STATUS="$(curl -s -o "$WORK/sim-ref" -w '%{http_code}' -X POST "http://$REF/v1/simulate" -d "$SIMULATE")"
+[ "$STATUS" = 200 ] || { echo "cluster-smoke: standalone simulate returned $STATUS"; exit 1; }
+i=0
+for SELF in "$P1" "$P2" "$P3"; do
+    STATUS="$(curl -s -o "$WORK/sim$i" -w '%{http_code}' -X POST "$SELF/v1/simulate" -d "$SIMULATE")"
+    [ "$STATUS" = 200 ] || { echo "cluster-smoke: simulate via $SELF returned $STATUS"; exit 1; }
+    cmp -s "$WORK/sim-ref" "$WORK/sim$i" || { echo "cluster-smoke: simulate via $SELF differs from standalone"; exit 1; }
+    i=$((i + 1))
+done
+echo "cluster-smoke: simulate byte-identical to standalone on all 3 instances"
 
 # Repeat on one instance: after the first (possibly forwarded) answer
 # was cached locally, the repeat must be a local X-Cache hit with the
