@@ -38,14 +38,15 @@
 // or -join with any running member's URL, and evaluations route to each
 // key's consistent-hash owner, joining the owner's singleflight so
 // identical requests anywhere in the cluster compute once. Membership
-// is elastic: a background prober (period -probe-interval) suspects,
-// confirms, and evicts peers that stop answering /healthz, and joiners
-// announce themselves into the ring. Any instance partitions the sweep
-// grids it serves across the ring. GET /readyz answers 503 until the
-// instance holds its initial membership view (with -join: until the
-// seed's view is adopted) — point load-balancer readiness there,
-// liveness at /healthz. A single-instance deployment omits the cluster
-// flags and pays no cluster overhead.
+// is elastic: a background prober (about once a second) suspects,
+// confirms, and evicts peers that stop answering /healthz, and every
+// instance announces its own join at startup (with -join: to the seed
+// and every member in the seed's view) and its leave at shutdown.
+// Any instance partitions the sweep grids it serves across the ring.
+// GET /readyz answers 503 until the join has been announced — point
+// load-balancer readiness there, liveness at /healthz. A
+// single-instance deployment omits the cluster flags and pays no
+// cluster overhead.
 package main
 
 import (
@@ -69,29 +70,27 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		cacheSize     = flag.Int("cache-size", service.DefaultCacheSize, "analysis cache capacity (entries)")
-		timeout       = flag.Duration("timeout", service.DefaultTimeout, "per-request computation deadline")
-		maxBody       = flag.Int64("max-body", service.DefaultMaxBodyBytes, "request body size limit (bytes)")
-		drain         = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
-		admit         = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
-		queue         = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
-		jobsMax       = flag.Int("jobs", 0, "max resident async jobs (0 = default)")
-		peers         = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
-		self          = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
-		join          = flag.String("join", "", "base URL of a running cluster member to join through (alternative to -peers)")
-		probeInterval = flag.Duration("probe-interval", 0, "membership health-probe period, jittered ±25% (0 = default 1s)")
-		logFlags      = cliutil.RegisterLogFlags(flag.CommandLine)
+		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+		cacheSize = flag.Int("cache-size", service.DefaultCacheSize, "analysis cache capacity (entries)")
+		timeout   = flag.Duration("timeout", service.DefaultTimeout, "per-request computation deadline")
+		maxBody   = flag.Int64("max-body", service.DefaultMaxBodyBytes, "request body size limit (bytes)")
+		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
+		admit     = flag.Int("admit", 0, "admission limit in compute units (0 = 2×GOMAXPROCS, min 4)")
+		queue     = flag.Int("queue", 0, "admission wait-queue depth (0 = default, negative = shed immediately)")
+		jobsMax   = flag.Int("jobs", 0, "max resident async jobs (0 = default)")
+		peers     = flag.String("peers", "", "comma-separated base URLs seeding the cluster membership (empty = single instance)")
+		self      = flag.String("self", "", "this instance's own base URL (required with -peers or -join)")
+		join      = flag.String("join", "", "base URL of a running cluster member to join through (alternative to -peers)")
+		logFlags  = cliutil.RegisterLogFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	logger, err := logFlags.Logger(os.Stderr)
 	if err == nil {
 		var backend *cluster.Backend
 		backend, err = buildCluster(logger, clusterFlags{
-			peers:         *peers,
-			self:          *self,
-			join:          *join,
-			probeInterval: *probeInterval,
+			peers: *peers,
+			self:  *self,
+			join:  *join,
 		})
 		if err == nil {
 			err = run(logger, *addr, *drain, *join, backend, service.Options{
@@ -118,10 +117,9 @@ func main() {
 
 // clusterFlags bundles the cluster-mode flag values.
 type clusterFlags struct {
-	peers         string
-	self          string
-	join          string
-	probeInterval time.Duration
+	peers string
+	self  string
+	join  string
 }
 
 // buildCluster parses the cluster flags into a routing backend (nil
@@ -149,11 +147,7 @@ func buildCluster(logger *slog.Logger, cf clusterFlags) (*cluster.Backend, error
 			list[i] = strings.TrimSpace(list[i])
 		}
 	}
-	mgr, err := cluster.NewManager(cluster.ManagerOptions{
-		Self:          cf.self,
-		Peers:         list,
-		ProbeInterval: cf.probeInterval,
-	})
+	mgr, err := cluster.NewManager(cluster.ManagerOptions{Self: cf.self, Peers: list})
 	if err != nil {
 		return nil, err
 	}
@@ -203,16 +197,15 @@ func run(logger *slog.Logger, addr string, drain time.Duration, join string, bac
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	if backend != nil {
-		// Cluster startup, in order: join through the seed member (if
-		// -join), open /readyz, then start the health prober. All after
-		// the listener is up — peers probe back.
-		if join != "" {
-			joinCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-			if err := backend.Manager().Join(joinCtx, join); err != nil {
-				logger.Warn("cluster join failed; continuing with local view", "seed", join, "err", err)
-			}
-			cancel()
+		// Cluster startup, in order: announce the join (through the seed
+		// member with -join, straight to the -peers list otherwise), open
+		// /readyz, then start the health prober. All after the listener
+		// is up — peers probe back.
+		joinCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		if err := backend.Manager().Join(joinCtx, join); err != nil {
+			logger.Warn("cluster join failed; continuing with local view", "seed", join, "err", err)
 		}
+		cancel()
 		srv.StartCluster(ctx)
 		backend.Manager().Start(ctx)
 	}

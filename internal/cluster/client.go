@@ -218,9 +218,9 @@ func (c *Client) Probe(ctx context.Context, peer string) error {
 
 // ApplyMembership posts one join/leave application to peer and returns
 // the peer's resulting view.
-func (c *Client) ApplyMembership(ctx context.Context, peer, op, subject string, propagate bool) (compute.MembershipView, error) {
+func (c *Client) ApplyMembership(ctx context.Context, peer, op, subject string) (compute.MembershipView, error) {
 	var view compute.MembershipView
 	err := c.postJSON(ctx, peer, "/v1/cluster/membership",
-		compute.MembershipRequest{Op: op, Peer: subject, Propagate: propagate}, &view)
+		compute.MembershipRequest{Op: op, Peer: subject}, &view)
 	return view, err
 }

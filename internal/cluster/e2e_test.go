@@ -91,48 +91,56 @@ func startClusterH(t *testing.T, n int, hz clusterHarness) []*instance {
 	}
 	insts := make([]*instance, n)
 	for i := range insts {
-		inst := &instance{url: urls[i]}
-		analyze := compute.AnalyzeFunc(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
-			inst.computes.Add(1)
-			return compute.Local().Analyze(ctx, b)
-		})
-		if hz.wrapAnalyze != nil {
-			analyze = hz.wrapAnalyze(i, analyze)
-		}
-		var local compute.Backend = compute.NewLocal(analyze, nil)
-		if hz.wrapLocal != nil {
-			local = hz.wrapLocal(i, local)
-		}
-		var httpClient *http.Client
-		if hz.httpFor != nil {
-			httpClient = hz.httpFor(i)
-		}
-		mgr, err := cluster.NewManager(cluster.ManagerOptions{Self: urls[i], Peers: urls, HTTP: httpClient})
-		if err != nil {
-			t.Fatal(err)
-		}
-		backend, err := cluster.New(cluster.Options{Manager: mgr, Local: local})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := service.Options{Backend: backend, Cluster: mgr}
-		if hz.serviceOpts != nil {
-			hz.serviceOpts(i, &opts)
-		}
-		srv, err := service.New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backend.Register(srv.Metrics())
-		ts := httptest.NewUnstartedServer(srv.Handler())
-		ts.Listener.Close()
-		ts.Listener = lns[i]
-		ts.Start()
-		t.Cleanup(ts.Close)
-		inst.srv, inst.backend, inst.mgr, inst.ts = srv, backend, mgr, ts
-		insts[i] = inst
+		insts[i] = serveInstance(t, i, lns[i], urls, hz)
 	}
 	return insts
+}
+
+// serveInstance boots instance i of a harness on ln, its membership
+// seeded with peers (nil for an instance that learns the cluster by
+// joining through a seed).
+func serveInstance(t *testing.T, i int, ln net.Listener, peers []string, hz clusterHarness) *instance {
+	t.Helper()
+	inst := &instance{url: "http://" + ln.Addr().String()}
+	analyze := compute.AnalyzeFunc(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
+		inst.computes.Add(1)
+		return compute.Local().Analyze(ctx, b)
+	})
+	if hz.wrapAnalyze != nil {
+		analyze = hz.wrapAnalyze(i, analyze)
+	}
+	var local compute.Backend = compute.NewLocal(analyze, nil)
+	if hz.wrapLocal != nil {
+		local = hz.wrapLocal(i, local)
+	}
+	var httpClient *http.Client
+	if hz.httpFor != nil {
+		httpClient = hz.httpFor(i)
+	}
+	mgr, err := cluster.NewManager(cluster.ManagerOptions{Self: inst.url, Peers: peers, HTTP: httpClient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := cluster.New(cluster.Options{Manager: mgr, Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := service.Options{Backend: backend, Cluster: mgr}
+	if hz.serviceOpts != nil {
+		hz.serviceOpts(i, &opts)
+	}
+	srv, err := service.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend.Register(srv.Metrics())
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	inst.srv, inst.backend, inst.mgr, inst.ts = srv, backend, mgr, ts
+	return inst
 }
 
 // evictUntil drives probe rounds on m until peer is evicted — the
@@ -172,6 +180,22 @@ func waitPeersEqual(t *testing.T, ms ...*cluster.Manager) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// leastShare returns the index of the instance owning the smallest share
+// of the ring. Shares depend on the random ports and can be lopsided (a
+// 78/16/6 split has been seen), so a sweep coordinated from this
+// instance leaves most of its grid to the others: with 36 points, the
+// chance that none leaves is below 3^-36.
+func leastShare(insts []*instance) int {
+	ring := insts[0].backend.Ring()
+	least := 0
+	for i, inst := range insts {
+		if ring.Share(inst.url) < ring.Share(insts[least].url) {
+			least = i
+		}
+	}
+	return least
 }
 
 // post sends body to url+path and returns status, X-Cache, and body.
@@ -376,21 +400,23 @@ func TestCoordinatorSweepByteIdenticalToSingleInstance(t *testing.T) {
 	defer sts.Close()
 
 	insts := startCluster(t, 3, nil)
+	coord := insts[leastShare(insts)]
 
 	status, _, want := post(t, sts.URL, "/v1/sweep", clusterSweepBody)
 	if status != http.StatusOK {
 		t.Fatalf("standalone sweep = %d: %s", status, want)
 	}
-	status, _, got := post(t, insts[0].url, "/v1/sweep", clusterSweepBody)
+	status, _, got := post(t, coord.url, "/v1/sweep", clusterSweepBody)
 	if status != http.StatusOK {
 		t.Fatalf("coordinator sweep = %d: %s", status, got)
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("coordinator sweep differs from standalone:\nstandalone:  %s\ncoordinator: %s", want, got)
 	}
-	// The 36-point grid all but surely spans every peer; at least one
-	// shard must have gone over the wire.
-	if forwards := metricSum(t, insts[0].srv, "mbserve_peer_requests_total", `result="ok"`); forwards < 1 {
+	// The coordinator owns the smallest share, so the 36-point grid all
+	// but surely leaves points to its peers; at least one shard must have
+	// gone over the wire.
+	if forwards := metricSum(t, coord.srv, "mbserve_peer_requests_total", `result="ok"`); forwards < 1 {
 		t.Errorf("coordinator forwarded no shards (peer ok count = %v)", forwards)
 	}
 }
@@ -400,32 +426,36 @@ func TestCoordinatorSweepByteIdenticalToSingleInstance(t *testing.T) {
 // an overloaded record per point; the coordinator retries every one of
 // them locally, and the merged sweep is still byte-identical to a
 // standalone instance's. Both peers shed, so the test does not depend on
-// how the random ports split the grid between them.
+// how the random ports split the grid between them. Every instance has
+// the one unit, since the coordinator is picked after boot; its own
+// unit stays free, and it evaluates its shard and then the retries
+// through a pool of one.
 func TestCoordinatorSweepMergesAroundSheddingPeer(t *testing.T) {
 	const heldRate = 0.125
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	insts := startClusterH(t, 3, clusterHarness{
-		wrapAnalyze: func(i int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
+		wrapAnalyze: func(_ int, fn compute.AnalyzeFunc) compute.AnalyzeFunc {
 			return func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
-				if i != 0 && b.Scenario.R == heldRate {
+				if b.Scenario.R == heldRate {
 					entered <- struct{}{}
 					<-release
 				}
 				return fn(ctx, b)
 			}
 		},
-		serviceOpts: func(i int, o *service.Options) {
-			if i != 0 {
-				o.AdmissionLimit, o.QueueDepth = 1, -1
-			}
+		serviceOpts: func(_ int, o *service.Options) {
+			o.AdmissionLimit, o.QueueDepth = 1, -1
 		},
 	})
+	ci := leastShare(insts)
+	coord := insts[ci]
+	peers := append(append([]*instance(nil), insts[:ci]...), insts[ci+1:]...)
 	// Park an analyze in each peer's only slot. The hop-guard header
 	// makes the peer compute it locally whichever instance owns the key.
 	var held sync.WaitGroup
 	body, _ := analyzeScenarioAt(t, heldRate)
-	for _, peer := range insts[1:] {
+	for _, peer := range peers {
 		held.Add(1)
 		go func(url string) {
 			defer held.Done()
@@ -434,7 +464,7 @@ func TestCoordinatorSweepMergesAroundSheddingPeer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			req.Header.Set(compute.ForwardedHeader, insts[0].url)
+			req.Header.Set(compute.ForwardedHeader, coord.url)
 			if resp, err := http.DefaultClient.Do(req); err == nil {
 				resp.Body.Close()
 			}
@@ -456,17 +486,18 @@ func TestCoordinatorSweepMergesAroundSheddingPeer(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("standalone sweep = %d: %s", status, want)
 	}
-	status, _, got := post(t, insts[0].url, "/v1/sweep", clusterSweepBody)
+	status, _, got := post(t, coord.url, "/v1/sweep", clusterSweepBody)
 	if status != http.StatusOK {
 		t.Fatalf("coordinator sweep = %d: %s", status, got)
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("coordinator sweep differs from standalone:\nstandalone:  %s\ncoordinator: %s", want, got)
 	}
-	// The 36-point grid all but surely gives the peers a shard, and every
-	// point of it was shed there.
+	// The coordinator owns the smallest share, so the 36-point grid all
+	// but surely gives the peers a shard, and every point of it was shed
+	// there.
 	var shed float64
-	for _, peer := range insts[1:] {
+	for _, peer := range peers {
 		shed += metricSum(t, peer.srv, "mbserve_shed_total", `route="sweep"`)
 	}
 	if shed < 1 {
@@ -664,9 +695,8 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ring shares depend on the random ports and can be lopsided (a
-	// 78/16/6 split has been seen), so the coordinator is the instance
-	// with the smallest share, leaving most of the grid to the other two.
+	// The coordinator is the instance with the smallest ring share
+	// (leastShare), leaving most of the grid to the other two.
 	// Every instance is hooked and the hook skips the coordinator: the
 	// victim is whichever peer starts a sweep point first, and only its
 	// evaluations block until released, so its shard is
@@ -690,12 +720,7 @@ func TestSweepJobSurvivesPeerDeathMidSweep(t *testing.T) {
 			}}
 		},
 	})
-	ring := insts[0].backend.Ring()
-	for i, inst := range insts {
-		if ring.Share(inst.url) < ring.Share(insts[coordIdx.Load()].url) {
-			coordIdx.Store(int32(i))
-		}
-	}
+	coordIdx.Store(int32(leastShare(insts)))
 	coord := insts[coordIdx.Load()]
 
 	status, _, jobBody := post(t, coord.url, "/v1/jobs", `{"sweep":`+clusterSweepBody+`}`)
@@ -822,39 +847,16 @@ func TestEvictedPeerRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var computes2 atomic.Int64
-	mgr2, err := cluster.NewManager(cluster.ManagerOptions{Self: victim.url})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend2, err := cluster.New(cluster.Options{
-		Manager: mgr2,
-		Local: compute.NewLocal(func(ctx context.Context, b *scenario.Built) (*compute.Analysis, error) {
-			computes2.Add(1)
-			return compute.Local().Analyze(ctx, b)
-		}, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := service.New(service.Options{Backend: backend2, Cluster: mgr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend2.Register(srv2.Metrics())
-	ts2 := httptest.NewUnstartedServer(srv2.Handler())
-	ts2.Listener.Close()
-	ts2.Listener = ln
-	ts2.Start()
-	t.Cleanup(ts2.Close)
+	reborn := serveInstance(t, 2, ln, nil, clusterHarness{})
 
-	// Join through a seed member; the seed's response view (adopted
-	// locally) and its gossip fan-out converge all three views.
-	if err := mgr2.Join(context.Background(), insts[0].url); err != nil {
+	// Join through a seed member: the seed's view is adopted locally,
+	// and the join announced to every member in it converges all three
+	// views.
+	if err := reborn.mgr.Join(context.Background(), insts[0].url); err != nil {
 		t.Fatal(err)
 	}
-	waitPeersEqual(t, insts[0].mgr, insts[1].mgr, mgr2)
-	if got := len(mgr2.Peers()); got != 3 {
+	waitPeersEqual(t, insts[0].mgr, insts[1].mgr, reborn.mgr)
+	if got := len(reborn.mgr.Peers()); got != 3 {
 		t.Fatalf("rejoined ring has %d members, want 3", got)
 	}
 
@@ -865,8 +867,81 @@ func TestEvictedPeerRejoins(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("post-rejoin answer differs from the pre-death one:\n%s\n%s", want, got)
 	}
-	if computes2.Load() != 1 {
-		t.Errorf("rejoined owner computed %d times, want 1 (it owns the key again)", computes2.Load())
+	if n := reborn.computes.Load(); n != 1 {
+		t.Errorf("rejoined owner computed %d times, want 1 (it owns the key again)", n)
+	}
+}
+
+// TestGracefullyRestartedPeerRejoins: an instance that leaves on
+// shutdown and restarts on the same address with the same peer list
+// announces its join, and every other member lists it alive again. A
+// left member is never probed back in, so without the announcement it
+// would stay out of every ring.
+func TestGracefullyRestartedPeerRejoins(t *testing.T) {
+	insts := startCluster(t, 3, nil)
+	victim := insts[2]
+	victim.mgr.Leave(context.Background())
+	for _, inst := range insts[:2] {
+		if st := inst.mgr.MemberStates()[victim.url]; st != cluster.StateLeft {
+			t.Fatalf("%s lists the departed peer as %s, want left", inst.url, st)
+		}
+	}
+	victim.ts.Close()
+
+	ln, err := net.Listen("tcp", strings.TrimPrefix(victim.url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{insts[0].url, insts[1].url, victim.url}
+	reborn := serveInstance(t, 2, ln, urls, clusterHarness{})
+	if err := reborn.mgr.Join(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range insts[:2] {
+		if st := inst.mgr.MemberStates()[victim.url]; st != cluster.StateAlive {
+			t.Errorf("%s lists the restarted peer as %s, want alive", inst.url, st)
+		}
+	}
+	waitPeersEqual(t, insts[0].mgr, insts[1].mgr, reborn.mgr)
+}
+
+// failTransport fails every request before it reaches the network.
+type failTransport struct{}
+
+func (failTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return nil, errDropped
+}
+
+// TestJoinReachesMembersTheSeedCannot: the joiner announces itself to
+// every member of the seed's view, so a member the seed cannot reach
+// still lists the joiner alive as soon as Join returns.
+func TestJoinReachesMembersTheSeedCannot(t *testing.T) {
+	insts := startClusterH(t, 3, clusterHarness{
+		httpFor: func(i int) *http.Client {
+			if i != 0 {
+				return nil
+			}
+			return &http.Client{Transport: failTransport{}}
+		},
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := serveInstance(t, 3, ln, nil, clusterHarness{})
+	if err := joiner.mgr.Join(context.Background(), insts[0].url); err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range insts {
+		if st := inst.mgr.MemberStates()[joiner.url]; st != cluster.StateAlive {
+			t.Errorf("%s lists the joiner as %s, want alive", inst.url, st)
+		}
+	}
+	if got := len(joiner.mgr.Peers()); got != 4 {
+		t.Errorf("joiner's ring has %d members, want 4", got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // (rejoinAfter consecutive successes re-admit an evicted peer) —
 // hysteresis in both directions, so a flapping peer cannot thrash the
 // ring on every blip. Left members are not probed: a deliberate
-// departure returns only via an explicit join.
+// departure returns only when the instance announces its own join.
 
 // ProbeOnce runs one synchronous probe round over every probeable
 // member, in sorted order (deterministic tests drive rounds directly),
@@ -112,13 +112,13 @@ func (m *Manager) observe(peer string, ok bool) bool {
 	return mb.state != prev && m.rebuildLocked(false)
 }
 
-// nextProbeDelay draws one round's sleep: the probe interval jittered to
-// [0.75, 1.25)× from the manager's own seeded stream.
+// nextProbeDelay draws one round's sleep: DefaultProbeInterval jittered
+// to [0.75, 1.25)× from the manager's own seeded stream.
 func (m *Manager) nextProbeDelay() time.Duration {
 	m.mu.Lock()
 	u := m.jitter.Float64()
 	m.mu.Unlock()
-	return time.Duration(float64(m.probeInterval) * (0.75 + 0.5*u))
+	return time.Duration(float64(DefaultProbeInterval) * (0.75 + 0.5*u))
 }
 
 // Start runs the background probe loop until ctx is canceled. Each

@@ -18,8 +18,8 @@ import (
 // the ring — suspicion is a grace period, not an eviction — while
 // evicted and left members are out of it but stay known: evicted peers
 // keep being probed (so a recovered peer rejoins after the hysteresis
-// streak), left peers departed deliberately and return only via an
-// explicit join.
+// streak), left peers departed deliberately and return only when they
+// announce their own join (Join).
 const (
 	StateAlive   = "alive"
 	StateSuspect = "suspect"
@@ -70,11 +70,6 @@ type ManagerOptions struct {
 	// HTTP overrides the peer transport (nil = http.DefaultClient) —
 	// the seam tests use to make peer calls fail.
 	HTTP *http.Client
-
-	// ProbeInterval is the base health-probe period; each round's actual
-	// sleep is jittered ±25% from a stream seeded by Self, so probe
-	// storms never synchronize across a fleet. 0 = DefaultProbeInterval.
-	ProbeInterval time.Duration
 }
 
 // Manager owns the mutable, versioned membership view: seeded from the
@@ -83,17 +78,16 @@ type ManagerOptions struct {
 // published as immutable Snapshots through an atomic pointer. The
 // prober and the Backend's forward outcomes feed one per-peer state
 // machine, the only judge of peer health. Its Client is the one every
-// peer call shares — forwards, shards, probes, and membership gossip
-// ride one injectable transport.
+// peer call shares — forwards, shards, probes, and membership
+// announcements ride one injectable transport.
 type Manager struct {
-	self          string
-	client        *Client
-	probeInterval time.Duration
+	self   string
+	client *Client
 
 	mu      sync.Mutex
 	members map[string]*member
 	version uint64
-	jitter  *rng.Rand // probe-interval jitter, under mu
+	jitter  *rng.Rand // probe jitter, under mu
 
 	snap atomic.Pointer[Snapshot]
 	reg  atomic.Pointer[registryHook]
@@ -106,16 +100,12 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 		return nil, fmt.Errorf("cluster: membership needs a self URL")
 	}
 	m := &Manager{
-		self:          opts.Self,
-		client:        &Client{HTTP: opts.HTTP, Self: opts.Self},
-		probeInterval: opts.ProbeInterval,
-		members:       make(map[string]*member),
+		self:    opts.Self,
+		client:  &Client{HTTP: opts.HTTP, Self: opts.Self},
+		members: make(map[string]*member),
 		// Seeded by the instance's own URL: each member of a fleet draws
 		// its own jitter stream, and a restarted member draws the same one.
 		jitter: sim.NewSeededRand(int64(fnv64a(opts.Self))),
-	}
-	if m.probeInterval <= 0 {
-		m.probeInterval = DefaultProbeInterval
 	}
 	m.members[opts.Self] = &member{state: StateAlive}
 	for _, p := range opts.Peers {
@@ -134,7 +124,7 @@ func NewManager(opts ManagerOptions) (*Manager, error) {
 }
 
 // Client exposes the manager's peer client (the Backend shares it, so
-// forwards, shards, probes, and gossip ride one transport).
+// forwards, shards, probes, and announcements ride one transport).
 func (m *Manager) Client() *Client { return m.client }
 
 // Self returns this instance's own URL.
@@ -208,13 +198,11 @@ func equalStrings(a, b []string) bool {
 }
 
 // Apply mutates the membership: op is "join" or "leave", peer the
-// subject. Applications are idempotent — a no-change apply reports
-// changed=false, which is what terminates gossip propagation. When
-// propagate is set and the application changed anything, the change is
-// fanned out (best-effort, in the background) to every other in-ring
-// member with propagation disabled, so one announcement reaches the
-// whole cluster without echo storms.
-func (m *Manager) Apply(ctx context.Context, op, peer string, propagate bool) (version uint64, peers []string, changed bool, err error) {
+// subject. Applications are idempotent — re-applying a change reports
+// changed=false. Each instance announces its own join and leave to
+// every member it knows (Join, Leave), so an application is never
+// passed on.
+func (m *Manager) Apply(op, peer string) (version uint64, peers []string, changed bool, err error) {
 	peer = strings.TrimSpace(peer)
 	if peer == "" {
 		return 0, nil, false, fmt.Errorf("cluster: membership %s needs a peer URL", op)
@@ -222,24 +210,12 @@ func (m *Manager) Apply(ctx context.Context, op, peer string, propagate bool) (v
 	m.mu.Lock()
 	switch op {
 	case "join":
-		if peer != m.self {
-			mb, ok := m.members[peer]
-			if !ok {
-				m.members[peer] = &member{state: StateAlive}
-				changed = true
-			} else if mb.state != StateAlive {
-				mb.state = StateAlive
-				mb.fails, mb.oks = 0, 0
-				changed = true
-			}
-		}
+		changed = m.admitLocked(peer)
 	case "leave":
-		if peer != m.self {
-			if mb, ok := m.members[peer]; ok && mb.state != StateLeft {
-				mb.state = StateLeft
-				mb.fails, mb.oks = 0, 0
-				changed = true
-			}
+		if mb, ok := m.members[peer]; ok && peer != m.self && mb.state != StateLeft {
+			mb.state = StateLeft
+			mb.fails, mb.oks = 0, 0
+			changed = true
 		}
 	default:
 		m.mu.Unlock()
@@ -250,86 +226,81 @@ func (m *Manager) Apply(ctx context.Context, op, peer string, propagate bool) (v
 	}
 	snap := m.snap.Load()
 	m.mu.Unlock()
-
-	if changed && propagate {
-		m.propagate(op, peer)
-	}
 	return snap.Version, snap.Ring.Peers(), changed, nil
 }
 
-// Adopt merges a cluster view received from a seed member: every listed
-// peer becomes alive. It is how a joining instance (whose initial
-// membership is just itself) learns the cluster it joined.
-func (m *Manager) Adopt(peers []string) {
-	m.mu.Lock()
-	changed := false
-	for _, p := range peers {
-		p = strings.TrimSpace(p)
-		if p == "" || p == m.self {
-			continue
-		}
-		mb, ok := m.members[p]
-		if !ok {
-			m.members[p] = &member{state: StateAlive}
-			changed = true
-		} else if mb.state != StateAlive {
-			mb.state = StateAlive
-			mb.fails, mb.oks = 0, 0
-			changed = true
-		}
+// admitLocked marks peer alive, adding it if unknown, and reports
+// whether that changed anything. Caller holds mu.
+func (m *Manager) admitLocked(peer string) bool {
+	if peer == m.self {
+		return false
 	}
-	if changed {
-		m.rebuildLocked(false)
+	mb, ok := m.members[peer]
+	if !ok {
+		m.members[peer] = &member{state: StateAlive}
+		return true
 	}
-	m.mu.Unlock()
+	if mb.state == StateAlive {
+		return false
+	}
+	mb.state = StateAlive
+	mb.fails, mb.oks = 0, 0
+	return true
 }
 
-// propagate fans one membership change out to every other in-ring
-// member, propagation disabled (the idempotent apply on each receiver
-// terminates the gossip). Best-effort and detached: a peer that missed
-// the announcement converges via its own prober.
-func (m *Manager) propagate(op, subject string) {
-	for _, p := range m.Peers() {
-		if p == m.self || p == subject {
-			continue
-		}
-		peer := p
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*probeTimeout)
-			defer cancel()
-			_, _ = m.client.ApplyMembership(ctx, peer, op, subject, false)
-		}()
-	}
-}
-
-// Join announces this instance to a running cluster through seed: the
-// seed applies the join, fans it out, and answers with its full view,
-// which is adopted locally. Used by mbserve -join at startup and by
-// rejoining instances after a restart.
+// Join announces this instance's arrival to every member it knows. With
+// a seed (mbserve -join, whose initial view is just itself), the seed
+// applies the join first and its view is adopted, so the announcement
+// reaches the whole cluster the seed knows. Without one (mbserve
+// -peers), the seed list is the view — which is how an instance that
+// left gracefully and restarted with the same flags re-enters its
+// peers' rings.
 func (m *Manager) Join(ctx context.Context, seed string) error {
-	view, err := m.client.ApplyMembership(ctx, seed, "join", m.self, true)
-	if err != nil {
-		return fmt.Errorf("cluster: joining via %s: %w", seed, err)
+	if seed != "" {
+		view, err := m.client.ApplyMembership(ctx, seed, "join", m.self)
+		if err != nil {
+			return fmt.Errorf("cluster: joining via %s: %w", seed, err)
+		}
+		m.mu.Lock()
+		changed := false
+		for _, p := range view.Peers {
+			if p = strings.TrimSpace(p); p != "" && m.admitLocked(p) {
+				changed = true
+			}
+		}
+		if changed {
+			m.rebuildLocked(false)
+		}
+		m.mu.Unlock()
 	}
-	m.Adopt(view.Peers)
+	m.announce(ctx, "join")
 	return nil
 }
 
 // Leave announces this instance's graceful departure to every other
 // in-ring member — before healthz flips to draining, so peers stop
-// routing here while this instance still answers. Best-effort: a peer
-// that misses the announcement evicts this instance through its prober.
-func (m *Manager) Leave(ctx context.Context) {
-	m.mu.Lock()
-	var others []string
-	for p, mb := range m.members {
-		if p != m.self && (mb.state == StateAlive || mb.state == StateSuspect) {
-			others = append(others, p)
+// routing here while this instance still answers. A peer that misses
+// the announcement evicts this instance through its prober.
+func (m *Manager) Leave(ctx context.Context) { m.announce(ctx, "leave") }
+
+// announce applies op for this instance on every other in-ring member,
+// concurrently, one attempt each bounded by 2×probeTimeout, and returns
+// once every attempt has ended. Best-effort: a member that is not up
+// yet refuses at once and announces itself when it starts, and one that
+// misses a leave evicts this instance through its prober.
+func (m *Manager) announce(ctx context.Context, op string) {
+	var wg sync.WaitGroup
+	for _, p := range m.Peers() {
+		if p == m.self {
+			continue
 		}
+		wg.Add(1)
+		go func(peer string) {
+			defer wg.Done()
+			actx, cancel := context.WithTimeout(ctx, 2*probeTimeout)
+			defer cancel()
+			_, _ = m.client.ApplyMembership(actx, peer, op, m.self)
+		}(p)
 	}
-	sort.Strings(others)
-	m.mu.Unlock()
-	for _, peer := range others {
-		_, _ = m.client.ApplyMembership(ctx, peer, "leave", m.self, false)
-	}
+	wg.Wait()
 }

@@ -137,40 +137,39 @@ func TestObserveProbeHysteresis(t *testing.T) {
 	}
 }
 
-// TestApplyJoinLeaveIdempotent pins the gossip-termination property:
-// re-applying a change reports changed=false.
+// TestApplyJoinLeaveIdempotent pins idempotence: re-applying a change
+// reports changed=false.
 func TestApplyJoinLeaveIdempotent(t *testing.T) {
 	m := newTestManager(t, testPeers[0], testPeers[:2])
-	ctx := context.Background()
 	newcomer := testPeers[2]
 
-	_, peers, changed, err := m.Apply(ctx, "join", newcomer, false)
+	_, peers, changed, err := m.Apply("join", newcomer)
 	if err != nil || !changed {
 		t.Fatalf("join: changed=%v err=%v", changed, err)
 	}
 	if len(peers) != 3 {
 		t.Fatalf("ring has %d peers after join, want 3", len(peers))
 	}
-	if _, _, changed, _ := m.Apply(ctx, "join", newcomer, false); changed {
+	if _, _, changed, _ := m.Apply("join", newcomer); changed {
 		t.Fatal("re-applied join reported a change")
 	}
-	if _, _, changed, _ := m.Apply(ctx, "leave", newcomer, false); !changed {
+	if _, _, changed, _ := m.Apply("leave", newcomer); !changed {
 		t.Fatal("leave reported no change")
 	}
-	if _, _, changed, _ := m.Apply(ctx, "leave", newcomer, false); changed {
+	if _, _, changed, _ := m.Apply("leave", newcomer); changed {
 		t.Fatal("re-applied leave reported a change")
 	}
 	if st := m.MemberStates()[newcomer]; st != StateLeft {
 		t.Fatalf("state after leave = %s, want left", st)
 	}
 	// Left is terminal for the prober but not for an explicit join.
-	if _, _, changed, _ := m.Apply(ctx, "join", newcomer, false); !changed {
+	if _, _, changed, _ := m.Apply("join", newcomer); !changed {
 		t.Fatal("explicit join did not re-admit a left peer")
 	}
-	if _, _, _, err := m.Apply(ctx, "restart", newcomer, false); err == nil {
+	if _, _, _, err := m.Apply("restart", newcomer); err == nil {
 		t.Fatal("unknown op accepted")
 	}
-	if _, _, _, err := m.Apply(ctx, "join", "  ", false); err == nil {
+	if _, _, _, err := m.Apply("join", "  "); err == nil {
 		t.Fatal("blank peer accepted")
 	}
 }

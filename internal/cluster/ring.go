@@ -22,9 +22,14 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the virtual-node count per peer: enough that key
-// share stays within a few percent of uniform for small clusters,
-// small enough that ring construction and lookups stay trivial.
+// DefaultVnodes is the virtual-node count per peer, small enough that
+// ring construction and lookups stay trivial. The key share it gives a
+// small cluster is far from uniform: the vnode strings of one peer
+// differ only in their last bytes, and unmixed FNV-1a spreads them
+// poorly. Over 10000 three-peer rings of random loopback ports, one
+// peer owned more than half of the hash space in 57% of them, and the
+// pair 127.0.0.1:21871/21872 splits 77.1/22.9. Rebalancing waits on
+// analyze routing (DESIGN.md §14).
 const DefaultVnodes = 64
 
 // Ring is an immutable consistent-hash ring over peer URLs. Every

@@ -173,12 +173,10 @@ type ShardRecord struct {
 }
 
 // MembershipRequest is the body of POST /v1/cluster/membership: one
-// join or leave application, fanned out to the rest of the ring when
-// Propagate is set.
+// join or leave application, sent by the subject instance itself.
 type MembershipRequest struct {
-	Op        string `json:"op"`
-	Peer      string `json:"peer"`
-	Propagate bool   `json:"propagate"`
+	Op   string `json:"op"`
+	Peer string `json:"peer"`
 }
 
 // MembershipView answers a membership application with the applied

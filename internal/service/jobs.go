@@ -128,17 +128,19 @@ func (s *Server) sweepJob(req SweepRequest) (int, jobs.RunFunc, error) {
 }
 
 // batchJob builds the run function for an async batch. Like the
-// synchronous handler, admission happens per item inside evalScenario.
+// synchronous handler, it builds every item at submission, sizes the
+// pool to the costliest, and admits each item inside evalScenario.
 func (s *Server) batchJob(req BatchRequest) (int, jobs.RunFunc, error) {
 	if err := checkBatch(req); err != nil {
 		return 0, nil, err
 	}
-	scenarios := req.Scenarios
+	built, workers := s.buildBatch(req.Scenarios)
 	run := func(ctx context.Context, pub *jobs.Publisher) ([]byte, error) {
-		err := sweep.ForEachPool(ctx, len(scenarios), sweep.PoolOptions{
-			Label: "job-batch",
+		err := sweep.ForEachPool(ctx, len(built), sweep.PoolOptions{
+			Workers: workers,
+			Label:   "job-batch",
 		}, func(ctx context.Context, i int) error {
-			item := s.evalBatchItem(ctx, i, scenarios[i])
+			item := s.evalBatchItem(ctx, i, built[i])
 			rec, merr := json.Marshal(item)
 			if merr != nil {
 				return merr
@@ -151,7 +153,7 @@ func (s *Server) batchJob(req BatchRequest) (int, jobs.RunFunc, error) {
 		}
 		return nil, err
 	}
-	return len(scenarios), run, nil
+	return len(built), run, nil
 }
 
 // jobFromPath resolves {id}; a miss writes the 404 envelope.

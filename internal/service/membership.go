@@ -23,7 +23,7 @@ import (
 type ClusterControl interface {
 	// Apply mutates membership: op is "join" or "leave", peer the
 	// subject. Idempotent; changed=false means the view already agreed.
-	Apply(ctx context.Context, op, peer string, propagate bool) (version uint64, peers []string, changed bool, err error)
+	Apply(op, peer string) (version uint64, peers []string, changed bool, err error)
 	// MemberStates lists every known member's lifecycle state.
 	MemberStates() map[string]string
 	// Leave announces this instance's departure to every ring peer.
@@ -59,7 +59,7 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	version, peers, changed, err := s.cluster.Apply(r.Context(), req.Op, req.Peer, req.Propagate)
+	version, peers, changed, err := s.cluster.Apply(req.Op, req.Peer)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
@@ -74,9 +74,8 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 
 // handleReadyz serves GET /readyz — readiness, split from /healthz
 // liveness. A standalone instance is ready as soon as it serves; a
-// cluster instance is not ready until StartCluster has run — after
-// -join has adopted the peer view — and stops being ready when
-// draining begins. Liveness stays green through the
+// cluster instance is not ready until StartCluster has run — after it
+// has announced its join — and stops being ready when draining begins. Liveness stays green through the
 // not-ready window — the process is healthy, just not routable.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -99,9 +98,10 @@ func (s *Server) ClusterReady() bool {
 }
 
 // StartCluster opens the readiness gate of a cluster instance. Call it
-// once the instance holds its initial membership view: after the
-// listener is up and, with -join, after the seed's view was adopted.
-// It does no I/O and returns at once.
+// once the instance has announced its join: after the listener is up
+// and the membership manager's Join has returned, so every reachable
+// member routes here by the time the gate opens. It does no I/O and
+// returns at once.
 func (s *Server) StartCluster(_ context.Context) {
 	s.clusterReady.Store(true)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,13 +24,13 @@ type fakeCluster struct {
 	leaves   int
 }
 
-func (f *fakeCluster) Apply(_ context.Context, op, peer string, propagate bool) (uint64, []string, bool, error) {
+func (f *fakeCluster) Apply(op, peer string) (uint64, []string, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.applyErr != nil {
 		return 0, nil, false, f.applyErr
 	}
-	f.applied = append(f.applied, fmt.Sprintf("%s %s propagate=%v", op, peer, propagate))
+	f.applied = append(f.applied, op+" "+peer)
 	return f.version, []string{"http://seed", peer}, true, nil
 }
 func (f *fakeCluster) MemberStates() map[string]string { return f.states }
@@ -158,7 +157,7 @@ func TestMembershipApply(t *testing.T) {
 	h := newTestServer(t, Options{Cluster: fc}).Handler()
 
 	rec := doForwarded(t, h, http.MethodPost, "/v1/cluster/membership",
-		`{"op":"join","peer":"http://newcomer","propagate":true}`, "http://newcomer")
+		`{"op":"join","peer":"http://newcomer"}`, "http://newcomer")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("membership apply = %d: %s", rec.Code, rec.Body)
 	}
@@ -172,7 +171,7 @@ func TestMembershipApply(t *testing.T) {
 	if body.States["http://seed"] != "alive" {
 		t.Errorf("states missing the seed: %v", body.States)
 	}
-	if len(fc.applied) != 1 || fc.applied[0] != "join http://newcomer propagate=true" {
+	if len(fc.applied) != 1 || fc.applied[0] != "join http://newcomer" {
 		t.Errorf("applied = %v", fc.applied)
 	}
 

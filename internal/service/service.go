@@ -669,13 +669,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeClassified(w, err)
 		return
 	}
-	items := make([]batchItemBody, len(req.Scenarios))
+	built, workers := s.buildBatch(req.Scenarios)
+	items := make([]batchItemBody, len(built))
 	// Item evaluation never returns an error to the pool: failures are
 	// recorded per item so one bad scenario cannot abort its neighbors.
-	err := sweep.ForEachPool(r.Context(), len(req.Scenarios), sweep.PoolOptions{
-		Label: "batch",
+	err := sweep.ForEachPool(r.Context(), len(built), sweep.PoolOptions{
+		Workers: workers,
+		Label:   "batch",
 	}, func(ctx context.Context, i int) error {
-		items[i] = s.evalBatchItem(ctx, i, req.Scenarios[i])
+		items[i] = s.evalBatchItem(ctx, i, built[i])
 		return nil
 	})
 	// Items fail independently only while the request itself is alive: a
@@ -697,22 +699,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, batchBody{Items: items})
 }
 
-// evalBatchItem evaluates one batch entry, folding any failure into the
-// item body as a classified error.
-func (s *Server) evalBatchItem(ctx context.Context, index int, item BatchItem) batchItemBody {
-	body := batchItemBody{Index: index}
-	op, err := item.operation()
+// builtItem is one batch entry resolved before evaluation: its
+// operation and built scenario, or the error that stopped either.
+type builtItem struct {
+	op    string
+	built *scenario.Built
+	err   error
+}
+
+// buildBatch resolves every batch entry up front, as the shard worker
+// does, and returns the pool size that fits its costliest item in
+// admission (see sweepSpec): a batch never queues behind, or sheds, its
+// own items. A simulation over the work limit fails before admission,
+// so it does not count toward the pool's weight.
+func (s *Server) buildBatch(scenarios []BatchItem) ([]builtItem, int) {
+	items := make([]builtItem, len(scenarios))
+	weight := int64(1)
+	for i, sc := range scenarios {
+		it := &items[i]
+		if it.op, it.err = sc.operation(); it.err == nil {
+			it.built, it.err = sc.Scenario.Build()
+		}
+		if it.err == nil && it.op == "simulate" && checkBuiltSimWork(it.built) == nil {
+			weight = max(weight, simulateWeight(it.built))
+		}
+	}
+	return items, s.adm.poolSize(weight)
+}
+
+// evalBatchItem evaluates one built batch entry, folding any failure
+// into the item body as a classified error.
+func (s *Server) evalBatchItem(ctx context.Context, index int, item builtItem) batchItemBody {
+	body := batchItemBody{Index: index, Op: item.op}
+	err := item.err
 	if err == nil {
-		body.Op = op
-		var built *scenario.Built
-		built, err = item.Scenario.Build()
-		if err == nil {
-			switch op {
-			case "analyze":
-				body.Analysis, body.Cached, err = s.analyzeScenario(ctx, built)
-			case "simulate":
-				body.Simulation, body.Cached, err = s.simulateScenario(ctx, built)
-			}
+		switch item.op {
+		case "analyze":
+			body.Analysis, body.Cached, err = s.analyzeScenario(ctx, item.built)
+		case "simulate":
+			body.Simulation, body.Cached, err = s.simulateScenario(ctx, item.built)
 		}
 	}
 	if err != nil {

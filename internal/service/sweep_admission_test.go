@@ -20,9 +20,10 @@ import (
 	"multibus/internal/scenario"
 )
 
-// slowSweepBackend is a compute backend whose sweep points each take
-// pointTime (or until their context ends) before evaluating the closed
-// form; started closes when the first point begins.
+// slowSweepBackend is a compute backend whose sweep points and
+// simulations each take pointTime (or until their context ends) before
+// evaluating; a sweep point then evaluates only the closed form.
+// started closes when the first evaluation begins.
 type slowSweepBackend struct {
 	compute.Backend
 	pointTime time.Duration
@@ -30,15 +31,29 @@ type slowSweepBackend struct {
 	once      sync.Once
 }
 
-func (b *slowSweepBackend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.Point, error) {
+func (b *slowSweepBackend) wait(ctx context.Context) error {
 	b.once.Do(func() { close(b.started) })
 	select {
 	case <-time.After(b.pointTime):
+		return nil
 	case <-ctx.Done():
-		return compute.Point{}, ctx.Err()
+		return ctx.Err()
+	}
+}
+
+func (b *slowSweepBackend) SweepPoint(ctx context.Context, jb compute.PointJob) (compute.Point, error) {
+	if err := b.wait(ctx); err != nil {
+		return compute.Point{}, err
 	}
 	jb.WithSim = false
 	return b.Backend.SweepPoint(ctx, jb)
+}
+
+func (b *slowSweepBackend) Simulate(ctx context.Context, built *scenario.Built) (*compute.SimResult, error) {
+	if err := b.wait(ctx); err != nil {
+		return nil, err
+	}
+	return b.Backend.Simulate(ctx, built)
 }
 
 // sweepRouteBodies renders one grid of n points at N=16, B=8, each
@@ -275,6 +290,71 @@ func TestIdleSweepNeverShedsItself(t *testing.T) {
 					}
 					if seen != points {
 						t.Errorf("shard stream carried %d records, want %d", seen, points)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestIdleBatchNeverShedsItself is TestIdleSweepNeverShedsItself for
+// the batch pool, sync and as a job: every simulate item of a batch on
+// an idle server with no admission queue is answered, however few units
+// the semaphore has.
+func TestIdleBatchNeverShedsItself(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const items = 8
+	for _, tc := range []struct {
+		name          string
+		limit, cycles int
+	}{
+		{"one unit", 1, 20000},
+		{"items of weight 3 in 4 units", 4, 60000},
+	} {
+		scenarios := make([]string, items)
+		for i := range scenarios {
+			scenarios[i] = fmt.Sprintf(`{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"uniform"},"r":%g,"sim":{"cycles":%d}}`,
+				float64(i+1)/items, tc.cycles)
+		}
+		batch := `{"scenarios":[` + strings.Join(scenarios, ",") + `]}`
+		for _, route := range []string{"batch", "jobs"} {
+			t.Run(tc.name+"/"+route, func(t *testing.T) {
+				backend := &slowSweepBackend{Backend: compute.Local(), pointTime: 10 * time.Millisecond, started: make(chan struct{})}
+				s, ts := newJobTestServer(t, Options{AdmissionLimit: tc.limit, QueueDepth: -1, Backend: backend})
+				var recs [][]byte
+				if route == "batch" {
+					rec := postJSON(t, s.Handler(), "/v1/batch", batch)
+					if rec.Code != http.StatusOK {
+						t.Fatalf("batch on an idle server = %d, want 200: %s", rec.Code, rec.Body)
+					}
+					var body struct {
+						Items []json.RawMessage `json:"items"`
+					}
+					if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+						t.Fatal(err)
+					}
+					for _, it := range body.Items {
+						recs = append(recs, it)
+					}
+				} else {
+					id, _ := submitJob(t, ts, `{"batch":`+batch+`}`)
+					waitJobState(t, ts, id, jobs.StateDone)
+					resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+						recs = append(recs, append([]byte(nil), sc.Bytes()...))
+					}
+				}
+				if len(recs) != items {
+					t.Fatalf("got %d item records, want %d", len(recs), items)
+				}
+				for _, rec := range recs {
+					var it batchItemBody
+					if err := json.Unmarshal(rec, &it); err != nil || it.Error != nil || it.Simulation == nil {
+						t.Errorf("item %s, want a simulation", rec)
 					}
 				}
 			})

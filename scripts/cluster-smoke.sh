@@ -18,6 +18,10 @@
 #     mbserve_membership_peers{state="evicted"}; restarted with -join it
 #     re-enters the ring, turns ready, and answers every pre-death
 #     request byte-identically
+#   - ready means announced: the moment a restarted peer's /readyz
+#     answers 200, both other members already list all three alive
+#   - a -peers instance stopped with SIGTERM leaves (state="left" on the
+#     others) and, restarted with its same flags, is listed alive again
 #
 # Used by `make cluster-smoke` (part of `make check`).
 set -eu
@@ -79,6 +83,25 @@ while [ -z "$BOOTED" ] && [ "$ATTEMPT" -lt 5 ]; do
 done
 [ -n "$BOOTED" ] || { echo "cluster-smoke: could not boot 3 peers:"; cat "$WORK"/peer*.log; exit 1; }
 echo "cluster-smoke: 3 peers up at $PEERS"
+
+# members SELF STATE prints SELF's mbserve_membership_peers{state=STATE}.
+members() {
+    curl -s "$1/metrics" | sed -n "s/^mbserve_membership_peers{state=\"$2\"} //p"
+}
+
+# all_alive SELF... fails unless every SELF lists all three members
+# alive and none evicted or left. One scrape each, no polling: it runs
+# right after a restarted peer turned ready, which follows its join
+# announcement to every member it knows.
+all_alive() {
+    for S in "$@"; do
+        A="$(members "$S" alive)" E="$(members "$S" evicted)" L="$(members "$S" left)"
+        [ "$A" = 3 ] && [ "$E" = 0 ] && [ "$L" = 0 ] || {
+            echo "cluster-smoke: $S lists alive=$A evicted=$E left=$L, want 3/0/0"
+            return 1
+        }
+    done
+}
 
 ANALYZE='{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":1.0}'
 
@@ -210,7 +233,8 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$READY" ] || { echo "cluster-smoke: rejoined peer never became ready:"; cat "$WORK/peer2b.log"; exit 1; }
-echo "cluster-smoke: killed peer rejoined via -join and is ready"
+all_alive "$P1" "$P2"
+echo "cluster-smoke: killed peer rejoined via -join, is ready, and both others list it alive"
 
 # Repeat the keys on the rejoined peer: every answer must be
 # byte-identical to the pre-death one, whether it recomputes a key it
@@ -225,5 +249,36 @@ while [ "$i" -le 15 ]; do
     i=$((i + 1))
 done
 echo "cluster-smoke: all 15 post-rejoin answers byte-identical to the pre-death ones"
+
+# --- graceful restart: SIGTERM -> left -> restart with the same flags ---
+
+# Stop P2 gracefully: it announces its leave, drains, and logs "stopped".
+P2PID="$(echo $CPIDS | awk '{print $2}')"
+kill -TERM "$P2PID"
+STOPPED=""
+for _ in $(seq 1 150); do
+    grep -q 'msg=stopped' "$WORK/peer1.log" && { STOPPED=ok; break; }
+    sleep 0.1
+done
+[ -n "$STOPPED" ] || { echo "cluster-smoke: SIGTERMed peer never stopped:"; cat "$WORK/peer1.log"; exit 1; }
+wait "$P2PID" || { echo "cluster-smoke: SIGTERMed peer exited non-zero:"; cat "$WORK/peer1.log"; exit 1; }
+for S in "$P1" "$P3"; do
+    L="$(members "$S" left)"
+    [ "$L" = 1 ] || { echo "cluster-smoke: $S lists left=$L after P2's SIGTERM, want 1"; exit 1; }
+done
+echo "cluster-smoke: SIGTERMed peer left (mbserve_membership_peers{state=\"left\"} = 1 on both others)"
+
+# Restart it with its same -peers flags, not -join: it must announce
+# its own join, so both others list it alive once it is ready.
+"$BIN" -addr "127.0.0.1:$((BASE + 1))" -self "$P2" -peers "$PEERS" >"$WORK/peer1b.log" 2>&1 &
+PIDS="$PIDS $!"
+READY=""
+for _ in $(seq 1 100); do
+    if curl -sf -o /dev/null "$P2/readyz" 2>/dev/null; then READY=ok; break; fi
+    sleep 0.1
+done
+[ -n "$READY" ] || { echo "cluster-smoke: restarted peer never became ready:"; cat "$WORK/peer1b.log"; exit 1; }
+all_alive "$P1" "$P3"
+echo "cluster-smoke: gracefully restarted -peers instance is ready and listed alive by both others"
 
 echo "cluster-smoke: PASS"
