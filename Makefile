@@ -42,7 +42,11 @@ race:
 # return the index a binary search over the same CDF finds, for any
 # destination distribution and draw.
 # FuzzTraceRoundTrip: any trace file ReadTrace accepts must survive
-# WriteTrace → ReadTrace unchanged. Crashing inputs land in each
+# WriteTrace → ReadTrace unchanged.
+# FuzzServeRepeat: arbitrary bytes posted three times to /v1/analyze and
+# /v1/simulate must get three equal answers (status, body, Content-Type)
+# and never a 5xx — the miss, the key hit and the raw-body index hit
+# agree; capped like FuzzScenarioCanonical. Crashing inputs land in each
 # package's testdata.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyWiring$$' -fuzztime 20s ./internal/analytic/
@@ -50,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioCanonical$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzGuideSample$$' -fuzztime 20s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 20s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRepeat$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/service/
 
 # Contract gate: api/openapi.yaml must document exactly the routes the
 # service serves, the error envelope must match the wire shape, and the

@@ -6,6 +6,7 @@ package multibus_test
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,36 +16,115 @@ import (
 	"multibus/internal/service"
 )
 
-// BenchmarkServeAnalyzeCached measures POST /v1/analyze end to end —
-// JSON decode, validation, cache lookup, JSON encode — on the cache-hit
-// path versus the cache-miss path. The spread between the two is what
-// the singleflight LRU buys a repeated-workload deployment.
+// benchPost is one prebuilt POST the serve benchmarks replay: the
+// request, its body reader and a reusable response writer, so an op
+// times the handler rather than httptest.NewRequest and NewRecorder.
+type benchPost struct {
+	h    http.Handler
+	req  *http.Request
+	body *strings.Reader
+	w    benchWriter
+}
+
+func newBenchPost(h http.Handler, path string) *benchPost {
+	p := &benchPost{h: h, body: strings.NewReader("")}
+	p.req = httptest.NewRequest(http.MethodPost, path, nil)
+	p.w.header = make(http.Header)
+	return p
+}
+
+// do posts body and returns the response's X-Cache header.
+func (p *benchPost) do(b *testing.B, body string) string {
+	p.body.Reset(body)
+	p.req.Body = io.NopCloser(p.body)
+	clear(p.w.header)
+	p.w.status, p.w.n = 0, 0
+	p.h.ServeHTTP(&p.w, p.req)
+	if p.w.status != http.StatusOK {
+		b.Fatalf("%s = %d", p.req.URL.Path, p.w.status)
+	}
+	return p.w.header.Get("X-Cache")
+}
+
+// benchWriter is a reusable http.ResponseWriter that keeps the status
+// and counts the body bytes.
+type benchWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *benchWriter) Header() http.Header { return w.header }
+
+func (w *benchWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *benchWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkServeAnalyzeCached measures POST /v1/analyze through the
+// service handler on three paths:
+//
+//   - hit: a byte-identical repeat, answered from the raw-body index
+//     with no decode, Build, key or encode;
+//   - hit-varied: the same scenario respelled (reordered fields,
+//     whitespace, an explicit m equal to n), answered through the
+//     canonical key: decode, Build and key, then the stored bytes;
+//   - miss: two scenarios alternating through a one-entry cache, so
+//     every op computes.
+//
+// hit ÷ miss is what the analyze cache buys (DESIGN.md §8).
 func BenchmarkServeAnalyzeCached(b *testing.B) {
 	const (
 		reqA = `{"network":{"scheme":"full","n":16,"b":8},"model":{"kind":"hier"},"r":1.0}`
 		reqB = `{"network":{"scheme":"full","n":16,"b":4},"model":{"kind":"hier"},"r":1.0}`
 	)
-	post := func(b *testing.B, h http.Handler, body string) {
-		b.Helper()
-		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("analyze = %d: %s", rec.Code, rec.Body.String())
-		}
+	respelled := []string{
+		`{"model":{"kind":"hier"},"network":{"b":8,"n":16,"scheme":"full"},"r":1.0}`,
+		`{ "network": { "scheme": "full", "n": 16, "m": 16, "b": 8 }, "model": { "kind": "hier" }, "r": 1 }`,
+		`{"r":1e0,"network":{"n":16,"m":16,"b":8,"scheme":"full"},"model":{"kind":"hier"}}`,
 	}
-
-	b.Run("hit", func(b *testing.B) {
-		s, err := service.New(service.Options{})
+	server := func(b *testing.B, size int) (*service.Server, *benchPost) {
+		s, err := service.New(service.Options{CacheSize: size})
 		if err != nil {
 			b.Fatal(err)
 		}
-		h := s.Handler()
-		post(b, h, reqA) // warm the cache
+		return s, newBenchPost(s.Handler(), "/v1/analyze")
+	}
+
+	b.Run("hit", func(b *testing.B) {
+		s, p := server(b, 0)
+		p.do(b, reqA) // miss
+		p.do(b, reqA) // first hit: attaches the body and its response
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, h, reqA)
+			if xc := p.do(b, reqA); xc != "hit" {
+				b.Fatalf("X-Cache = %q, want hit", xc)
+			}
+		}
+		b.StopTimer()
+		if hits := s.Cache().Stats().Hits; hits < int64(b.N) {
+			b.Fatalf("hits = %d, want ≥ %d — hit benchmark measured the miss path", hits, b.N)
+		}
+	})
+
+	b.Run("hit-varied", func(b *testing.B) {
+		s, p := server(b, 0)
+		p.do(b, reqA) // miss
+		p.do(b, reqA) // first hit: reqA holds the entry's one raw form
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if xc := p.do(b, respelled[i%len(respelled)]); xc != "hit" {
+				b.Fatalf("X-Cache = %q, want hit", xc)
+			}
 		}
 		b.StopTimer()
 		if hits := s.Cache().Stats().Hits; hits < int64(b.N) {
@@ -55,16 +135,12 @@ func BenchmarkServeAnalyzeCached(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		// Capacity 1 with two alternating requests evicts on every call,
 		// so each iteration takes the full analytic-solve path.
-		s, err := service.New(service.Options{CacheSize: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := s.Handler()
+		s, p := server(b, 1)
 		bodies := [2]string{reqA, reqB}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, h, bodies[i%2])
+			p.do(b, bodies[i%2])
 		}
 		b.StopTimer()
 		if hits := s.Cache().Stats().Hits; hits != 0 {

@@ -18,15 +18,27 @@
 // entries never age: every value is a deterministic function of its
 // key, so a recompute could only reproduce the bytes already held.
 // Entries leave only through LRU eviction.
+//
+// An entry that has been hit can also carry its encoded response and
+// one raw request body that was answered from it (Attach). A raw-body
+// index, kept under the same lock and evicted with the entries, lets
+// Raw answer a byte-identical repeat of that body without the caller
+// decoding or keying it.
 package cache
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
 )
+
+// MaxRawBody is the largest request body the raw-body index holds.
+// Every single-scenario body the service documents fits; a larger body
+// is still answered through its canonical key, just never by its bytes.
+const MaxRawBody = 512
 
 // ErrBadCapacity is returned by New for non-positive capacities.
 var ErrBadCapacity = errors.New("cache: capacity must be ≥ 1")
@@ -44,15 +56,35 @@ type Cache struct {
 	capacity int
 	ll       *list.List               // front = most recently used
 	items    map[string]*list.Element // key → element whose Value is *entry
+	raw      map[RawKey]*list.Element // raw body → element holding that body
 	inflight map[string]*call         // keys being computed right now
 
 	stats Stats
 }
 
-// entry is one resident key/value pair.
+// entry is one resident key/value pair. att stays nil until the
+// entry's first hit attaches its encoded response (Attach), so an entry
+// that is never hit costs one pointer more than its key and value.
 type entry struct {
 	key string
 	val any
+	att *attachment
+}
+
+// attachment is what an entry's first hit attaches: the encoded
+// response and at most one raw request body, indexed under rawKey.
+type attachment struct {
+	enc    []byte
+	raw    []byte
+	rawKey RawKey
+}
+
+// RawKey names one raw request body in the index: the route it was
+// posted to and a hash of its bytes. Equal RawKeys only name a
+// candidate; Raw compares the stored bytes in full before answering.
+type RawKey struct {
+	Route string
+	Hash  uint64
 }
 
 // call is one in-flight computation; waiters block on done. retry is
@@ -99,6 +131,7 @@ func New(capacity int) (*Cache, error) {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
+		raw:      make(map[RawKey]*list.Element),
 		inflight: make(map[string]*call),
 	}, nil
 }
@@ -117,6 +150,9 @@ type Outcome struct {
 	// Joined reports this caller waited on another caller's in-flight
 	// computation (at least once) instead of running compute itself.
 	Joined bool
+	// Encoded is the encoded response attached to the entry (see
+	// Attach), on a hit; nil until the entry's first hit attaches one.
+	Encoded []byte
 }
 
 // Do returns the value for key, computing it with compute on a miss.
@@ -149,13 +185,16 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
 			c.ll.MoveToFront(el)
-			v := el.Value.(*entry).val
+			e := el.Value.(*entry)
 			if attempt == 0 {
 				c.stats.Hits++
+				out.Hit = true
+				if e.att != nil {
+					out.Encoded = e.att.enc
+				}
 			}
 			c.mu.Unlock()
-			out.Hit = attempt == 0
-			return v, out, nil
+			return e.val, out, nil
 		}
 		if attempt == 0 {
 			c.stats.Misses++
@@ -237,15 +276,78 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
+// Raw returns the encoded response of the resident entry that body,
+// posted under k, was attached to, if any. The stored body must equal
+// body byte for byte: the hash in k only finds the candidate. A hit
+// counts one Stats.Hits and refreshes the entry's recency, exactly as a
+// Do hit would; a miss counts nothing, because the caller goes on to
+// Do, which counts the probe once.
+func (c *Cache) Raw(k RawKey, body []byte) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.raw[k]
+	if !ok {
+		return nil, false
+	}
+	a := el.Value.(*entry).att
+	if !bytes.Equal(a.raw, body) {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return a.enc, true
+}
+
+// Attach stores enc, the encoded response of key's value, on key's
+// resident entry, and indexes body under k as that entry's one raw form.
+// The service calls it on an entry's first hit, after body decoded
+// strictly and built to key, so a miss never grows the index. body is
+// copied; a nil body, one over MaxRawBody, an entry that already has a
+// raw form, or a k that already names another entry indexes nothing. A
+// key that is no longer resident attaches nothing: the index only ever
+// points at a resident entry.
+func (c *Cache) Attach(key string, enc []byte, k RawKey, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if e.att == nil {
+		e.att = &attachment{enc: enc}
+	}
+	if body == nil || len(body) > MaxRawBody || e.att.raw != nil {
+		return
+	}
+	if _, taken := c.raw[k]; taken {
+		return
+	}
+	e.att.raw, e.att.rawKey = bytes.Clone(body), k
+	c.raw[k] = el
+}
+
+// RawLen returns the number of raw bodies in the index, at most Len().
+func (c *Cache) RawLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.raw)
+}
+
 // add inserts key under the lock, evicting from the LRU tail to respect
-// the capacity bound. A key is computed by one flight at a time and is
-// never resident while its flight runs, so add never finds it present.
+// the capacity bound; an evicted entry takes its raw-body index slot
+// with it. A key is computed by one flight at a time and is never
+// resident while its flight runs, so add never finds it present.
 func (c *Cache) add(key string, val any) {
 	c.items[key] = c.ll.PushFront(&entry{key: key, val: val})
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry).key)
+		e := oldest.Value.(*entry)
+		delete(c.items, e.key)
+		if e.att != nil && e.att.raw != nil {
+			delete(c.raw, e.att.rawKey)
+		}
 		c.stats.Evictions++
 	}
 }

@@ -30,7 +30,7 @@ import (
 // handleClusterSweep serves POST /v1/cluster/sweep.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	var req compute.ShardRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if len(req.Points) == 0 {

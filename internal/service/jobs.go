@@ -67,7 +67,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	op, err := req.operation()

@@ -56,7 +56,7 @@ func (s *Server) handleClusterMembership(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req compute.MembershipRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	version, peers, changed, err := s.cluster.Apply(req.Op, req.Peer)

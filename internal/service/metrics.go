@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"multibus/internal/cache"
@@ -50,6 +51,56 @@ type serverMetrics struct {
 	panics    *obs.Counter
 	peerDedup *obs.Counter
 	queueWait *obs.Histogram
+}
+
+// routeMetrics are one route's instruments, resolved when the route is
+// registered, so a request looks up no series by label. The response
+// counters are resolved on a status's first use on the route, so the
+// exposition lists only statuses the route has sent.
+type routeMetrics struct {
+	reg                 *obs.Registry
+	route               string
+	requests            *obs.Counter
+	latency             *obs.Histogram
+	cacheHit, cacheMiss *obs.Counter
+	// responses holds mbserve_responses_total{route,status} by status
+	// minus 100.
+	responses [500]atomic.Pointer[obs.Counter]
+}
+
+// route resolves the per-route instruments of route.
+func (m *serverMetrics) route(route string) *routeMetrics {
+	return &routeMetrics{
+		reg:   m.reg,
+		route: route,
+		requests: m.reg.Counter(metricRequestsTotal,
+			"HTTP requests by route", obs.L("route", route)),
+		latency: m.reg.Histogram(metricDurationSeconds,
+			"request latency by route (seconds)", nil, obs.L("route", route)),
+		cacheHit: m.reg.Counter(metricCacheRequests,
+			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "hit")),
+		cacheMiss: m.reg.Counter(metricCacheRequests,
+			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "miss")),
+	}
+}
+
+// response returns the route's response counter for status.
+func (m *routeMetrics) response(status int) *obs.Counter {
+	if status < 100 || status >= 100+len(m.responses) {
+		return m.resolveResponse(status)
+	}
+	slot := &m.responses[status-100]
+	c := slot.Load()
+	if c == nil {
+		c = m.resolveResponse(status)
+		slot.Store(c)
+	}
+	return c
+}
+
+func (m *routeMetrics) resolveResponse(status int) *obs.Counter {
+	return m.reg.Counter(metricResponsesTotal, "HTTP responses by route and status",
+		obs.L("route", m.route), obs.L("status", strconv.Itoa(status)))
 }
 
 // shed resolves the per-route shed counter (admission queue full →
@@ -148,20 +199,19 @@ func (r *statusRecorder) Flush() {
 // access log record. It runs after the handler, outside the request's
 // critical path only in the sense that the response bytes are already
 // flushed.
-func (s *Server) observe(route string, r *http.Request, rec *statusRecorder, elapsed time.Duration, latency *obs.Histogram, cacheHit, cacheMiss *obs.Counter) {
-	latency.Observe(elapsed.Seconds())
-	s.metrics.reg.Counter(metricResponsesTotal, "HTTP responses by route and status",
-		obs.L("route", route), obs.L("status", strconv.Itoa(rec.status))).Inc()
+func (s *Server) observe(m *routeMetrics, r *http.Request, rec *statusRecorder, elapsed time.Duration) {
+	m.latency.Observe(elapsed.Seconds())
+	m.response(rec.status).Inc()
 	xc := rec.Header().Get("X-Cache")
 	switch xc {
 	case cacheHitState:
-		cacheHit.Inc()
+		m.cacheHit.Inc()
 	case cacheMissState:
-		cacheMiss.Inc()
+		m.cacheMiss.Inc()
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 		slog.String("method", r.Method),
-		slog.String("route", route),
+		slog.String("route", m.route),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", rec.status),
 		slog.Int64("bytes", rec.bytes),

@@ -59,12 +59,14 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -333,19 +335,10 @@ func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Requ
 // the jobs stream endpoint serves for as long as its job runs, so it
 // opts out of the compute timeout (every other guard still applies).
 func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	var (
-		requests = s.metrics.reg.Counter(metricRequestsTotal,
-			"HTTP requests by route", obs.L("route", route))
-		latency = s.metrics.reg.Histogram(metricDurationSeconds,
-			"request latency by route (seconds)", nil, obs.L("route", route))
-		cacheHit = s.metrics.reg.Counter(metricCacheRequests,
-			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "hit"))
-		cacheMiss = s.metrics.reg.Counter(metricCacheRequests,
-			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "miss"))
-	)
+	m := s.metrics.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		requests.Inc()
+		m.requests.Inc()
 		if withTimeout {
 			ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 			defer cancel()
@@ -382,7 +375,7 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 				writeError(rec, http.StatusInternalServerError, "internal_error",
 					"handler produced no response")
 			}
-			s.observe(route, r, rec, time.Since(start), latency, cacheHit, cacheMiss)
+			s.observe(m, r, rec, time.Since(start))
 		}()
 		h(rec, r)
 	}
@@ -391,8 +384,8 @@ func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.Resp
 // decodeJSON parses a request body strictly: unknown fields and
 // trailing garbage are 400s, an oversized body is a 413. It writes the
 // error response itself and reports whether decoding succeeded.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := textio.DecodeJSON(r.Body, dst); err != nil {
+func decodeJSON(w http.ResponseWriter, body io.Reader, dst any) bool {
+	if err := textio.DecodeJSON(body, dst); err != nil {
 		// Body-shape failures classify as invalid_request like every
 		// other client fault.
 		var tooBig *http.MaxBytesError
@@ -410,6 +403,64 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return false
 	}
 	return true
+}
+
+// rawSeed keys the hash of raw request bodies (cache.RawKey); it is
+// per process, like the index it keys.
+var rawSeed = maphash.MakeSeed()
+
+// bodyHead holds the first bytes of one request body, up to one byte
+// past cache.MaxRawBody, so a body the raw-body index may hold is read
+// whole, hashed and decoded from the same bytes without a fresh
+// allocation. It is pooled: read it, use it, release it.
+type bodyHead struct {
+	buf    [cache.MaxRawBody + 1]byte
+	n, off int       // bytes read into buf; bytes Read has replayed
+	rest   io.Reader // the unread tail of a longer body
+	err    error     // what ended the body: io.EOF, or the read error
+}
+
+var bodyHeads = sync.Pool{New: func() any { return new(bodyHead) }}
+
+// readBodyHead reads the head of body into a pooled bodyHead. whole
+// reports that the body ended within cache.MaxRawBody bytes, so Bytes
+// holds all of it.
+func readBodyHead(body io.Reader) (h *bodyHead, whole bool) {
+	h = bodyHeads.Get().(*bodyHead)
+	h.n, h.off, h.rest, h.err = 0, 0, nil, nil
+	for h.n < len(h.buf) && h.err == nil {
+		var k int
+		k, h.err = body.Read(h.buf[h.n:])
+		h.n += k
+	}
+	if h.err == nil {
+		h.rest = body
+	}
+	return h, h.err == io.EOF && h.n <= cache.MaxRawBody
+}
+
+// Bytes returns the head of the body.
+func (h *bodyHead) Bytes() []byte { return h.buf[:h.n] }
+
+// Read replays the body as it arrived: the head, then the rest of the
+// body or the error that ended it. A decoder reading h sees exactly the
+// stream it would have read from the request, so every decode error,
+// 413 included, is the one the request itself would give.
+func (h *bodyHead) Read(p []byte) (int, error) {
+	if h.off < h.n {
+		k := copy(p, h.buf[h.off:h.n])
+		h.off += k
+		return k, nil
+	}
+	if h.rest != nil {
+		return h.rest.Read(p)
+	}
+	return 0, h.err
+}
+
+func (h *bodyHead) release() {
+	h.rest, h.err = nil, nil
+	bodyHeads.Put(h)
 }
 
 // Cache outcome states, as sent in the X-Cache response header.
@@ -436,8 +487,8 @@ func (s *Server) gate(ctx context.Context, route string, weight int64, compute f
 }
 
 // evalScenario evaluates one scenario through the cache, running the
-// gated compute on a miss. hit reports an answer served from memory.
-func (s *Server) evalScenario(ctx context.Context, route, key string, weight int64, fn func(context.Context) (any, error)) (v any, hit bool, err error) {
+// gated compute on a miss. out reports how the cache answered.
+func (s *Server) evalScenario(ctx context.Context, route, key string, weight int64, fn func(context.Context) (any, error)) (any, cache.Outcome, error) {
 	v, out, err := s.cache.Do(ctx, key, func() (any, error) {
 		return s.gate(ctx, route, weight, fn)
 	})
@@ -447,7 +498,7 @@ func (s *Server) evalScenario(ctx context.Context, route, key string, weight int
 	if out.Joined && compute.Forwarded(ctx) {
 		s.metrics.peerDedup.Inc()
 	}
-	return v, out.Hit, err
+	return v, out, err
 }
 
 // pointBackend evaluates sweep grid points on the miss path analyze and
@@ -488,87 +539,116 @@ func (s *Server) points(route string) compute.Backend {
 	return p
 }
 
-// analyzeScenario evaluates one analyze-op scenario through the shared
-// cache and the robustness pipeline.
-func (s *Server) analyzeScenario(ctx context.Context, built *scenario.Built) (*compute.Analysis, bool, error) {
-	if err := built.CanAnalyze(); err != nil {
-		return nil, false, err
-	}
-	v, hit, err := s.evalScenario(ctx, "analyze", built.AnalyzeKey(), analyzeWeight(built),
-		func(ctx context.Context) (any, error) {
-			return s.backend.Analyze(ctx, built)
-		})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*compute.Analysis), hit, nil
+// scenarioJob is one single-scenario evaluation ready for the cache:
+// its canonical key, its admission weight and its compute.
+type scenarioJob struct {
+	key    string
+	weight int64
+	run    func(context.Context) (any, error)
 }
 
-// simulateScenario evaluates one simulate-op scenario through the
-// shared cache and the robustness pipeline. The cache key — the
-// canonical scenario's fingerprints, rate, and normalized simulator
-// parameters — fully determines the run; the admission weight comes
-// from the same canonical form (weights.go).
-func (s *Server) simulateScenario(ctx context.Context, built *scenario.Built) (*compute.SimResult, bool, error) {
+// analyzeJob checks that built has a closed form and returns its
+// analyze evaluation.
+func (s *Server) analyzeJob(built *scenario.Built) (scenarioJob, error) {
+	if err := built.CanAnalyze(); err != nil {
+		return scenarioJob{}, err
+	}
+	return scenarioJob{built.AnalyzeKey(), analyzeWeight(built), func(ctx context.Context) (any, error) {
+		return s.backend.Analyze(ctx, built)
+	}}, nil
+}
+
+// simulateJob checks that built can be simulated within the work limit
+// and returns its simulate evaluation. The cache key — the canonical
+// scenario's fingerprints, rate, and normalized simulator parameters —
+// fully determines the run; the admission weight comes from the same
+// canonical form (weights.go).
+func (s *Server) simulateJob(built *scenario.Built) (scenarioJob, error) {
 	if err := built.CanSimulate(); err != nil {
-		return nil, false, err
+		return scenarioJob{}, err
 	}
 	if err := checkBuiltSimWork(built); err != nil {
-		return nil, false, err
+		return scenarioJob{}, err
 	}
 	// Workload construction is re-run by the backend; building it here
 	// keeps unsatisfiable workloads failing fast as 4xx before the gate.
 	if _, err := built.Workload(); err != nil {
-		return nil, false, err
+		return scenarioJob{}, err
 	}
-	v, hit, err := s.evalScenario(ctx, "simulate", built.SimulateKey(), simulateWeight(built),
-		func(ctx context.Context) (any, error) {
-			return s.backend.Simulate(ctx, built)
-		})
+	return scenarioJob{built.SimulateKey(), simulateWeight(built), func(ctx context.Context) (any, error) {
+		return s.backend.Simulate(ctx, built)
+	}}, nil
+}
+
+// scenarioRequest is the body of a single-scenario route.
+type scenarioRequest interface {
+	scenario() scenario.Scenario
+}
+
+// serveScenario serves a single-scenario route, /v1/analyze or
+// /v1/simulate; sharing it keeps the two from drifting apart. A body
+// this route has already answered from the cache by its canonical key
+// is answered again from the raw-body index with one Write: no decode,
+// Build, key or encode (DESIGN.md §8). Any other body is decoded
+// strictly, built and evaluated through the cache. A miss encodes the
+// value and writes nothing to the index. A hit writes the entry's
+// encoded response, and the entry's first hit attaches that response
+// and this body, so only a body seen twice is ever indexed.
+func serveScenario[R scenarioRequest](s *Server, w http.ResponseWriter, r *http.Request, route string, job func(*scenario.Built) (scenarioJob, error)) {
+	h, whole := readBodyHead(r.Body)
+	defer h.release()
+	var rk cache.RawKey
+	var raw []byte
+	if whole {
+		raw = h.Bytes()
+		rk = cache.RawKey{Route: route, Hash: maphash.Bytes(rawSeed, raw)}
+		if enc, ok := s.cache.Raw(rk, raw); ok {
+			writeOutcome(w, true)
+			writeBody(w, http.StatusOK, enc)
+			return
+		}
+	}
+	var req R
+	if !decodeJSON(w, h, &req) {
+		return
+	}
+	built, err := req.scenario().Build()
 	if err != nil {
-		return nil, hit, err
+		writeClassified(w, err)
+		return
 	}
-	return v.(*compute.SimResult), hit, nil
+	jb, err := job(built)
+	if err != nil {
+		writeClassified(w, err)
+		return
+	}
+	v, out, err := s.evalScenario(r.Context(), route, jb.key, jb.weight, jb.run)
+	if err != nil {
+		writeClassified(w, err)
+		return
+	}
+	writeOutcome(w, out.Hit)
+	enc := out.Encoded
+	if enc == nil {
+		if enc, err = encodeJSON(v); err != nil {
+			writeJSON(w, http.StatusOK, v) // reports the failure
+			return
+		}
+		if out.Hit {
+			s.cache.Attach(jb.key, enc, rk, raw)
+		}
+	}
+	writeBody(w, http.StatusOK, enc)
 }
 
 // handleAnalyze serves POST /v1/analyze.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	built, err := req.scenario().Build()
-	if err != nil {
-		writeClassified(w, err)
-		return
-	}
-	body, hit, err := s.analyzeScenario(r.Context(), built)
-	if err != nil {
-		writeClassified(w, err)
-		return
-	}
-	writeOutcome(w, hit)
-	writeJSON(w, http.StatusOK, body)
+	serveScenario[AnalyzeRequest](s, w, r, "analyze", s.analyzeJob)
 }
 
 // handleSimulate serves POST /v1/simulate.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	built, err := req.scenario().Build()
-	if err != nil {
-		writeClassified(w, err)
-		return
-	}
-	body, hit, err := s.simulateScenario(r.Context(), built)
-	if err != nil {
-		writeClassified(w, err)
-		return
-	}
-	writeOutcome(w, hit)
-	writeJSON(w, http.StatusOK, body)
+	serveScenario[SimulateRequest](s, w, r, "simulate", s.simulateJob)
 }
 
 // sweepSpec renders a sweep request as the grid the sync handler and
@@ -638,7 +718,7 @@ func checkBatch(req BatchRequest) error {
 // silently dropped.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	spec, err := s.sweepSpec(req, "sweep")
@@ -662,7 +742,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // was served from cache.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if err := checkBatch(req); err != nil {
@@ -733,11 +813,22 @@ func (s *Server) evalBatchItem(ctx context.Context, index int, item builtItem) b
 	body := batchItemBody{Index: index, Op: item.op}
 	err := item.err
 	if err == nil {
-		switch item.op {
-		case "analyze":
-			body.Analysis, body.Cached, err = s.analyzeScenario(ctx, item.built)
-		case "simulate":
-			body.Simulation, body.Cached, err = s.simulateScenario(ctx, item.built)
+		job := s.analyzeJob
+		if item.op == "simulate" {
+			job = s.simulateJob
+		}
+		var jb scenarioJob
+		if jb, err = job(item.built); err == nil {
+			var v any
+			var out cache.Outcome
+			v, out, err = s.evalScenario(ctx, item.op, jb.key, jb.weight, jb.run)
+			body.Cached = out.Hit
+			switch v := v.(type) {
+			case *compute.Analysis:
+				body.Analysis = v
+			case *compute.SimResult:
+				body.Simulation = v
+			}
 		}
 	}
 	if err != nil {
@@ -782,18 +873,30 @@ func writeOutcome(w http.ResponseWriter, hit bool) {
 	w.Header().Set("X-Cache", state)
 }
 
-// writeJSON marshals v and writes it with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON renders v as a response body: its JSON and a newline.
+func encodeJSON(v any) ([]byte, error) {
 	buf, err := json.Marshal(v)
+	return append(buf, '\n'), err
+}
+
+// writeJSON encodes v and writes it with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf, err := encodeJSON(v)
 	if err != nil {
 		// Response bodies are plain data structs; this cannot happen.
 		http.Error(w, `{"error":{"code":"internal_error","message":"response encoding failed","retryable":true}}`,
 			http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, buf)
+}
+
+// writeBody writes a body encoded by encodeJSON — a cache entry's
+// stored response, say — with the given status, in one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // writeError writes an explicit error response through the unified v1

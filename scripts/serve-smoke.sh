@@ -2,7 +2,9 @@
 # serve-smoke: boot mbserve on an ephemeral port and exercise it end to
 # end. Two modes:
 #
-#   serve-smoke.sh <binary>         normal boot: /healthz, /v1/analyze,
+#   serve-smoke.sh <binary>         normal boot: /healthz, /v1/analyze
+#                                   (a repeated and a respelled body
+#                                   hit with the first answer's bytes),
 #                                   over-cap /v1/sweep refused with
 #                                   400, /v1/batch cache hit, async job
 #                                   submit → stream → status → cursor
@@ -108,6 +110,31 @@ fi
 
 check "GET /healthz" "http://$ADDR/healthz"
 check "POST /v1/analyze" -X POST "http://$ADDR/v1/analyze" -d "$ANALYZE"
+
+# Repeated bodies: the first POST computes, the second is answered by
+# its canonical key, the third from the raw-body index. The third must
+# say X-Cache: hit and its body cmp equal to the first's; a respelled
+# body (fields reordered) hits the same entry with the same bytes.
+REPEAT='{"network":{"scheme":"partial","n":16,"b":8},"model":{"kind":"hier"},"r":0.8}'
+RESPELLED='{"r":0.8,"model":{"kind":"hier"},"network":{"b":8,"n":16,"scheme":"partial"}}'
+FIRST="$(mktemp)"; ANSWER="$(mktemp)"
+post_repeat() {
+    curl -s -D - -o "$2" -X POST "http://$ADDR/v1/analyze" -d "$1" \
+        | tr -d '\r' | sed -n 's/^X-Cache: //p'
+}
+XC1="$(post_repeat "$REPEAT" "$FIRST")"
+post_repeat "$REPEAT" "$ANSWER" >/dev/null
+for body in "$REPEAT" "$RESPELLED"; do
+    XC="$(post_repeat "$body" "$ANSWER")"
+    if [ "$XC1" != "miss" ] || [ "$XC" != "hit" ] || ! cmp -s "$FIRST" "$ANSWER"; then
+        echo "serve-smoke: repeated POST /v1/analyze X-Cache $XC1 then $XC (want miss then hit) for $body"
+        cat "$FIRST" "$ANSWER"
+        rm -f "$FIRST" "$ANSWER"
+        exit 1
+    fi
+done
+rm -f "$FIRST" "$ANSWER"
+echo "serve-smoke: repeated and respelled POST /v1/analyze hit with the first answer's bytes"
 
 # Grid cap: the api/fixtures/sweep_over_cap.json body (64 ns × 64 bs ×
 # 17 rates × "full" = 69632 estimated points, over the 65536-point cap)
