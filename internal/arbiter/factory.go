@@ -29,13 +29,13 @@ func ForTopology(nw *topology.Network) (BusAssigner, error) {
 				busIDs[q] = append(busIDs[q], bus)
 			}
 		}
-		return NewGroupedAssignerWithBuses(s.ModuleGroups, busIDs)
+		return NewGroupedAssigner(s.ModuleGroups, busIDs)
 	case analytic.StructurePrefixClasses:
 		prefixLens := make([]int, len(s.Classes))
 		for c, cl := range s.Classes {
 			prefixLens[c] = cl.PrefixLen
 		}
-		return NewPrefixAssignerWithOrder(s.ModuleClasses, prefixLens, nw.B(), s.BusOrder)
+		return NewPrefixAssigner(s.ModuleClasses, prefixLens, s.BusOrder)
 	default:
 		return nil, fmt.Errorf("%w: unhandled structure %v", ErrBadConfig, s.Kind)
 	}

@@ -12,7 +12,10 @@
 //     Lang–Valero–Fiol (the paper §III-D); arbitrary wirings fall back
 //     to a per-bus greedy assigner.
 //
-// All arbiters are deterministic given their RNG, making simulations
+// The package holds exactly what the simulator calls: NewStage1 and
+// Stage1.Grant once per requested module, and ForTopology's assigner
+// (or a caller-supplied one) whose Assign runs once per cycle. All
+// arbiters are deterministic given the caller's RNG, making simulations
 // reproducible from a seed.
 package arbiter
 
@@ -53,11 +56,8 @@ func (p Stage1Policy) String() string {
 	}
 }
 
-// Errors returned by arbiters.
-var (
-	ErrNoRequesters = errors.New("arbiter: no requesters")
-	ErrBadConfig    = errors.New("arbiter: invalid configuration")
-)
+// ErrBadConfig is returned by constructors given an invalid shape.
+var ErrBadConfig = errors.New("arbiter: invalid configuration")
 
 // Stage1 is the bank of M memory arbiters. The zero value is unusable;
 // construct with NewStage1.
@@ -83,27 +83,16 @@ func NewStage1(m int, policy Stage1Policy) (*Stage1, error) {
 	return &Stage1{policy: policy, last: last}, nil
 }
 
-// Policy returns the arbiter bank's tie-break policy.
-func (s *Stage1) Policy() Stage1Policy { return s.policy }
-
-// Grant selects one processor among requesters (ascending processor ids)
-// contending for module. rng is consulted only under PolicyRandom.
-func (s *Stage1) Grant(module int, requesters []int, rng *rng.Rand) (int, error) {
-	if module < 0 || module >= len(s.last) {
-		return 0, fmt.Errorf("%w: module %d of %d", ErrBadConfig, module, len(s.last))
-	}
-	if len(requesters) == 0 {
-		return 0, ErrNoRequesters
-	}
-	var winner int
+// Grant selects one processor among requesters (ascending processor ids,
+// at least one) contending for module, which must be in [0, M). rng is
+// consulted only under PolicyRandom.
+func (s *Stage1) Grant(module int, requesters []int, rng *rng.Rand) int {
 	switch s.policy {
 	case PolicyRandom:
-		winner = requesters[rng.Intn(len(requesters))]
-	case PolicyFixedPriority:
-		winner = requesters[0]
+		return requesters[rng.Intn(len(requesters))]
 	case PolicyRoundRobin:
 		// First requester strictly after the previous winner, cyclically.
-		winner = requesters[0]
+		winner := requesters[0]
 		for _, p := range requesters {
 			if p > s.last[module] {
 				winner = p
@@ -111,13 +100,8 @@ func (s *Stage1) Grant(module int, requesters []int, rng *rng.Rand) (int, error)
 			}
 		}
 		s.last[module] = winner
-	}
-	return winner, nil
-}
-
-// Reset clears round-robin state.
-func (s *Stage1) Reset() {
-	for i := range s.last {
-		s.last[i] = -1
+		return winner
+	default: // PolicyFixedPriority
+		return requesters[0]
 	}
 }

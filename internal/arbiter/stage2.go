@@ -2,7 +2,6 @@ package arbiter
 
 import (
 	"fmt"
-	"slices"
 
 	"multibus/internal/rng"
 	"multibus/internal/topology"
@@ -20,28 +19,14 @@ type BusGrant struct {
 // Implementations must grant each module at most once, each bus at most
 // once, and never more modules than there are usable buses.
 type BusAssigner interface {
-	// Assign returns the subset of requested modules granted a bus this
-	// cycle, ascending. requested must be ascending module ids without
-	// duplicates.
-	Assign(requested []int, rng *rng.Rand) []int
-	// AssignDetailed is Assign with bus attribution: which physical bus
-	// carries each granted module. The returned slice is scratch owned
-	// by the assigner, valid only until its next Assign/AssignDetailed
-	// call — copy it to retain it. (The simulator consumes it within
-	// the cycle; reusing the slice keeps the hot path allocation-free.)
-	AssignDetailed(requested []int, rng *rng.Rand) []BusGrant
-	// Reset clears any round-robin pointers.
-	Reset()
-}
-
-// modulesOf extracts the sorted module list from a grant set.
-func modulesOf(grants []BusGrant) []int {
-	out := make([]int, 0, len(grants))
-	for _, g := range grants {
-		out = append(out, g.Module)
-	}
-	slices.Sort(out)
-	return out
+	// Assign returns the requested modules granted a bus this cycle,
+	// each with the physical bus that carries it. requested must be
+	// ascending module ids without duplicates; rng breaks ties where the
+	// scheme draws at random. The returned slice is scratch owned by the
+	// assigner, valid only until its next call — copy it to retain it.
+	// (The simulator consumes it within the cycle; reusing the slice
+	// keeps the hot path allocation-free.)
+	Assign(requested []int, rng *rng.Rand) []BusGrant
 }
 
 // groupedAssigner serves disjoint groups of modules, each with a private
@@ -61,30 +46,9 @@ type groupedAssigner struct {
 
 // NewGroupedAssigner builds a stage-2 assigner for a network that splits
 // into independent groups. moduleGroups[j] is module j's group index
-// (use -1 for modules with no surviving bus); groupBuses[q] is the number
-// of buses owned by group q. Physical bus ids are synthesized
-// group-major (group 0 owns buses 0…B_0−1, and so on); use
-// NewGroupedAssignerWithBuses to attribute real topology bus ids.
-func NewGroupedAssigner(moduleGroups []int, groupBuses []int) (BusAssigner, error) {
-	busIDs := make([][]int, len(groupBuses))
-	next := 0
-	for q, b := range groupBuses {
-		if b < 0 {
-			return nil, fmt.Errorf("%w: group %d has %d buses", ErrBadConfig, q, b)
-		}
-		ids := make([]int, b)
-		for i := range ids {
-			ids[i] = next
-			next++
-		}
-		busIDs[q] = ids
-	}
-	return NewGroupedAssignerWithBuses(moduleGroups, busIDs)
-}
-
-// NewGroupedAssignerWithBuses builds a grouped assigner with explicit
-// physical bus ids per group.
-func NewGroupedAssignerWithBuses(moduleGroups []int, busIDs [][]int) (BusAssigner, error) {
+// (use -1 for modules with no surviving bus); busIDs[q] lists the
+// physical bus ids owned by group q.
+func NewGroupedAssigner(moduleGroups []int, busIDs [][]int) (BusAssigner, error) {
 	if len(moduleGroups) == 0 || len(busIDs) == 0 {
 		return nil, fmt.Errorf("%w: empty group structure", ErrBadConfig)
 	}
@@ -105,10 +69,10 @@ func NewGroupedAssignerWithBuses(moduleGroups []int, busIDs [][]int) (BusAssigne
 	}, nil
 }
 
-// AssignDetailed grants, within each group, up to B_q of the requested
-// modules in cyclic module order starting at the group's round-robin
-// pointer, pairing the i-th granted module with the group's i-th bus.
-func (a *groupedAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGrant {
+// Assign grants, within each group, up to B_q of the requested modules
+// in cyclic module order starting at the group's round-robin pointer,
+// pairing the i-th granted module with the group's i-th bus.
+func (a *groupedAssigner) Assign(requested []int, _ *rng.Rand) []BusGrant {
 	for g := range a.perGroup {
 		a.perGroup[g] = a.perGroup[g][:0]
 	}
@@ -158,32 +122,18 @@ func (a *groupedAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGran
 	return grants
 }
 
-func (a *groupedAssigner) Assign(requested []int, rng *rng.Rand) []int {
-	return modulesOf(a.AssignDetailed(requested, rng))
-}
-
-func (a *groupedAssigner) Reset() {
-	for i := range a.next {
-		a.next[i] = 0
-	}
-}
-
 // prefixAssigner implements the paper §III-D two-step bus-assignment
 // procedure for nested-prefix (K-class) networks. Classes are wired to
 // prefixes of the bus order; in step 1 each class C_j with R requested
 // modules selects min(L_j, R) of them (round-robin within the class) and
 // tentatively assigns them to buses L_j, L_j−1, …; in step 2 each bus
-// arbiter grants one of its contenders and losing modules are blocked.
-// A bus with several contenders picks one uniformly at random when the
-// caller passes an RNG (the simulator always does), and rotates through
-// them round-robin when the RNG is nil.
+// arbiter grants one of its contenders, picked uniformly at random from
+// the caller's RNG, and losing modules are blocked.
 type prefixAssigner struct {
 	classOf   []int // module -> class index, -1 for stranded
 	prefixLen []int // per class
-	b         int
 	busOrder  []int // formula position (0-based) -> physical bus id
 	nextMod   []int // per class: round-robin start for step 1
-	nextBus   []int // per formula bus: rotation counter for step 2
 
 	// scratch, reset in place per call so steady-state arbitration
 	// allocates nothing.
@@ -192,28 +142,15 @@ type prefixAssigner struct {
 	grants     []BusGrant // backing store of the returned grant list
 }
 
-// NewPrefixAssigner builds the two-step assigner. moduleClasses[j] gives
-// module j's class (or -1 if stranded); prefixLens[c] is the number of
-// buses (from bus 1) class c is wired to; b is the total bus count.
-// Formula bus i is attributed to physical bus i−1; use
-// NewPrefixAssignerWithOrder when the topology's bus order differs.
-func NewPrefixAssigner(moduleClasses []int, prefixLens []int, b int) (BusAssigner, error) {
-	order := make([]int, b)
-	for i := range order {
-		order[i] = i
-	}
-	return NewPrefixAssignerWithOrder(moduleClasses, prefixLens, b, order)
-}
-
-// NewPrefixAssignerWithOrder builds the two-step assigner with an
-// explicit mapping from formula bus positions (0-based; position 0 is
-// "bus 1", reached by every class) to physical bus ids.
-func NewPrefixAssignerWithOrder(moduleClasses []int, prefixLens []int, b int, busOrder []int) (BusAssigner, error) {
+// NewPrefixAssigner builds the two-step assigner. moduleClasses[j]
+// gives module j's class (or -1 if stranded); prefixLens[c] is the
+// number of buses (from bus 1) class c is wired to; busOrder maps
+// formula bus positions (0-based; position 0 is "bus 1", reached by
+// every class) to physical bus ids, one per bus.
+func NewPrefixAssigner(moduleClasses []int, prefixLens []int, busOrder []int) (BusAssigner, error) {
+	b := len(busOrder)
 	if len(moduleClasses) == 0 || len(prefixLens) == 0 || b < 1 {
 		return nil, fmt.Errorf("%w: empty prefix structure", ErrBadConfig)
-	}
-	if len(busOrder) < b {
-		return nil, fmt.Errorf("%w: bus order covers %d of %d buses", ErrBadConfig, len(busOrder), b)
 	}
 	for j, c := range moduleClasses {
 		if c < -1 || c >= len(prefixLens) {
@@ -228,16 +165,14 @@ func NewPrefixAssignerWithOrder(moduleClasses []int, prefixLens []int, b int, bu
 	return &prefixAssigner{
 		classOf:    append([]int(nil), moduleClasses...),
 		prefixLen:  append([]int(nil), prefixLens...),
-		b:          b,
 		busOrder:   append([]int(nil), busOrder...),
 		nextMod:    make([]int, len(prefixLens)),
-		nextBus:    make([]int, b),
 		perClass:   make([][]int, len(prefixLens)),
 		contenders: make([][]int, b),
 	}, nil
 }
 
-func (a *prefixAssigner) AssignDetailed(requested []int, rng *rng.Rand) []BusGrant {
+func (a *prefixAssigner) Assign(requested []int, rng *rng.Rand) []BusGrant {
 	// Step 1: per class, select up to L_c modules and map them to formula
 	// buses L_c−1, L_c−2, … (0-based positions).
 	contenders := a.contenders // formula bus -> contending modules
@@ -258,8 +193,8 @@ func (a *prefixAssigner) AssignDetailed(requested []int, rng *rng.Rand) []BusGra
 		}
 		perClass[c] = append(perClass[c], j)
 	}
-	// Iterate classes in index order so step-2 contender lists (and the
-	// per-bus rotation over them) are deterministic.
+	// Iterate classes in index order so step-2 contender lists, and so
+	// the draws over them, are deterministic.
 	for c, mods := range perClass {
 		if len(mods) == 0 {
 			continue
@@ -289,40 +224,21 @@ func (a *prefixAssigner) AssignDetailed(requested []int, rng *rng.Rand) []BusGra
 			a.nextMod[c] = mods[(start+take)%len(mods)]
 		}
 	}
-	// Step 2: each bus grants one contender, rotating across classes via
-	// a per-bus pointer; with at most one contender per class per bus the
-	// pointer rotation is equivalent to cycling classes.
+	// Step 2: each bus grants one of its contenders (at most one per
+	// class) uniformly at random; a lone contender costs no draw.
 	grants := a.grants[:0]
 	for bus, mods := range contenders {
 		if len(mods) == 0 {
 			continue
 		}
 		pick := 0
-		switch {
-		case len(mods) == 1:
-		case rng != nil:
+		if len(mods) > 1 {
 			pick = rng.Intn(len(mods))
-		default:
-			pick = a.nextBus[bus] % len(mods)
-			a.nextBus[bus]++
 		}
 		grants = append(grants, BusGrant{Module: mods[pick], Bus: a.busOrder[bus]})
 	}
 	a.grants = grants
 	return grants
-}
-
-func (a *prefixAssigner) Assign(requested []int, rng *rng.Rand) []int {
-	return modulesOf(a.AssignDetailed(requested, rng))
-}
-
-func (a *prefixAssigner) Reset() {
-	for i := range a.nextMod {
-		a.nextMod[i] = 0
-	}
-	for i := range a.nextBus {
-		a.nextBus[i] = 0
-	}
 }
 
 // greedyAssigner serves arbitrary wirings: buses are scanned from the
@@ -373,7 +289,7 @@ func NewGreedyAssigner(nw *topology.Network) (BusAssigner, error) {
 	}, nil
 }
 
-func (a *greedyAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGrant {
+func (a *greedyAssigner) Assign(requested []int, _ *rng.Rand) []BusGrant {
 	pending := a.pending
 	for i := range pending {
 		pending[i] = 0
@@ -410,14 +326,4 @@ func (a *greedyAssigner) AssignDetailed(requested []int, _ *rng.Rand) []BusGrant
 	}
 	a.grants = grants
 	return grants
-}
-
-func (a *greedyAssigner) Assign(requested []int, rng *rng.Rand) []int {
-	return modulesOf(a.AssignDetailed(requested, rng))
-}
-
-func (a *greedyAssigner) Reset() {
-	for i := range a.next {
-		a.next[i] = 0
-	}
 }

@@ -1,12 +1,31 @@
 package arbiter
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"multibus/internal/rng"
 	"multibus/internal/topology"
 )
+
+// assign runs one Assign call and returns the granted modules,
+// ascending. It panics if a bus is granted twice, which no assigner may
+// do.
+func assign(a BusAssigner, requested []int, r *rng.Rand) []int {
+	grants := a.Assign(requested, r)
+	mods := make([]int, 0, len(grants))
+	buses := make(map[int]bool, len(grants))
+	for _, g := range grants {
+		if buses[g.Bus] {
+			panic("bus granted twice")
+		}
+		buses[g.Bus] = true
+		mods = append(mods, g.Module)
+	}
+	slices.Sort(mods)
+	return mods
+}
 
 // assertGrantInvariants checks universal stage-2 properties: granted is a
 // sorted duplicate-free subset of requested.
@@ -34,18 +53,18 @@ func assertGrantInvariants(t *testing.T, requested, granted []int) {
 func TestGroupedAssignerFullGrantsUpToB(t *testing.T) {
 	// One group of 8 modules, 3 buses.
 	groups := make([]int, 8)
-	a, err := NewGroupedAssigner(groups, []int{3})
+	a, err := NewGroupedAssigner(groups, [][]int{{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requested := []int{0, 2, 3, 5, 7}
-	granted := a.Assign(requested, nil)
+	granted := assign(a, requested, nil)
 	assertGrantInvariants(t, requested, granted)
 	if len(granted) != 3 {
 		t.Errorf("granted %d modules, want 3", len(granted))
 	}
 	// Fewer requests than buses: all granted.
-	granted = a.Assign([]int{1, 6}, nil)
+	granted = assign(a, []int{1, 6}, nil)
 	if len(granted) != 2 {
 		t.Errorf("granted %d, want 2", len(granted))
 	}
@@ -54,13 +73,13 @@ func TestGroupedAssignerFullGrantsUpToB(t *testing.T) {
 func TestGroupedAssignerRoundRobinFairness(t *testing.T) {
 	// 4 modules, 1 bus, all requesting every cycle: over 4 cycles each
 	// module must be served exactly once.
-	a, err := NewGroupedAssigner([]int{0, 0, 0, 0}, []int{1})
+	a, err := NewGroupedAssigner([]int{0, 0, 0, 0}, [][]int{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(map[int]int)
 	for c := 0; c < 8; c++ {
-		g := a.Assign([]int{0, 1, 2, 3}, nil)
+		g := assign(a, []int{0, 1, 2, 3}, nil)
 		if len(g) != 1 {
 			t.Fatalf("cycle %d granted %v, want 1 module", c, g)
 		}
@@ -76,12 +95,12 @@ func TestGroupedAssignerRoundRobinFairness(t *testing.T) {
 func TestGroupedAssignerRespectsGroupBoundaries(t *testing.T) {
 	// Two groups: modules 0–3 with 2 buses, modules 4–7 with 1 bus.
 	groupOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	a, err := NewGroupedAssigner(groupOf, []int{2, 1})
+	a, err := NewGroupedAssigner(groupOf, [][]int{{0, 1}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requested := []int{0, 1, 2, 4, 5, 6}
-	granted := a.Assign(requested, nil)
+	granted := assign(a, requested, nil)
 	assertGrantInvariants(t, requested, granted)
 	g0, g1 := 0, 0
 	for _, j := range granted {
@@ -97,42 +116,39 @@ func TestGroupedAssignerRespectsGroupBoundaries(t *testing.T) {
 }
 
 func TestGroupedAssignerStrandedModules(t *testing.T) {
-	a, err := NewGroupedAssigner([]int{0, -1, 0}, []int{1})
+	a, err := NewGroupedAssigner([]int{0, -1, 0}, [][]int{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	granted := a.Assign([]int{0, 1, 2}, nil)
+	granted := assign(a, []int{0, 1, 2}, nil)
 	for _, j := range granted {
 		if j == 1 {
 			t.Error("stranded module 1 was granted a bus")
 		}
 	}
 	// Zero-bus group grants nothing.
-	b, err := NewGroupedAssigner([]int{0}, []int{0})
+	b, err := NewGroupedAssigner([]int{0}, [][]int{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := b.Assign([]int{0}, nil); len(g) != 0 {
+	if g := assign(b, []int{0}, nil); len(g) != 0 {
 		t.Errorf("zero-bus group granted %v", g)
 	}
 }
 
 func TestGroupedAssignerValidation(t *testing.T) {
-	if _, err := NewGroupedAssigner(nil, []int{1}); err == nil {
+	if _, err := NewGroupedAssigner(nil, [][]int{{0}}); err == nil {
 		t.Error("empty module map should error")
 	}
 	if _, err := NewGroupedAssigner([]int{0}, nil); err == nil {
 		t.Error("empty bus list should error")
 	}
-	if _, err := NewGroupedAssigner([]int{2}, []int{1}); err == nil {
+	if _, err := NewGroupedAssigner([]int{2}, [][]int{{0}}); err == nil {
 		t.Error("group index out of range should error")
 	}
-	if _, err := NewGroupedAssigner([]int{0}, []int{-1}); err == nil {
-		t.Error("negative bus count should error")
-	}
 	// Out-of-range requested module ids are ignored, not panicking.
-	a, _ := NewGroupedAssigner([]int{0, 0}, []int{1})
-	if g := a.Assign([]int{-3, 9}, nil); len(g) != 0 {
+	a, _ := NewGroupedAssigner([]int{0, 0}, [][]int{{0}})
+	if g := assign(a, []int{-3, 9}, nil); len(g) != 0 {
 		t.Errorf("out-of-range requests granted %v", g)
 	}
 }
@@ -142,7 +158,7 @@ func TestPrefixAssignerFigure3Behaviour(t *testing.T) {
 	// C3 (4,5; prefix 4).
 	classOf := []int{0, 0, 1, 1, 2, 2}
 	prefix := []int{2, 3, 4}
-	a, err := NewPrefixAssigner(classOf, prefix, 4)
+	a, err := NewPrefixAssigner(classOf, prefix, []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +166,15 @@ func TestPrefixAssignerFigure3Behaviour(t *testing.T) {
 	// C3→{3,2,1,0}… with min(L,R)=2 per class: C1→buses 1,0; C2→2,1;
 	// C3→3,2. Buses 0..3 have contenders {C1}, {C1,C2}, {C2,C3}, {C3}:
 	// every bus busy, so 4 grants.
+	r := rng.New(1, 0)
 	requested := []int{0, 1, 2, 3, 4, 5}
-	granted := a.Assign(requested, nil)
+	granted := assign(a, requested, r)
 	assertGrantInvariants(t, requested, granted)
 	if len(granted) != 4 {
 		t.Errorf("granted %v (%d), want 4 modules", granted, len(granted))
 	}
 	// Only class C1 requesting: at most its prefix (2 buses) can serve.
-	a.Reset()
-	granted = a.Assign([]int{0, 1}, nil)
+	granted = assign(a, []int{0, 1}, r)
 	if len(granted) != 2 {
 		t.Errorf("C1-only: granted %v, want both modules", granted)
 	}
@@ -170,11 +186,11 @@ func TestPrefixAssignerPaperExample(t *testing.T) {
 	// the two modules contend on 0-based buses 2 and 1 and both win.
 	classOf := []int{0, 0, 1, 1, 2, 2}
 	prefix := []int{2, 3, 4}
-	a, err := NewPrefixAssigner(classOf, prefix, 4)
+	a, err := NewPrefixAssigner(classOf, prefix, []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	granted := a.Assign([]int{2, 3}, nil)
+	granted := assign(a, []int{2, 3}, rng.New(1, 0))
 	if len(granted) != 2 || granted[0] != 2 || granted[1] != 3 {
 		t.Errorf("granted %v, want [2 3]", granted)
 	}
@@ -182,30 +198,29 @@ func TestPrefixAssignerPaperExample(t *testing.T) {
 
 func TestPrefixAssignerBusContention(t *testing.T) {
 	// Two classes with prefix 1: both compete for bus 0 every cycle; only
-	// one module can win per cycle, alternating via the per-bus pointer.
-	classOf := []int{0, 1}
-	prefix := []int{1, 1}
-	a, err := NewPrefixAssigner(classOf, prefix, 1)
+	// one module can win per cycle, and each wins some cycles.
+	a, err := NewPrefixAssigner([]int{0, 1}, []int{1, 1}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rng.New(3, 0)
 	wins := map[int]int{}
-	for c := 0; c < 10; c++ {
-		g := a.Assign([]int{0, 1}, nil)
-		if len(g) != 1 {
-			t.Fatalf("granted %v, want exactly 1", g)
+	for c := 0; c < 100; c++ {
+		g := a.Assign([]int{0, 1}, r)
+		if len(g) != 1 || g[0].Bus != 0 {
+			t.Fatalf("granted %v, want exactly 1 grant on bus 0", g)
 		}
-		wins[g[0]]++
+		wins[g[0].Module]++
 	}
-	if wins[0] != 5 || wins[1] != 5 {
-		t.Errorf("wins = %v, want fair 5/5 split", wins)
+	if wins[0] == 0 || wins[1] == 0 {
+		t.Errorf("wins = %v, want both classes served", wins)
 	}
 }
 
 func TestPrefixAssignerRandomTieBreak(t *testing.T) {
 	classOf := []int{0, 1}
 	prefix := []int{1, 1}
-	a, err := NewPrefixAssigner(classOf, prefix, 1)
+	a, err := NewPrefixAssigner(classOf, prefix, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +228,7 @@ func TestPrefixAssignerRandomTieBreak(t *testing.T) {
 	wins := map[int]int{}
 	const trials = 20000
 	for c := 0; c < trials; c++ {
-		g := a.Assign([]int{0, 1}, rng)
+		g := assign(a, []int{0, 1}, rng)
 		wins[g[0]]++
 	}
 	for j := 0; j <= 1; j++ {
@@ -226,13 +241,14 @@ func TestPrefixAssignerRandomTieBreak(t *testing.T) {
 
 func TestPrefixAssignerClassRoundRobin(t *testing.T) {
 	// One class, 3 modules, prefix 1: only one served per cycle, cycling.
-	a, err := NewPrefixAssigner([]int{0, 0, 0}, []int{1}, 1)
+	a, err := NewPrefixAssigner([]int{0, 0, 0}, []int{1}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rng.New(1, 0)
 	var got []int
 	for c := 0; c < 6; c++ {
-		g := a.Assign([]int{0, 1, 2}, nil)
+		g := assign(a, []int{0, 1, 2}, r)
 		if len(g) != 1 {
 			t.Fatalf("granted %v, want 1", g)
 		}
@@ -247,26 +263,27 @@ func TestPrefixAssignerClassRoundRobin(t *testing.T) {
 }
 
 func TestPrefixAssignerValidation(t *testing.T) {
-	if _, err := NewPrefixAssigner(nil, []int{1}, 1); err == nil {
+	if _, err := NewPrefixAssigner(nil, []int{1}, []int{0}); err == nil {
 		t.Error("empty modules should error")
 	}
-	if _, err := NewPrefixAssigner([]int{0}, nil, 1); err == nil {
+	if _, err := NewPrefixAssigner([]int{0}, nil, []int{0}); err == nil {
 		t.Error("empty prefixes should error")
 	}
-	if _, err := NewPrefixAssigner([]int{0}, []int{1}, 0); err == nil {
+	if _, err := NewPrefixAssigner([]int{0}, []int{1}, nil); err == nil {
 		t.Error("B=0 should error")
 	}
-	if _, err := NewPrefixAssigner([]int{5}, []int{1}, 1); err == nil {
+	if _, err := NewPrefixAssigner([]int{5}, []int{1}, []int{0}); err == nil {
 		t.Error("class out of range should error")
 	}
-	if _, err := NewPrefixAssigner([]int{0}, []int{3}, 2); err == nil {
+	if _, err := NewPrefixAssigner([]int{0}, []int{3}, []int{0, 1}); err == nil {
 		t.Error("prefix beyond B should error")
 	}
-	a, _ := NewPrefixAssigner([]int{0, -1}, []int{1}, 1)
-	if g := a.Assign([]int{1}, nil); len(g) != 0 {
+	a, _ := NewPrefixAssigner([]int{0, -1}, []int{1}, []int{0})
+	r := rng.New(1, 0)
+	if g := assign(a, []int{1}, r); len(g) != 0 {
 		t.Errorf("stranded module granted %v", g)
 	}
-	if g := a.Assign([]int{-1, 7}, nil); len(g) != 0 {
+	if g := assign(a, []int{-1, 7}, r); len(g) != 0 {
 		t.Errorf("out-of-range requests granted %v", g)
 	}
 }
@@ -290,7 +307,7 @@ func TestGreedyAssignerCustomTopology(t *testing.T) {
 	// All three requested: a perfect matching exists (0→bus0/1, 1→bus1/2,
 	// 2→bus2); the scarce-bus-first greedy must find all 3.
 	requested := []int{0, 1, 2}
-	granted := a.Assign(requested, nil)
+	granted := assign(a, requested, nil)
 	assertGrantInvariants(t, requested, granted)
 	if len(granted) != 3 {
 		t.Errorf("granted %v, want all 3 (perfect matching exists)", granted)
@@ -307,7 +324,7 @@ func TestGreedyAssignerNeverExceedsBuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	requested := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	granted := a.Assign(requested, nil)
+	granted := assign(a, requested, nil)
 	assertGrantInvariants(t, requested, granted)
 	if len(granted) != 3 {
 		t.Errorf("granted %d, want 3 (bus-limited)", len(granted))
@@ -339,7 +356,7 @@ func TestForTopologySelectsCorrectAssigner(t *testing.T) {
 			for j := range requested {
 				requested[j] = j
 			}
-			granted := a.Assign(requested, rng.New(1, 0))
+			granted := assign(a, requested, rng.New(1, 0))
 			assertGrantInvariants(t, requested, granted)
 			if len(granted) > nw.B() {
 				t.Errorf("granted %d > B=%d", len(granted), nw.B())
@@ -372,20 +389,20 @@ func TestAssignersPropertyGrantBounds(t *testing.T) {
 		}
 		rng := rng.New(uint64(seed), 0)
 		groupOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
-		ga, err := NewGroupedAssigner(groupOf, []int{2, 2})
+		ga, err := NewGroupedAssigner(groupOf, [][]int{{0, 1}, {2, 3}})
 		if err != nil {
 			return false
 		}
-		g := ga.Assign(requested, rng)
+		g := assign(ga, requested, rng)
 		if len(g) > 4 || hasDup(g) || !isSubset(g, requested) {
 			return false
 		}
 		classOf := []int{0, 0, 1, 1, 2, 2, 3, 3}
-		pa, err := NewPrefixAssigner(classOf, []int{1, 2, 3, 4}, 4)
+		pa, err := NewPrefixAssigner(classOf, []int{1, 2, 3, 4}, []int{0, 1, 2, 3})
 		if err != nil {
 			return false
 		}
-		g = pa.Assign(requested, rng)
+		g = assign(pa, requested, rng)
 		return len(g) <= 4 && !hasDup(g) && isSubset(g, requested)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -415,31 +432,4 @@ func isSubset(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func TestAssignerResets(t *testing.T) {
-	a, _ := NewGroupedAssigner([]int{0, 0, 0}, []int{1})
-	_ = a.Assign([]int{0, 1, 2}, nil)
-	a.Reset()
-	g := a.Assign([]int{0, 1, 2}, nil)
-	if len(g) != 1 || g[0] != 0 {
-		t.Errorf("after Reset grouped granted %v, want [0]", g)
-	}
-
-	p, _ := NewPrefixAssigner([]int{0, 0, 0}, []int{1}, 1)
-	_ = p.Assign([]int{0, 1, 2}, nil)
-	p.Reset()
-	g = p.Assign([]int{0, 1, 2}, nil)
-	if len(g) != 1 || g[0] != 0 {
-		t.Errorf("after Reset prefix granted %v, want [0]", g)
-	}
-
-	nw, _ := topology.Full(4, 4, 1)
-	gr, _ := NewGreedyAssigner(nw)
-	_ = gr.Assign([]int{0, 1}, nil)
-	gr.Reset()
-	g = gr.Assign([]int{0, 1}, nil)
-	if len(g) != 1 || g[0] != 0 {
-		t.Errorf("after Reset greedy granted %v, want [0]", g)
-	}
 }

@@ -113,13 +113,8 @@ type Stats struct {
 	SharedFlights int64
 	// Evictions counts entries dropped to respect the capacity bound.
 	Evictions int64
-	// Errors counts computations that returned an error (never cached),
-	// including computations that panicked.
-	Errors int64
 	// Size is the current number of resident entries.
 	Size int
-	// Capacity is the configured bound.
-	Capacity int
 }
 
 // New returns an empty cache bounded to capacity entries.
@@ -225,8 +220,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 }
 
 // runFlight executes one flight's compute and completes the flight:
-// the inflight slot is released, the result cached (or the error
-// counted), and done closed — even when compute panics, in which case
+// the inflight slot is released, the result cached (an error never
+// is), and done closed — even when compute panics, in which case
 // waiters get ErrComputePanicked and the panic resumes unwinding
 // through the leader.
 func (c *Cache) runFlight(ctx context.Context, key string, fl *call, compute func() (any, error)) {
@@ -234,7 +229,6 @@ func (c *Cache) runFlight(ctx context.Context, key string, fl *call, compute fun
 		if r := recover(); r != nil {
 			c.mu.Lock()
 			delete(c.inflight, key)
-			c.stats.Errors++
 			c.mu.Unlock()
 			fl.val, fl.err = nil, fmt.Errorf("%w: %v", ErrComputePanicked, r)
 			close(fl.done)
@@ -246,7 +240,6 @@ func (c *Cache) runFlight(ctx context.Context, key string, fl *call, compute fun
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if fl.err != nil {
-		c.stats.Errors++
 		// A failure caused by this leader's own context is private to
 		// the leader; mark the flight so waiters re-dispatch.
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(fl.err, ctxErr) {
@@ -365,6 +358,5 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Size = c.ll.Len()
-	s.Capacity = c.capacity
 	return s
 }

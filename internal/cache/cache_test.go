@@ -93,9 +93,6 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("compute ran %d times, want 2 (errors must not be cached)", calls)
 	}
-	if s := c.Stats(); s.Errors != 1 {
-		t.Errorf("stats.Errors = %d, want 1", s.Errors)
-	}
 }
 
 func TestSingleflightComputesOnce(t *testing.T) {

@@ -94,49 +94,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Counts[len(h.bounds)] = h.inf.Load()
 	return s
 }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucketed
-// distribution by linear interpolation inside the containing bucket,
-// the same estimate Prometheus's histogram_quantile computes. The
-// lower edge of the first bucket is 0; a quantile landing in the +Inf
-// bucket reports the highest finite bound. An empty snapshot returns
-// NaN.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		t := (rank - float64(prev)) / float64(c)
-		if t < 0 {
-			t = 0
-		}
-		if t > 1 {
-			t = 1
-		}
-		return lower + (s.Bounds[i]-lower)*t
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

@@ -49,54 +49,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles pins the interpolated quantile estimate
-// against hand-computed values.
-func TestHistogramQuantiles(t *testing.T) {
-	cases := []struct {
-		name    string
-		bounds  []float64
-		observe []float64
-		q       float64
-		want    float64
-	}{
-		// 10 observations uniform in the (0, 10] bucket: p50 rank 5 of 10
-		// interpolates to the bucket midpoint.
-		{"uniform one bucket p50", []float64{10}, seq(1, 10), 0.5, 5},
-		{"uniform one bucket p90", []float64{10}, seq(1, 10), 0.9, 9},
-		// Two buckets, 2 obs low + 8 obs high: p50 rank 5 → 3 of 8 into
-		// (1, 2]: 1 + 1*(3/8).
-		{"weighted two buckets", []float64{1, 2}, append(seq01(2), rep(1.5, 8)...), 0.5, 1.375},
-		// Everything in the first bucket: quantiles interpolate from the
-		// 0 lower edge.
-		{"first bucket lower edge", []float64{4, 8}, rep(3, 4), 0.5, 2},
-		// Quantile landing in +Inf reports the highest finite bound.
-		{"overflow clamps to last bound", []float64{1, 2}, rep(99, 10), 0.99, 2},
-		{"q0 is first nonempty bucket lower edge", []float64{1, 2}, rep(1.5, 5), 0, 1},
-		{"q1 is containing bucket upper edge", []float64{1, 2}, rep(1.5, 5), 1, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := newHistogram(tc.bounds)
-			for _, v := range tc.observe {
-				h.Observe(v)
-			}
-			got := h.Snapshot().Quantile(tc.q)
-			if math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestQuantileEmptyIsNaN(t *testing.T) {
-	h := newHistogram([]float64{1})
-	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if got := h.Snapshot().Quantile(q); !math.IsNaN(got) {
-			t.Errorf("empty Quantile(%v) = %v, want NaN", q, got)
-		}
-	}
-}
-
 func TestDefaultBucketsCoverServiceLatencies(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "", nil)
@@ -108,9 +60,6 @@ func TestDefaultBucketsCoverServiceLatencies(t *testing.T) {
 	}
 	if s.Counts[len(s.Bounds)] != 1 {
 		t.Errorf("30s request not in +Inf bucket: %v", s.Counts)
-	}
-	if p99 := s.Quantile(0.99); p99 < DefLatencyBuckets[0] || p99 > DefLatencyBuckets[len(DefLatencyBuckets)-1] {
-		t.Errorf("p99 = %v outside bucket range", p99)
 	}
 }
 
@@ -134,31 +83,4 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	if math.Abs(s.Sum-8000*0.25) > 1e-6 {
 		t.Errorf("sum = %v, want %v", s.Sum, 8000*0.25)
 	}
-}
-
-// seq returns [lo, lo+1, ..., hi] as float64s.
-func seq(lo, hi int) []float64 {
-	out := make([]float64, 0, hi-lo+1)
-	for v := lo; v <= hi; v++ {
-		out = append(out, float64(v))
-	}
-	return out
-}
-
-// seq01 returns n observations inside the (0, 1] bucket.
-func seq01(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 0.5
-	}
-	return out
-}
-
-// rep returns v repeated n times.
-func rep(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

@@ -48,9 +48,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by delta (delta must be ≥ 0).
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 

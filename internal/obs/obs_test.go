@@ -18,9 +18,9 @@ func TestCounterGetOrCreate(t *testing.T) {
 		t.Fatal("distinct labels share a counter")
 	}
 	a.Inc()
-	a.Add(2)
-	if got := b.Value(); got != 3 {
-		t.Errorf("Value = %d, want 3", got)
+	b.Inc()
+	if got := b.Value(); got != 2 {
+		t.Errorf("Value = %d, want 2", got)
 	}
 	if got := other.Value(); got != 0 {
 		t.Errorf("sibling series value = %d, want 0", got)
@@ -73,8 +73,11 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("req_total", "total requests", L("route", "analyze")).Add(4)
-	r.Counter("req_total", "total requests", L("route", "batch")).Add(1)
+	analyze := r.Counter("req_total", "total requests", L("route", "analyze"))
+	for i := 0; i < 4; i++ {
+		analyze.Inc()
+	}
+	r.Counter("req_total", "total requests", L("route", "batch")).Inc()
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1}, L("route", "analyze"))
 	// Exactly representable observations so the golden _sum is stable.
 	h.Observe(0.0625)

@@ -226,8 +226,10 @@ func TestExpvarKeptAtDebugVars(t *testing.T) {
 }
 
 // TestHistogramQuantileFromServiceTraffic: the registry's histogram
-// snapshot — the same object /metrics renders — yields finite
-// quantiles once traffic has flowed.
+// snapshot — the same object /metrics renders, and the input a
+// dashboard's histogram_quantile() reads — places every request in a
+// finite bucket once traffic has flowed, with a _sum the buckets' edges
+// bracket.
 func TestHistogramQuantileFromServiceTraffic(t *testing.T) {
 	s := newTestServer(t, Options{})
 	h := s.Handler()
@@ -244,10 +246,22 @@ func TestHistogramQuantileFromServiceTraffic(t *testing.T) {
 	if snap.Count != 5 {
 		t.Fatalf("histogram count = %d, want 5", snap.Count)
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		v := snap.Quantile(q)
-		if v < 0 || v != v /* NaN */ {
-			t.Errorf("quantile %v = %v, want finite non-negative", q, v)
+	if inf := snap.Counts[len(snap.Bounds)]; inf != 0 {
+		t.Errorf("%d requests in the +Inf bucket, want 0", inf)
+	}
+	var placed uint64
+	var lo, hi float64
+	for i, c := range snap.Counts[:len(snap.Bounds)] {
+		placed += c
+		if i > 0 {
+			lo += float64(c) * snap.Bounds[i-1]
 		}
+		hi += float64(c) * snap.Bounds[i]
+	}
+	if placed != snap.Count {
+		t.Errorf("buckets hold %d observations, count is %d", placed, snap.Count)
+	}
+	if snap.Sum <= 0 || snap.Sum < lo || snap.Sum > hi {
+		t.Errorf("sum %v outside the bucket edges' bracket [%v, %v]", snap.Sum, lo, hi)
 	}
 }

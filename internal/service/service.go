@@ -66,6 +66,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,9 +238,6 @@ func (s *Server) DrainJobs(ctx context.Context) { s.jobs.Drain(ctx) }
 // starts, before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Cache exposes the server's memoization layer (shared with sweep
 // evaluation; tests assert on its stats).
 func (s *Server) Cache() *cache.Cache { return s.cache }
@@ -248,69 +246,58 @@ func (s *Server) Cache() *cache.Cache { return s.cache }
 // embedders scrape it directly; HTTP clients use GET /metrics).
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
-// Route is one registered endpoint of the v1 surface. The listing is
-// shared with cmd/apicheck, which asserts every route is documented in
-// api/openapi.yaml — adding an endpoint without extending the contract
-// fails `make api-check`.
+// Route is one endpoint of the v1 surface. The routes table mounts the
+// Handler's mux and is also what Routes lists, so cmd/apicheck — which
+// asserts every route is documented in api/openapi.yaml — checks the
+// contract against what is actually served: adding an endpoint without
+// extending the contract fails `make api-check`.
 type Route struct {
 	Method  string
 	Pattern string
+
+	label        string // route label on metrics and logs; "" serves handle bare
+	handle       func(*Server, http.ResponseWriter, *http.Request)
+	withDeadline bool // bound the request by Options.Timeout
+}
+
+// routes is the v1 surface, jobs included, in a stable order. The
+// /debug/* endpoints are mounted outside it: they are not part of the
+// contract.
+var routes = []Route{
+	{"POST", "/v1/analyze", "analyze", (*Server).handleAnalyze, true},
+	{"POST", "/v1/simulate", "simulate", (*Server).handleSimulate, true},
+	{"POST", "/v1/sweep", "sweep", (*Server).handleSweep, true},
+	{"POST", "/v1/batch", "batch", (*Server).handleBatch, true},
+	{"POST", "/v1/cluster/sweep", "cluster_sweep", (*Server).handleClusterSweep, true},
+	{"POST", "/v1/cluster/membership", "cluster_membership", (*Server).handleClusterMembership, true},
+	{"POST", "/v1/jobs", "jobs_submit", (*Server).handleJobSubmit, true},
+	{"GET", "/v1/jobs", "jobs_list", (*Server).handleJobList, true},
+	{"GET", "/v1/jobs/{id}", "jobs_status", (*Server).handleJobStatus, true},
+	{"DELETE", "/v1/jobs/{id}", "jobs_cancel", (*Server).handleJobCancel, true},
+	{"GET", "/v1/jobs/{id}/results", "jobs_results", (*Server).handleJobResults, true},
+	// The stream outlives the per-request compute deadline by design — a
+	// job streams for as long as it runs.
+	{"GET", "/v1/jobs/{id}/stream", "jobs_stream", (*Server).handleJobStream, false},
+	{"GET", "/healthz", "healthz", (*Server).handleHealthz, true},
+	{"GET", "/readyz", "readyz", (*Server).handleReadyz, true},
+	// A scrape is not itself a request the metrics count.
+	{"GET", "/metrics", "", (*Server).handleMetrics, false},
 }
 
 // Routes returns every route the Handler serves, jobs surface
 // included, in a stable order.
-func Routes() []Route {
-	return []Route{
-		{"POST", "/v1/analyze"},
-		{"POST", "/v1/simulate"},
-		{"POST", "/v1/sweep"},
-		{"POST", "/v1/batch"},
-		{"POST", "/v1/cluster/sweep"},
-		{"POST", "/v1/cluster/membership"},
-		{"POST", "/v1/jobs"},
-		{"GET", "/v1/jobs"},
-		{"GET", "/v1/jobs/{id}"},
-		{"DELETE", "/v1/jobs/{id}"},
-		{"GET", "/v1/jobs/{id}/results"},
-		{"GET", "/v1/jobs/{id}/stream"},
-		{"GET", "/healthz"},
-		{"GET", "/readyz"},
-		{"GET", "/metrics"},
-	}
-}
+func Routes() []Route { return slices.Clone(routes) }
 
 // Handler returns the service's routing handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/cluster/sweep", s.instrument("cluster_sweep", s.handleClusterSweep))
-	mux.HandleFunc("POST /v1/cluster/membership", s.instrument("cluster_membership", s.handleClusterMembership))
-	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_submit", s.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs_status", s.handleJobStatus))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs_cancel", s.handleJobCancel))
-	mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("jobs_results", s.handleJobResults))
-	// The stream outlives the per-request compute deadline by design — a
-	// job streams for as long as it runs — so it takes the no-timeout
-	// variant of the middleware.
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.instrumentOpts("jobs_stream", false, s.handleJobStream))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining",
-				"server is draining; stop routing new requests here")
-			return
+	for _, rt := range routes {
+		h := func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) }
+		if rt.label != "" {
+			h = s.instrument(rt.label, rt.withDeadline, h)
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		// A failed write means the scraper hung up; nothing to report to.
-		_ = s.metrics.reg.WritePrometheus(w)
-	})
+		mux.HandleFunc(rt.Method+" "+rt.Pattern, h)
+	}
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -320,21 +307,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// instrument wraps a handler with the per-route observability layer —
-// request counter, latency histogram, response-status counter, X-Cache
-// outcome counters, access log — plus the per-request deadline, the
-// body size limit, and panic recovery (a panicking handler becomes a
-// logged 500 and a mbserve_panics_total tick instead of a connection
-// reset). The per-route instruments are resolved once, at route
-// registration, not per request.
-func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return s.instrumentOpts(route, true, h)
+// handleHealthz is the liveness probe: 200 until BeginDrain, then 503
+// draining.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "draining",
+			"server is draining; stop routing new requests here")
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// instrumentOpts is instrument with the per-request deadline optional:
-// the jobs stream endpoint serves for as long as its job runs, so it
-// opts out of the compute timeout (every other guard still applies).
-func (s *Server) instrumentOpts(route string, withTimeout bool, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// handleMetrics serves the registry's Prometheus text exposition.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", obs.ContentType)
+	// A failed write means the scraper hung up; nothing to report to.
+	_ = s.metrics.reg.WritePrometheus(w)
+}
+
+// instrument wraps a handler with the per-route observability layer —
+// request counter, latency histogram, response-status counter, X-Cache
+// outcome counters, access log — plus the body size limit, panic
+// recovery (a panicking handler becomes a logged 500 and a
+// mbserve_panics_total tick instead of a connection reset) and, when
+// withTimeout is set, the per-request deadline. The per-route
+// instruments are resolved once, at route registration, not per
+// request.
+func (s *Server) instrument(route string, withTimeout bool, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	m := s.metrics.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -548,12 +547,12 @@ type scenarioJob struct {
 }
 
 // analyzeJob checks that built has a closed form and returns its
-// analyze evaluation.
+// analyze evaluation, which weighs one unit (weights.go).
 func (s *Server) analyzeJob(built *scenario.Built) (scenarioJob, error) {
 	if err := built.CanAnalyze(); err != nil {
 		return scenarioJob{}, err
 	}
-	return scenarioJob{built.AnalyzeKey(), analyzeWeight(built), func(ctx context.Context) (any, error) {
+	return scenarioJob{built.AnalyzeKey(), 1, func(ctx context.Context) (any, error) {
 		return s.backend.Analyze(ctx, built)
 	}}, nil
 }

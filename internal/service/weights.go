@@ -78,9 +78,6 @@ func simOf(built *scenario.Built) scenario.Sim {
 	return scenario.DefaultSim()
 }
 
-// analyzeWeight is the admission cost of one closed-form analysis.
-func analyzeWeight(*scenario.Built) int64 { return 1 }
-
 // simulateWeight estimates one simulation's admission cost from its
 // canonical cycle count and network size.
 func simulateWeight(built *scenario.Built) int64 {

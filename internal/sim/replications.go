@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"multibus/internal/arbiter"
 	"multibus/internal/numerics"
 )
 
@@ -31,7 +30,7 @@ type ReplicatedResult struct {
 // RunReplications executes reps independent copies of cfg, seeded
 // base, base+1, …, in parallel across available CPUs, and aggregates
 // them. Each replication gets its own arbiter state, so cfg.Assigner
-// must be nil (per-replication assigners are built from the topology).
+// must be nil (each run builds its assigner from the topology).
 func RunReplications(cfg Config, reps int) (*ReplicatedResult, error) {
 	if reps < 2 {
 		return nil, fmt.Errorf("%w: reps=%d (need ≥ 2)", ErrBadConfig, reps)
@@ -55,15 +54,9 @@ func RunReplications(cfg Config, reps int) (*ReplicatedResult, error) {
 			defer func() { <-sem }()
 			c := cfg
 			c.Seed = baseSeed + int64(i)
-			// Each replication gets independent workload and arbiter
-			// state (trace cursors, round-robin pointers).
+			// Each replication gets an independent workload (trace
+			// cursors); Run builds its own arbiters.
 			c.Workload = cfg.Workload.Clone()
-			var err error
-			c.Assigner, err = arbiter.ForTopology(c.Topology)
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			results[i], errs[i] = Run(c)
 		}(i)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"multibus/internal/arbiter"
 	"multibus/internal/topology"
 	"multibus/internal/workload"
 )
@@ -74,7 +75,7 @@ func TestRunReplicationsValidation(t *testing.T) {
 	// Pre-set assigner rejected (state would be shared across goroutines).
 	withAssigner := cfg
 	var errAssigner error
-	withAssigner.Assigner, errAssigner = buildAssigner(nw)
+	withAssigner.Assigner, errAssigner = arbiter.ForTopology(nw)
 	if errAssigner != nil {
 		t.Fatal(errAssigner)
 	}

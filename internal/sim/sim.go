@@ -440,12 +440,7 @@ func (e *engine) step(measure bool) int {
 			j := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
 			procs := e.reqProcs[j]
-			winner, err := e.stage1.Grant(j, procs, e.rng)
-			if err != nil {
-				// Cannot happen: procs is non-empty and j in range.
-				panic(fmt.Sprintf("sim: stage1 grant: %v", err))
-			}
-			e.winner[j] = winner
+			e.winner[j] = e.stage1.Grant(j, procs, e.rng)
 			requestedModules = append(requestedModules, j)
 			if measure {
 				e.res.MemoryBlocked += int64(len(procs) - 1)
@@ -457,7 +452,7 @@ func (e *engine) step(measure bool) int {
 
 	// Stage 2: bus assignment with bus attribution. The grant slice is
 	// the assigner's scratch, valid only until its next call.
-	grants := e.assigner.AssignDetailed(requestedModules, e.rng)
+	grants := e.assigner.Assign(requestedModules, e.rng)
 	for _, g := range grants {
 		if g.Module >= 0 && g.Module < e.m {
 			e.granted[g.Module] = true
@@ -536,11 +531,6 @@ func tCritical95(df int) float64 {
 		return table[df]
 	}
 	return 1.96
-}
-
-// buildAssigner is a test seam mirroring Run's default assigner choice.
-func buildAssigner(nw *topology.Network) (arbiter.BusAssigner, error) {
-	return arbiter.ForTopology(nw)
 }
 
 // JainFairness returns Jain's fairness index over per-processor accepted
