@@ -94,18 +94,13 @@ func main() {
 		})
 		if err == nil {
 			err = run(logger, *addr, *drain, *join, backend, service.Options{
-				CacheSize:    *cacheSize,
-				Timeout:      *timeout,
-				MaxBodyBytes: *maxBody,
-				Logger:       logger,
-				AdmissionLimit: func() int {
-					if *admit < 0 {
-						return 0
-					}
-					return *admit
-				}(),
-				QueueDepth: *queue,
-				JobsMax:    *jobsMax,
+				CacheSize:      *cacheSize,
+				Timeout:        *timeout,
+				MaxBodyBytes:   *maxBody,
+				Logger:         logger,
+				AdmissionLimit: *admit,
+				QueueDepth:     *queue,
+				JobsMax:        *jobsMax,
 			})
 		}
 	}

@@ -11,39 +11,8 @@ import (
 // symmetric workloads. Hot-spot traffic and popularity-aware module
 // placement (the paper's §II principle that "memory modules which are
 // more frequently referenced are connected to more buses") need
-// per-module probabilities; these variants replace the binomial counts
-// with Poisson-binomial ones and otherwise follow the same derivations.
-
-// HeteroGroup is an independent subnetwork with per-module request
-// probabilities.
-type HeteroGroup struct {
-	Xs    []float64 // per-module request probability
-	Buses int
-}
-
-// BandwidthIndependentGroupsHetero evaluates Σ_q E[min(S_q, B_q)] where
-// S_q is the Poisson-binomial count of requested modules in group q.
-// The homogeneous case reduces to BandwidthIndependentGroups.
-func BandwidthIndependentGroupsHetero(groups []HeteroGroup) (float64, error) {
-	if len(groups) == 0 {
-		return 0, fmt.Errorf("%w: no groups", ErrBadStructure)
-	}
-	var sum numerics.KahanSum
-	for q, g := range groups {
-		if g.Buses < 0 {
-			return 0, fmt.Errorf("%w: group %d has %d buses", ErrBadStructure, q, g.Buses)
-		}
-		if len(g.Xs) == 0 || g.Buses == 0 {
-			continue
-		}
-		v, err := numerics.ExpectedMinHetero(g.Xs, g.Buses)
-		if err != nil {
-			return 0, fmt.Errorf("group %d: %w", q, err)
-		}
-		sum.Add(v)
-	}
-	return sum.Value(), nil
-}
+// per-module probabilities; this variant replaces the binomial counts
+// with Poisson-binomial ones and otherwise follows the same derivation.
 
 // HeteroClass is a nested-prefix class with per-module request
 // probabilities.

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestHeteroGroupsReduceToHomogeneous(t *testing.T) {
-	const x = 0.746919
-	xs8 := make([]float64, 8)
-	for i := range xs8 {
-		xs8[i] = x
-	}
-	hetero, err := BandwidthIndependentGroupsHetero([]HeteroGroup{{Xs: xs8, Buses: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	homo, err := BandwidthFull(8, 4, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(hetero-homo) > 1e-12 {
-		t.Errorf("hetero %v vs homogeneous %v", hetero, homo)
-	}
-	// Two groups reduce to the partial formula.
-	xs4 := xs8[:4]
-	hetero2, err := BandwidthIndependentGroupsHetero([]HeteroGroup{
-		{Xs: xs4, Buses: 2}, {Xs: xs4, Buses: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	homo2, err := BandwidthPartialGroups(8, 4, 2, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(hetero2-homo2) > 1e-12 {
-		t.Errorf("hetero groups %v vs partial %v", hetero2, homo2)
-	}
-}
-
 func TestHeteroPrefixReducesToHomogeneous(t *testing.T) {
 	const x = 0.746919
 	mk := func(n int) []float64 {
@@ -67,15 +33,6 @@ func TestHeteroPrefixReducesToHomogeneous(t *testing.T) {
 }
 
 func TestHeteroValidation(t *testing.T) {
-	if _, err := BandwidthIndependentGroupsHetero(nil); err == nil {
-		t.Error("no groups should error")
-	}
-	if _, err := BandwidthIndependentGroupsHetero([]HeteroGroup{{Xs: []float64{0.5}, Buses: -1}}); err == nil {
-		t.Error("negative buses should error")
-	}
-	if _, err := BandwidthIndependentGroupsHetero([]HeteroGroup{{Xs: []float64{1.5}, Buses: 1}}); err == nil {
-		t.Error("bad probability should error")
-	}
 	if _, err := BandwidthPrefixClassesHetero(nil, 2); err == nil {
 		t.Error("no classes should error")
 	}
@@ -87,16 +44,6 @@ func TestHeteroValidation(t *testing.T) {
 	}
 	if _, err := BandwidthPrefixClassesHetero([]HeteroClass{{Xs: []float64{-1}, PrefixLen: 1}}, 2); err == nil {
 		t.Error("bad probability should error")
-	}
-	// Empty hetero group contributes nothing.
-	v, err := BandwidthIndependentGroupsHetero([]HeteroGroup{
-		{Xs: nil, Buses: 2}, {Xs: []float64{0.5}, Buses: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-0.5) > 1e-12 {
-		t.Errorf("v = %v, want 0.5", v)
 	}
 }
 

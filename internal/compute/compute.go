@@ -8,7 +8,10 @@
 //
 // The package is a leaf below service, sweep, and cluster: it knows how
 // to evaluate one canonical scenario (LocalBackend) and how results look
-// on the wire, but nothing about HTTP, caches-as-policy, or peers. That
+// on the wire, but nothing about HTTP, caches-as-policy, or peers. It
+// classifies nothing either: a built scenario carries its wiring's
+// classification (scenario.Built.Structure), so a closed-form evaluation
+// is X(r) plus one formula. That
 // layering is what makes the compute path pluggable — the in-process
 // path (LocalBackend), the consistent-hash forwarding path
 // (internal/cluster), and any future transport all satisfy one
@@ -26,7 +29,6 @@ import (
 	"context"
 	"encoding/json"
 
-	"multibus/internal/analytic"
 	"multibus/internal/cache"
 	"multibus/internal/scenario"
 )
@@ -99,11 +101,10 @@ type Point struct {
 }
 
 // PointJob is one sweep grid point awaiting evaluation: the built
-// scenario plus the axis labels its Point carries. X and Structure are
-// optional precomputed accelerants — the sweep enumerator fills them
-// once per (model, M, r) and per (scheme, model, N, B) respectively —
-// and backends derive them on demand when absent (a peer receiving a
-// bare job over the wire rebuilds both).
+// scenario plus the axis labels its Point carries. Everything a backend
+// evaluates comes from Built, which carries its own classification, so
+// a peer that rebuilds the job from its wire form evaluates it exactly
+// as the enumerator's job.
 type PointJob struct {
 	Built *scenario.Built
 	// Axis is the scheme axis name — part of the sweep-point cache key,
@@ -112,12 +113,6 @@ type PointJob struct {
 	// Model is the model axis name carried into the output Point.
 	Model   string
 	WithSim bool
-	// X is Model.X(r) when XValid; backends compute it otherwise.
-	X      float64
-	XValid bool
-	// Structure is the Classify result for non-crossbar points; nil
-	// means the backend classifies on demand.
-	Structure *analytic.Structure
 }
 
 // Key returns the job's canonical sweep-point cache key — the string
@@ -126,8 +121,8 @@ func (jb PointJob) Key() string {
 	return jb.Built.SweepPointKey(jb.Axis, jb.WithSim)
 }
 
-// Spec strips the job to its wire form. X and Structure stay behind:
-// the receiving worker re-derives both from the canonical scenario.
+// Spec strips the job to its wire form; the receiving worker rebuilds
+// the rest from the canonical scenario.
 func (jb PointJob) Spec() PointSpec {
 	return PointSpec{Scenario: jb.Built.Scenario, Axis: jb.Axis, Model: jb.Model, WithSim: jb.WithSim}
 }

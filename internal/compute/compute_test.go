@@ -209,36 +209,6 @@ func TestLocalAnalyzeRejectsCrossbar(t *testing.T) {
 	}
 }
 
-// TestSweepPointBareMatchesPrecomputed pins the property cluster
-// forwarding relies on: a bare job (no precomputed X, no Structure —
-// what a peer reconstructs from the wire) evaluates bit-identically to
-// the enumerator's accelerated job.
-func TestSweepPointBareMatchesPrecomputed(t *testing.T) {
-	s := analyzeScenario
-	s.Sim = &scenario.Sim{Cycles: 2000, Seed: 7}
-	built := buildScenario(t, s)
-	x, err := built.Model.X(built.Scenario.R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := PointJob{Built: built, Axis: "full", Model: "hier", WithSim: true, X: x, XValid: true}
-	bare := PointJob{Built: built, Axis: "full", Model: "hier", WithSim: true}
-	a, err := Local().SweepPoint(context.Background(), fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Local().SweepPoint(context.Background(), bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("precomputed job = %+v, bare job = %+v", a, b)
-	}
-	if fast.Key() != bare.Key() {
-		t.Errorf("job keys differ: %q vs %q", fast.Key(), bare.Key())
-	}
-}
-
 // TestPointJSONRoundTripByteIdentical pins the wire property the
 // cluster layer depends on: a Point decoded from a peer's JSON
 // re-encodes to the same bytes (encoding/json round-trips float64
@@ -309,5 +279,37 @@ func TestForwardedMarker(t *testing.T) {
 	}
 	if !Forwarded(WithForwarded(ctx)) {
 		t.Fatal("marked context does not report forwarded")
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestLocalAnalyzeAllocsInterned bounds the analyze path of an interned
+// shape at N = M = 512, B = 64: the built scenario carries its
+// classification, so the only allocation left is the *Analysis itself.
+func TestLocalAnalyzeAllocsInterned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled evaluators under the race detector")
+	}
+	for _, nw := range []scenario.Network{
+		{Scheme: scenario.SchemeFull, N: 512, M: 512, B: 64},
+		{Scheme: scenario.SchemeSingle, N: 512, M: 512, B: 64},
+		{Scheme: scenario.SchemePartial, N: 512, M: 512, B: 64, Groups: 4},
+		{Scheme: scenario.SchemeKClass, N: 512, M: 512, B: 64, Classes: 4},
+	} {
+		built := buildScenario(t, scenario.Scenario{Network: nw, Model: scenario.Model{Kind: scenario.ModelUniform}, R: 0.5})
+		ctx := context.Background()
+		if _, err := Local().Analyze(ctx, built); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Local().Analyze(ctx, built); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: Analyze allocates %.1f times per call, want ≤ 1", nw.Scheme, allocs)
+		}
 	}
 }

@@ -44,30 +44,18 @@ var defaultLocal = NewLocal(nil, nil)
 // Local returns the shared default in-process backend.
 func Local() *LocalBackend { return defaultLocal }
 
-// closedForm is the one closed-form path: X(r), then the crossbar
-// formula for crossbar points or the classified structure's bandwidth
-// for the rest. The job's precomputed X and
-// Structure are used when present — the sweep enumerator's
-// per-combination sharing — and derived on demand otherwise.
-func closedForm(jb PointJob) (x, bw float64, err error) {
-	built := jb.Built
-	x = jb.X
-	if !jb.XValid {
-		if x, err = built.Model.X(built.Scenario.R); err != nil {
-			return 0, 0, err
-		}
+// closedForm is the one closed-form path: X(r) from the request model,
+// then the crossbar formula for crossbar points or the bandwidth of the
+// built scenario's Structure for the rest.
+func closedForm(built *scenario.Built) (x, bw float64, err error) {
+	if x, err = built.Model.X(built.Scenario.R); err != nil {
+		return 0, 0, err
 	}
 	if built.Crossbar {
 		bw, err = analytic.BandwidthCrossbar(built.Network.M(), x)
 		return x, bw, err
 	}
-	structure := jb.Structure
-	if structure == nil {
-		if structure, err = analytic.Classify(built.Network); err != nil {
-			return 0, 0, err
-		}
-	}
-	bw, err = analytic.BandwidthStructure(structure, built.Network.B(), x)
+	bw, err = analytic.BandwidthStructure(built.Structure, built.Network.B(), x)
 	return x, bw, err
 }
 
@@ -78,7 +66,7 @@ func analyzeClosedForm(ctx context.Context, built *scenario.Built) (*Analysis, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	x, bw, err := closedForm(PointJob{Built: built})
+	x, bw, err := closedForm(built)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +136,11 @@ func (l *LocalBackend) Simulate(ctx context.Context, built *scenario.Built) (*Si
 // Crossbar points use the crossbar formula on the model's X and are
 // never simulated (the reference curve has no bus contention).
 func (l *LocalBackend) SweepPoint(ctx context.Context, jb PointJob) (Point, error) {
-	x, bw, err := closedForm(jb)
+	built := jb.Built
+	x, bw, err := closedForm(built)
 	if err != nil {
 		return Point{}, err
 	}
-	built := jb.Built
 	pt := Point{
 		Scheme: jb.Axis, Model: jb.Model,
 		N: built.Network.N(), B: built.Network.B(), R: built.Scenario.R,

@@ -126,7 +126,6 @@ type Job struct {
 	runErr    string
 	cancel    context.CancelFunc
 	updated   chan struct{} // closed+replaced on every observable change
-	seq       int           // submit order, for eviction
 	cancelReq bool
 	run       RunFunc // set at submit, consumed at dispatch
 }
@@ -215,7 +214,6 @@ func (s *Store) Submit(op string, total int, run RunFunc) (*Job, error) {
 		total:   total,
 		pending: make(map[int][]byte),
 		updated: make(chan struct{}),
-		seq:     s.seq,
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)

@@ -28,49 +28,3 @@ func PoissonBinomialPMF(probs []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// PoissonBinomialCDF returns P[successes ≤ k] for the trial
-// probabilities. k < 0 yields 0; k ≥ len(probs) yields 1.
-func PoissonBinomialCDF(probs []float64, k int) (float64, error) {
-	if k < 0 {
-		return 0, nil
-	}
-	if k >= len(probs) {
-		return 1, nil
-	}
-	pmf, err := PoissonBinomialPMF(probs)
-	if err != nil {
-		return 0, err
-	}
-	var sum KahanSum
-	for i := 0; i <= k; i++ {
-		sum.Add(pmf[i])
-	}
-	v := sum.Value()
-	if v > 1 {
-		v = 1
-	}
-	return v, nil
-}
-
-// ExpectedMinHetero returns E[min(S, b)] where S is the Poisson-binomial
-// success count of the trials — the expected served requests when b
-// servers face modules with unequal request probabilities.
-func ExpectedMinHetero(probs []float64, b int) (float64, error) {
-	if b < 0 {
-		return 0, fmt.Errorf("%w: b=%d", ErrInvalidRange, b)
-	}
-	pmf, err := PoissonBinomialPMF(probs)
-	if err != nil {
-		return 0, err
-	}
-	var sum KahanSum
-	for k, p := range pmf {
-		served := k
-		if served > b {
-			served = b
-		}
-		sum.Add(float64(served) * p)
-	}
-	return sum.Value(), nil
-}

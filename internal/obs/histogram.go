@@ -1,57 +1,36 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 )
 
-// DefLatencyBuckets are the default histogram bucket upper bounds in
+// DefLatencyBuckets are the bucket upper bounds of every histogram, in
 // seconds (the Prometheus client defaults): 5ms up to 10s, plus the
 // implicit +Inf overflow bucket. They span HTTP request latencies from
 // a cache hit (~10µs, first bucket) to a request-deadline timeout.
 var DefLatencyBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// Histogram is a fixed-bucket distribution metric. Observations are
-// non-negative (latencies, sizes); each lands in the first bucket whose
-// upper bound is ≥ the value, Prometheus `le` semantics. The memory
-// footprint is bounded by the bucket count at construction — no
-// per-observation allocation, safe for concurrent use.
+// Histogram is a fixed-bucket distribution metric over
+// DefLatencyBuckets. Observations are non-negative (latencies); each
+// lands in the first bucket whose upper bound is ≥ the value, Prometheus
+// `le` semantics. No per-observation allocation, safe for concurrent
+// use.
 type Histogram struct {
-	bounds  []float64 // finite upper bounds, strictly increasing
-	counts  []atomic.Uint64
+	counts  []atomic.Uint64 // one per DefLatencyBuckets bound
 	inf     atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)),
-	}
-}
-
-// validateBounds panics on a non-increasing bucket layout — a
-// construction-time programming error, like a malformed metric name.
-func validateBounds(name string, bounds []float64) {
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("obs: histogram %q needs at least one finite bucket", name))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q buckets not strictly increasing at index %d", name, i))
-		}
-	}
-	if math.IsInf(bounds[len(bounds)-1], +1) {
-		panic(fmt.Sprintf("obs: histogram %q must not include +Inf explicitly", name))
-	}
+func newHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Uint64, len(DefLatencyBuckets))}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
+	if i := sort.SearchFloat64s(DefLatencyBuckets, v); i < len(DefLatencyBuckets) {
 		h.counts[i].Add(1)
 	} else {
 		h.inf.Add(1)
@@ -85,12 +64,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]uint64, len(h.bounds)+1),
+		Bounds: append([]float64(nil), DefLatencyBuckets...),
+		Counts: make([]uint64, len(DefLatencyBuckets)+1),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.Counts[len(h.bounds)] = h.inf.Load()
+	s.Counts[len(DefLatencyBuckets)] = h.inf.Load()
 	return s
 }

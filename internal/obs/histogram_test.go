@@ -6,28 +6,39 @@ import (
 	"testing"
 )
 
+// bucketCounts returns per-bucket counts over DefLatencyBuckets (the
+// last is +Inf) with one observation per listed bucket index.
+func bucketCounts(idx ...int) []uint64 {
+	c := make([]uint64, len(DefLatencyBuckets)+1)
+	for _, i := range idx {
+		c[i]++
+	}
+	return c
+}
+
 // TestHistogramBucketBoundaries pins the `le` edge semantics: an
 // observation equal to a bound lands in that bound's bucket, one just
 // above lands in the next, and anything beyond the last finite bound
 // lands in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	bounds := []float64{0.01, 0.1, 1}
+	inf := len(DefLatencyBuckets)
 	cases := []struct {
 		name       string
 		observe    []float64
 		wantCounts []uint64 // per-bucket, last is +Inf
 	}{
-		{"below first", []float64{0.001}, []uint64{1, 0, 0, 0}},
-		{"exactly first bound", []float64{0.01}, []uint64{1, 0, 0, 0}},
-		{"just above first bound", []float64{0.010001}, []uint64{0, 1, 0, 0}},
-		{"zero", []float64{0}, []uint64{1, 0, 0, 0}},
-		{"exact middle and last bounds", []float64{0.1, 1}, []uint64{0, 1, 1, 0}},
-		{"overflow", []float64{1.5, 100}, []uint64{0, 0, 0, 2}},
-		{"one per bucket", []float64{0.005, 0.05, 0.5, 5}, []uint64{1, 1, 1, 1}},
+		{"below first", []float64{0.001}, bucketCounts(0)},
+		{"exactly first bound", []float64{0.005}, bucketCounts(0)},
+		{"just above first bound", []float64{0.005001}, bucketCounts(1)},
+		{"zero", []float64{0}, bucketCounts(0)},
+		{"exact middle and last bounds", []float64{0.1, 10}, bucketCounts(4, inf-1)},
+		{"overflow", []float64{10.5, 100}, bucketCounts(inf, inf)},
+		{"one per bucket", []float64{0.001, 0.007, 0.02, 0.03, 0.07, 0.2, 0.3, 0.7, 2, 3, 7, 20},
+			bucketCounts(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHistogram(bounds)
+			h := newHistogram()
 			var sum float64
 			for _, v := range tc.observe {
 				h.Observe(v)
@@ -51,7 +62,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestDefaultBucketsCoverServiceLatencies(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "", nil)
+	h := r.Histogram("lat", "")
 	h.Observe(12e-6) // a cache hit
 	h.Observe(30)    // a timed-out request
 	s := h.Snapshot()
@@ -64,7 +75,7 @@ func TestDefaultBucketsCoverServiceLatencies(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := newHistogram([]float64{0.5})
+	h := newHistogram()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -77,8 +88,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	wg.Wait()
 	s := h.Snapshot()
-	if s.Count != 8000 || s.Counts[0] != 8000 {
-		t.Errorf("count = %d / bucket %d, want 8000", s.Count, s.Counts[0])
+	if s.Count != 8000 || s.Counts[5] != 8000 { // 0.25 is bound 5
+		t.Errorf("count = %d / bucket %d, want 8000", s.Count, s.Counts[5])
 	}
 	if math.Abs(s.Sum-8000*0.25) > 1e-6 {
 		t.Errorf("sum = %v, want %v", s.Sum, 8000*0.25)

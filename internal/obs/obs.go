@@ -14,9 +14,9 @@
 // labels. The getters Counter and Histogram are get-or-create: the
 // first call for a (name, labels) pair allocates the series, later
 // calls return the same instance, so hot paths can either cache the
-// pointer or re-look it up. Registering one family name with
-// two different metric types (or two different help strings or bucket
-// layouts) is a programming error and panics.
+// pointer or re-look it up. Registering one family name with two
+// different metric types is a programming error and panics. Every
+// histogram shares one bucket layout, DefLatencyBuckets.
 //
 // The metric vocabulary is deliberately shared with the benchmark
 // pipeline: histogram snapshots expose the same count/sum/bucket shape
@@ -75,7 +75,6 @@ type family struct {
 	name   string
 	help   string
 	typ    string
-	bounds []float64          // histogram families only
 	series map[string]*series // label signature → series
 }
 
@@ -94,7 +93,7 @@ func NewRegistry() *Registry {
 // Counter returns the counter series for (name, labels), creating it on
 // first use. It panics if name is already registered as another type.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, typeCounter, nil, labels).counter
+	return r.lookup(name, help, typeCounter, labels).counter
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at
@@ -102,30 +101,24 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // component (cache.Stats) that obs should report but not duplicate.
 // Re-registering the same series replaces its function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, typeGauge, nil, labels)
+	s := r.lookup(name, help, typeGauge, labels)
 	r.mu.Lock()
 	s.gaugeFn = fn
 	r.mu.Unlock()
 }
 
 // Histogram returns the histogram series for (name, labels), creating
-// it on first use. bounds are the finite bucket upper bounds in
-// strictly increasing order (an implicit +Inf bucket is always added);
-// nil means DefLatencyBuckets. Every series of one family shares one
-// bucket layout; differing bounds panic.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	validateBounds(name, bounds)
-	return r.lookup(name, help, typeHistogram, bounds, labels).hist
+// it on first use. Its buckets are DefLatencyBuckets plus the implicit
+// +Inf bucket.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	return r.lookup(name, help, typeHistogram, labels).hist
 }
 
 // lookup finds or creates the series — instantiating its instrument
 // under the registry lock, so concurrent get-or-create calls for one
 // series observe exactly one instance — and enforces family
 // consistency.
-func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []Label) *series {
+func (r *Registry) lookup(name, help, typ string, labels []Label) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -134,16 +127,12 @@ func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []Lab
 			name:   name,
 			help:   help,
 			typ:    typ,
-			bounds: append([]float64(nil), bounds...),
 			series: make(map[string]*series),
 		}
 		r.families[name] = f
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
-	}
-	if typ == typeHistogram && !equalBounds(f.bounds, bounds) {
-		panic(fmt.Sprintf("obs: histogram %q re-registered with different buckets", name))
 	}
 	sig := signature(labels)
 	s, ok := f.series[sig]
@@ -155,7 +144,7 @@ func (r *Registry) lookup(name, help, typ string, bounds []float64, labels []Lab
 		case typeCounter:
 			s.counter = &Counter{}
 		case typeHistogram:
-			s.hist = newHistogram(f.bounds)
+			s.hist = newHistogram()
 		}
 		f.series[sig] = s
 	}
@@ -191,16 +180,4 @@ func escapeLabelValue(v string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

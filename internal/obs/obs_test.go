@@ -78,7 +78,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 		analyze.Inc()
 	}
 	r.Counter("req_total", "total requests", L("route", "batch")).Inc()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1}, L("route", "analyze"))
+	h := r.Histogram("lat_seconds", "latency", L("route", "analyze"))
 	// Exactly representable observations so the golden _sum is stable.
 	h.Observe(0.0625)
 	h.Observe(0.5)
@@ -91,8 +91,17 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := sb.String()
 	want := `# HELP lat_seconds latency
 # TYPE lat_seconds histogram
+lat_seconds_bucket{route="analyze",le="0.005"} 0
+lat_seconds_bucket{route="analyze",le="0.01"} 0
+lat_seconds_bucket{route="analyze",le="0.025"} 0
+lat_seconds_bucket{route="analyze",le="0.05"} 0
 lat_seconds_bucket{route="analyze",le="0.1"} 1
+lat_seconds_bucket{route="analyze",le="0.25"} 1
+lat_seconds_bucket{route="analyze",le="0.5"} 2
 lat_seconds_bucket{route="analyze",le="1"} 2
+lat_seconds_bucket{route="analyze",le="2.5"} 2
+lat_seconds_bucket{route="analyze",le="5"} 3
+lat_seconds_bucket{route="analyze",le="10"} 3
 lat_seconds_bucket{route="analyze",le="+Inf"} 3
 lat_seconds_sum{route="analyze"} 5.5625
 lat_seconds_count{route="analyze"} 3

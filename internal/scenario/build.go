@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"multibus/internal/analytic"
 	"multibus/internal/arbiter"
 	"multibus/internal/cache"
 	"multibus/internal/hrm"
@@ -13,9 +14,10 @@ import (
 )
 
 // Built is a scenario realized into domain objects: the canonical form
-// it was built from, the wired topology, and the analytic request model
-// (nil for the simulator-only hotspot kind). All cache keys derive from
-// Built — it is the only key path in the repo.
+// it was built from, the wired topology and its closed-form
+// classification, and the analytic request model (nil for the
+// simulator-only hotspot kind). All cache keys derive from Built — it is
+// the only key path in the repo.
 type Built struct {
 	// Scenario is the canonical form; equal canonical forms mean equal
 	// keys and results.
@@ -25,6 +27,10 @@ type Built struct {
 	// flags that consumers must use the crossbar formula instead of the
 	// multiple-bus analysis.
 	Network *topology.Network
+	// Structure is analytic.Classify(Network), computed once per shape
+	// (see the intern table) and read-only: the group or class shape
+	// the closed forms evaluate.
+	Structure *analytic.Structure
 	// Model is the analytic request model over the network's M modules;
 	// nil exactly when the model kind has no closed form (hotspot).
 	Model    *hrm.Hierarchy
@@ -33,21 +39,22 @@ type Built struct {
 
 // Build canonicalizes the scenario and constructs its topology and
 // request model. Errors wrap ErrInvalid (and ErrUnsatisfiable for
-// structural constraint violations). The topology of a shape the process
-// has built before is the same shared, immutable *topology.Network (see
-// the intern table), so callers must treat it as read-only.
+// structural constraint violations). The topology and structure of a
+// shape the process has built before are the same shared, immutable
+// objects (see the intern table), so callers must treat them as
+// read-only.
 func (s Scenario) Build() (*Built, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	nw, err := c.Network.wire()
+	sh, err := c.Network.wire()
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{Scenario: c, Network: nw, Crossbar: c.Network.Scheme == SchemeCrossbar}
+	b := &Built{Scenario: c, Network: sh.network, Structure: sh.structure, Crossbar: c.Network.Scheme == SchemeCrossbar}
 	if c.Model.Kind != ModelHotSpot {
-		b.Model, err = c.Model.build(nw.M())
+		b.Model, err = c.Model.build(sh.network.M())
 		if err != nil {
 			return nil, err
 		}
@@ -56,13 +63,13 @@ func (s Scenario) Build() (*Built, error) {
 }
 
 // WithRate returns a copy of the built scenario at request rate r,
-// sharing the wired Network and request Model objects with the receiver.
-// The rate axis is the only scenario field the analytic sweep varies
-// within one (scheme, model, N, B) combination; re-running Build per
-// rate re-wires the topology and re-derives the hierarchy only to throw
-// both away. r is validated exactly as Canonical validates Scenario.R,
-// so a WithRate copy keys and evaluates identically to a fresh Build at
-// the same rate.
+// sharing the wired Network, its Structure and the request Model with
+// the receiver. The rate axis is the only scenario field the analytic
+// sweep varies within one (scheme, model, N, B) combination; re-running
+// Build per rate re-canonicalizes and re-derives the hierarchy only to
+// throw both away. r is validated exactly as Canonical validates
+// Scenario.R, so a WithRate copy keys and evaluates identically to a
+// fresh Build at the same rate.
 func (b *Built) WithRate(r float64) (*Built, error) {
 	if r < 0 || r > 1 || math.IsNaN(r) {
 		return nil, fmt.Errorf("%w: r = %v outside [0, 1]", ErrInvalid, r)
@@ -101,7 +108,8 @@ func (n Network) Build() (*topology.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.wire()
+	sh, err := c.wire()
+	return sh.network, err
 }
 
 // build constructs the canonical model over the given module count.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"multibus/internal/analytic"
 	"multibus/internal/topology"
 )
 
@@ -207,20 +208,28 @@ func TestInternSkipsOversizedShapes(t *testing.T) {
 
 // TestInternConcurrentBuildsPastCap races goroutines building
 // overlapping shapes — more than the table holds, so it clears while
-// they run — and checks every key against a fresh construction. Run it
-// under -race: the table and the lazily memoized network fingerprint
-// are both shared state.
+// they run — and checks every key, and the bandwidth of the shared
+// structure, against a fresh construction. Run it under -race: the
+// table, the lazily memoized network fingerprint and the structures the
+// evaluator reads are all shared state.
 func TestInternConcurrentBuildsPastCap(t *testing.T) {
 	var scs []Scenario
 	var want []string
+	var wantBW []float64
 	for n := 1; n <= 2*internMaxEntries; n++ {
 		sc := Scenario{Network: Network{Scheme: SchemeFull, N: n, B: 1 + n%7}, Model: Model{Kind: ModelUniform}, R: 0.5}
 		c, err := sc.Canonical()
 		if err != nil {
 			t.Fatal(err)
 		}
+		fresh := freshBuilt(t, c)
+		bw, err := analytic.Bandwidth(fresh.Network, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		scs = append(scs, sc)
-		want = append(want, freshBuilt(t, c).AnalyzeKey())
+		want = append(want, fresh.AnalyzeKey())
+		wantBW = append(wantBW, bw)
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -237,6 +246,11 @@ func TestInternConcurrentBuildsPastCap(t *testing.T) {
 				}
 				if got := built.AnalyzeKey(); got != want[j] {
 					t.Errorf("worker %d, shape %d: key %q, want %q", w, j, got, want[j])
+					return
+				}
+				bw, err := analytic.BandwidthStructure(built.Structure, built.Network.B(), 0.5)
+				if err != nil || bw != wantBW[j] {
+					t.Errorf("worker %d, shape %d: bandwidth %v (%v), want %v", w, j, bw, err, wantBW[j])
 					return
 				}
 			}

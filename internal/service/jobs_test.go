@@ -551,10 +551,10 @@ func TestJobStoreFullSheds429(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeBounds: negative admission and job bounds are
-// configuration errors, not modes.
+// TestNewRejectsNegativeBounds: negative admission, job, deadline and
+// body bounds are configuration errors, not modes.
 func TestNewRejectsNegativeBounds(t *testing.T) {
-	for _, opts := range []Options{{AdmissionLimit: -1}, {JobsMax: -1}} {
+	for _, opts := range []Options{{AdmissionLimit: -1}, {JobsMax: -1}, {Timeout: -time.Second}, {MaxBodyBytes: -1}} {
 		if _, err := New(opts); err == nil {
 			t.Errorf("New(%+v) accepted a negative bound", opts)
 		}

@@ -76,7 +76,7 @@ func (m *serverMetrics) route(route string) *routeMetrics {
 		requests: m.reg.Counter(metricRequestsTotal,
 			"HTTP requests by route", obs.L("route", route)),
 		latency: m.reg.Histogram(metricDurationSeconds,
-			"request latency by route (seconds)", nil, obs.L("route", route)),
+			"request latency by route (seconds)", obs.L("route", route)),
 		cacheHit: m.reg.Counter(metricCacheRequests,
 			"requests by route and X-Cache outcome", obs.L("route", route), obs.L("result", "hit")),
 		cacheMiss: m.reg.Counter(metricCacheRequests,
@@ -115,7 +115,7 @@ func (m *serverMetrics) shed(route string) *obs.Counter {
 // histogram.
 func (m *serverMetrics) bindAdmission(a *admission) {
 	m.queueWait = m.reg.Histogram(metricQueueWaitSeconds,
-		"time spent queued for admission before compute (seconds)", nil)
+		"time spent queued for admission before compute (seconds)")
 	m.reg.GaugeFunc(metricInflightCompute,
 		"admission units currently held by in-flight compute",
 		func() float64 { return float64(a.Inflight()) })

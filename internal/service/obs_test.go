@@ -240,7 +240,7 @@ func TestHistogramQuantileFromServiceTraffic(t *testing.T) {
 		}
 	}
 	hist := s.Metrics().Histogram(metricDurationSeconds,
-		"request latency by route (seconds)", nil, // same family ⇒ same instance
+		"request latency by route (seconds)", // same family ⇒ same instance
 		obs.L("route", "analyze"))
 	snap := hist.Snapshot()
 	if snap.Count != 5 {

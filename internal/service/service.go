@@ -106,9 +106,11 @@ func DefaultAdmissionLimit() int {
 type Options struct {
 	// CacheSize bounds the shared analysis/simulation LRU (entries).
 	CacheSize int
-	// Timeout is the per-request computation deadline.
+	// Timeout is the per-request computation deadline. 0 means
+	// DefaultTimeout; negative is rejected by New.
 	Timeout time.Duration
-	// MaxBodyBytes bounds request bodies.
+	// MaxBodyBytes bounds request bodies. 0 means DefaultMaxBodyBytes;
+	// negative is rejected by New.
 	MaxBodyBytes int64
 	// Backend overrides the compute backend every evaluation goes
 	// through. Nil means compute.Local(), the single-instance path.
@@ -180,6 +182,12 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Backend == nil {
 		opts.Backend = compute.Local()
+	}
+	if opts.Timeout < 0 {
+		return nil, fmt.Errorf("service: timeout %v must be ≥ 0", opts.Timeout)
+	}
+	if opts.MaxBodyBytes < 0 {
+		return nil, fmt.Errorf("service: body limit %d must be ≥ 0", opts.MaxBodyBytes)
 	}
 	if opts.AdmissionLimit < 0 {
 		return nil, fmt.Errorf("service: admission limit %d must be ≥ 0", opts.AdmissionLimit)

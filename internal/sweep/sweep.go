@@ -7,8 +7,9 @@
 //
 // The grid axes are scenario templates (internal/scenario): each
 // (scheme, model, N, B, r) tuple is stamped into one Scenario and built
-// through the canonical layer, so sweeps share validation, defaults, and
-// cache keys with the single-point CLI and HTTP paths. Grid points that
+// through the canonical layer, so sweeps share validation, defaults,
+// cache keys and the wiring's classification (scenario.Built.Structure)
+// with the single-point CLI and HTTP paths. Grid points that
 // violate a structural constraint (groups or classes not dividing the
 // module count, hierarchical workloads that do not split) are skipped
 // and reported in Result.Skipped — never dropped silently.
@@ -24,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multibus/internal/analytic"
 	"multibus/internal/cache"
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
@@ -148,23 +148,12 @@ type Result struct {
 	Skipped []Skip
 }
 
-// Enumerated grid points are compute.PointJob values: the built
-// scenario, the request probability, and the classified structure are
-// all constructed during (sequential) enumeration; they are read-only
-// afterwards, so workers evaluate jobs concurrently. Jobs of one
-// (scheme, model, N, B) combination share one Network, one Model, and
-// one Structure (via scenario.Built.WithRate), and jobs of one
-// (model, N, r) share the precomputed X across schemes — evaluation per
-// point is down to one BandwidthStructure dispatch on cached rows.
-
-// xKey keys the per-enumeration X cache: the built model's fingerprint
-// (which encodes kind, parameters, and module count) plus the exact rate
-// bits. AxisName is not enough — two hier templates with different
-// locality parameters share one axis label.
-type xKey struct {
-	modelFP uint64
-	rBits   uint64
-}
+// Enumerated grid points are compute.PointJob values. Their built
+// scenarios are constructed during (sequential) enumeration and are
+// read-only afterwards, so workers evaluate jobs concurrently. Jobs of
+// one (scheme, model, N, B) combination share one Network, one
+// Structure and one Model (via scenario.Built.WithRate); a backend
+// evaluates each point as X(r) plus one closed form over that Structure.
 
 // Run evaluates the sweep and returns its points in deterministic order
 // (scheme, then model, then N, then B, then r). Points are evaluated
@@ -334,7 +323,6 @@ func enumerate(spec Spec) ([]compute.PointJob, []Skip, error) {
 	}
 	var jobs []compute.PointJob
 	skipped := []Skip{}
-	xs := make(map[xKey]float64)
 	for _, tmpl := range spec.Schemes {
 		axis := tmpl.AxisName()
 		for _, model := range models {
@@ -351,7 +339,7 @@ func enumerate(spec Spec) ([]compute.PointJob, []Skip, error) {
 						})
 						continue
 					}
-					built, skip, err := buildCombination(spec, axis, modelAxis, tmpl, model, n, b, xs)
+					built, skip, err := buildCombination(spec, axis, modelAxis, tmpl, model, n, b)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -369,12 +357,10 @@ func enumerate(spec Spec) ([]compute.PointJob, []Skip, error) {
 
 // buildCombination builds one (scheme, model, N, B) combination at every
 // rate, returning a skip reason (and no error) when the combination is
-// structurally unsatisfiable. The combination is wired and classified
-// once: the first rate goes through the full canonical Build, the rest
-// are WithRate copies sharing its Network and Model, and the Classify
-// walk runs once for all of them. X values are memoized in xs across
-// combinations — the same (model, N, r) recurs for every scheme axis.
-func buildCombination(spec Spec, axis, modelAxis string, tmpl scenario.Network, model scenario.Model, n, b int, xs map[xKey]float64) ([]compute.PointJob, string, error) {
+// structurally unsatisfiable. The first rate goes through the full
+// canonical Build; the rest are WithRate copies sharing its Network,
+// Structure and Model.
+func buildCombination(spec Spec, axis, modelAxis string, tmpl scenario.Network, model scenario.Model, n, b int) ([]compute.PointJob, string, error) {
 	nw := tmpl
 	nw.N, nw.M, nw.B = n, 0, b
 	s := scenario.Scenario{
@@ -394,14 +380,6 @@ func buildCombination(spec Spec, axis, modelAxis string, tmpl scenario.Network, 
 	if err != nil {
 		return nil, "", err
 	}
-	var structure *analytic.Structure
-	if !base.Crossbar {
-		structure, err = analytic.Classify(base.Network)
-		if err != nil {
-			return nil, "", err
-		}
-	}
-	modelFP := base.Model.Fingerprint()
 	jobs := make([]compute.PointJob, 0, len(spec.Rs))
 	for i, r := range spec.Rs {
 		bl := base
@@ -411,19 +389,7 @@ func buildCombination(spec Spec, axis, modelAxis string, tmpl scenario.Network, 
 				return nil, "", err
 			}
 		}
-		key := xKey{modelFP: modelFP, rBits: math.Float64bits(r)}
-		x, ok := xs[key]
-		if !ok {
-			x, err = bl.Model.X(r)
-			if err != nil {
-				return nil, "", err
-			}
-			xs[key] = x
-		}
-		jobs = append(jobs, compute.PointJob{
-			Built: bl, Axis: axis, Model: modelAxis,
-			WithSim: spec.WithSim, X: x, XValid: true, Structure: structure,
-		})
+		jobs = append(jobs, compute.PointJob{Built: bl, Axis: axis, Model: modelAxis, WithSim: spec.WithSim})
 	}
 	return jobs, "", nil
 }
