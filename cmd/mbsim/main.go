@@ -86,39 +86,44 @@ func run(o options) error {
 		sc.Sim.Resubmit = true
 	}
 
-	var nw *topology.Network
-	var gen workload.Generator
+	var cfg sim.Config
 	if o.wiringPath != "" {
-		f, ferr := os.Open(o.wiringPath)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		nw, err = topology.ReadWiring(f)
+		f, err := os.Open(o.wiringPath)
 		if err != nil {
 			return err
 		}
-		if o.tracePath == "" {
-			gen, err = sc.Model.BuildWorkload(nw.N(), nw.M(), sc.R)
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		bt, berr := sc.Build()
-		if berr != nil {
-			return berr
-		}
-		if err := bt.CanSimulate(); err != nil {
+		defer f.Close()
+		nw, err := topology.ReadWiring(f)
+		if err != nil {
 			return err
 		}
-		nw = bt.Network
-		sc = bt.Scenario // canonical: sim defaults and model fields normalized
+		knobs, err := sc.Sim.Canonical()
+		if err != nil {
+			return err
+		}
+		var gen workload.Generator
 		if o.tracePath == "" {
-			gen, err = bt.Workload()
-			if err != nil {
+			if gen, err = sc.Model.BuildWorkload(nw.N(), nw.M(), sc.R); err != nil {
 				return err
 			}
+		}
+		cfg = knobs.EngineConfig(nw, gen)
+	} else {
+		bt, err := sc.Build()
+		if err != nil {
+			return err
+		}
+		sc = bt.Scenario // canonical: sim defaults and model fields normalized
+		switch {
+		case o.tracePath == "":
+			cfg, err = bt.SimConfig()
+		case bt.Crossbar:
+			err = bt.CanSimulate()
+		default:
+			cfg = bt.Sim().EngineConfig(bt.Network, nil)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
@@ -132,32 +137,20 @@ func run(o options) error {
 			return err
 		}
 		defer f.Close()
-		gen, err = workload.NewTraceFromReader(f)
-		if err != nil {
+		if cfg.Workload, err = workload.NewTraceFromReader(f); err != nil {
 			return err
-		}
-		if gen.NProcessors() != nw.N() || gen.MModules() != nw.M() {
-			return fmt.Errorf("trace is %d×%d but network is %d×%d",
-				gen.NProcessors(), gen.MModules(), nw.N(), nw.M())
 		}
 		wl = "trace:" + o.tracePath
 	}
 
-	cfg := sim.Config{
-		Topology: nw, Workload: gen,
-		Cycles: sc.Sim.Cycles, Warmup: sc.Sim.Warmup, Batches: sc.Sim.Batches,
-		Seed: sc.Sim.Seed, ModuleServiceCycles: sc.Sim.ServiceCycles,
-	}
-	if sc.Sim.Resubmit {
-		cfg.Mode = sim.ModeResubmit
-	}
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
+	nw := cfg.Topology
 	fmt.Printf("network:    %v\n", nw)
 	fmt.Printf("workload:   %s, r=%.2f, mode=%v, %d cycles, seed %d\n",
-		wl, gen.Rate(), cfg.Mode, cfg.Cycles, cfg.Seed)
+		wl, cfg.Workload.Rate(), cfg.Mode, cfg.Cycles, cfg.Seed)
 	fmt.Printf("bandwidth:  %.4f ± %.4f requests/cycle (95%% CI)\n", res.Bandwidth, res.BandwidthCI95)
 	fmt.Printf("acceptance: %.4f  (offered %d, accepted %d)\n", res.AcceptanceProbability, res.Offered, res.Accepted)
 	fmt.Printf("blocked:    memory %d, bus %d, stranded %d, module-busy %d\n",

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"multibus/internal/cliutil"
+	"multibus/internal/compute"
+	"multibus/internal/scenario"
 	"multibus/internal/testutil"
 )
 
@@ -143,5 +147,43 @@ func TestRunScenarioFile(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("output missing %q:\n%s", frag, out)
 		}
+	}
+}
+
+// TestScenarioExamplesMatchService: every example scenario with a sim
+// block prints, through mbsim's default flags, the bandwidth and CI the
+// serving stack's compute.Local().Simulate returns for the same file.
+func TestScenarioExamplesMatchService(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for _, path := range paths {
+		sc, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Sim == nil {
+			continue
+		}
+		built, err := sc.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		want, err := compute.Local().Simulate(context.Background(), built)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		o := options{spec: &cliutil.ScenarioFlags{File: path}, cycles: 50000, seed: 1, service: 1, mode: "drop"}
+		out := testutil.CaptureStdout(t, func() error { return run(o) })
+		line := fmt.Sprintf("bandwidth:  %.4f ± %.4f requests/cycle", want.Bandwidth, want.BandwidthCI95)
+		if !strings.Contains(out, line) {
+			t.Errorf("%s: mbsim printed\n%s\nwant %q", path, out, line)
+		}
+		ran++
+	}
+	if ran < 2 {
+		t.Errorf("only %d example scenarios carry a sim block", ran)
 	}
 }

@@ -91,12 +91,24 @@ func axes(o *options) ([]scenario.Network, []scenario.Model, error) {
 		}
 		o.n = s.Network.N
 		o.r = s.R
-		if s.Sim != nil {
-			if s.Sim.Cycles > 0 {
-				o.cycles = s.Sim.Cycles
+		if sm := s.Sim; sm != nil {
+			// A sweep point keys and runs with cycles and seed only.
+			for _, k := range []struct {
+				name string
+				set  bool
+			}{
+				{"warmup", sm.Warmup != 0}, {"batches", sm.Batches != 0}, {"serviceCycles", sm.ServiceCycles != 0},
+				{"resubmit", sm.Resubmit}, {"roundRobin", sm.RoundRobin},
+			} {
+				if k.set {
+					return nil, nil, fmt.Errorf("%s: sim.%s is not a sweep knob (sweep points run with cycles and seed only)", o.scenarioFile, k.name)
+				}
 			}
-			if s.Sim.Seed != 0 {
-				o.seed = s.Sim.Seed
+			if sm.Cycles > 0 {
+				o.cycles = sm.Cycles
+			}
+			if sm.Seed != 0 {
+				o.seed = sm.Seed
 			}
 		}
 		return []scenario.Network{s.Network}, []scenario.Model{s.Model}, nil

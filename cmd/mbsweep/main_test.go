@@ -114,6 +114,27 @@ func TestRunScenarioFile(t *testing.T) {
 	}
 }
 
+// TestRunScenarioFileRefusesNonSweepKnobs: a sweep point keys and runs
+// with cycles and seed only, so a scenario file setting any other sim
+// knob is refused with an error naming it rather than swept without it.
+func TestRunScenarioFileRefusesNonSweepKnobs(t *testing.T) {
+	dir := t.TempDir()
+	for _, knob := range []string{`"warmup":100`, `"batches":10`, `"serviceCycles":2`, `"resubmit":true`, `"roundRobin":true`} {
+		name := strings.Split(strings.Trim(knob, `"`), `"`)[0]
+		path := filepath.Join(dir, name+".json")
+		body := `{"network":{"scheme":"full","n":8,"b":4},"model":{"kind":"unif"},"r":0.5,"sim":{"cycles":500,` + knob + `}}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := defaults()
+		o.scenarioFile = path
+		o.withSim = true
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "sim."+name) {
+			t.Errorf("sweep of a file setting %s: err = %v, want one naming sim.%s", knob, err, name)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	o := defaults()
 	o.workload = "zipf"

@@ -73,22 +73,6 @@ func BandwidthSingle(moduleCounts []int, x float64) (float64, error) {
 	return sum.Value(), nil
 }
 
-// BusUtilizationSingle returns the per-bus service probabilities Y_i of
-// equation (5) for a single-connection network.
-func BusUtilizationSingle(moduleCounts []int, x float64) ([]float64, error) {
-	if err := checkX(x); err != nil {
-		return nil, err
-	}
-	ys := make([]float64, len(moduleCounts))
-	for i, mi := range moduleCounts {
-		if mi < 0 {
-			return nil, fmt.Errorf("%w: bus %d carries %d modules", ErrBadStructure, i, mi)
-		}
-		ys[i] = 1 - numerics.Pow1mXN(x, mi)
-	}
-	return ys, nil
-}
-
 // BandwidthPartialGroups evaluates equation (9): the memory bandwidth of
 // Lang et al.'s partial bus network with m modules and b buses split into
 // g equal groups,

@@ -221,25 +221,6 @@ func TestBandwidthSingleValidation(t *testing.T) {
 	}
 }
 
-func TestBusUtilizationSingle(t *testing.T) {
-	ys, err := BusUtilizationSingle([]int{1, 2, 4}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wants := []float64{0.5, 0.75, 1 - math.Pow(0.5, 4)}
-	for i, want := range wants {
-		if math.Abs(ys[i]-want) > 1e-12 {
-			t.Errorf("Y_%d = %v, want %v", i+1, ys[i], want)
-		}
-	}
-	if _, err := BusUtilizationSingle([]int{-1}, 0.5); err == nil {
-		t.Error("negative count should error")
-	}
-	if _, err := BusUtilizationSingle([]int{1}, 2); err == nil {
-		t.Error("bad X should error")
-	}
-}
-
 func TestBandwidthPartialGroupsTableVSpots(t *testing.T) {
 	tests := []struct {
 		n, b int

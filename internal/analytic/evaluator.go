@@ -137,13 +137,6 @@ func (e *Evaluator) BandwidthIndependentGroups(groups []GroupSpec, x float64) (f
 	return sum.Value(), nil
 }
 
-// BandwidthSingle is Evaluator-backed BandwidthSingle: paper equation
-// (6). It needs no binomial rows (each Y_i is a closed form); the method
-// exists so one Evaluator serves every scheme.
-func (e *Evaluator) BandwidthSingle(moduleCounts []int, x float64) (float64, error) {
-	return BandwidthSingle(moduleCounts, x)
-}
-
 // BandwidthSingleEven evaluates equation (6) for the even case of b
 // buses each carrying per modules, without materializing the count
 // slice: MBW = Σ_{i=1}^{b} (1 − (1−X)^{per}), accumulated exactly like

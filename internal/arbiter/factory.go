@@ -9,10 +9,9 @@ import (
 )
 
 // ForTopology builds the stage-2 bus assigner matching the paper's
-// arbitration for the given topology: a grouped round-robin B-of-M
-// assigner for full/single/partial networks, the two-step class
-// procedure for K-class (nested-prefix) networks, and a greedy per-bus
-// assigner for custom wirings with no closed-form structure.
+// arbitration for the given topology: the ForStructure assigner of its
+// classification, or a greedy per-bus assigner for custom wirings with
+// no closed-form structure.
 func ForTopology(nw *topology.Network) (BusAssigner, error) {
 	s, err := analytic.Classify(nw)
 	if errors.Is(err, analytic.ErrNoClosedForm) {
@@ -21,6 +20,15 @@ func ForTopology(nw *topology.Network) (BusAssigner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ForStructure(s)
+}
+
+// ForStructure builds the stage-2 bus assigner for a classified
+// network: a grouped round-robin B-of-M assigner for independent groups
+// (full/single/partial), the two-step class procedure for prefix
+// classes (K-class). s is only read, so a shared classification serves
+// any number of assigners.
+func ForStructure(s *analytic.Structure) (BusAssigner, error) {
 	switch s.Kind {
 	case analytic.StructureIndependentGroups:
 		busIDs := make([][]int, len(s.Groups))

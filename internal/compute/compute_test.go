@@ -145,15 +145,11 @@ func TestLocalSimulateMatchesFacade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
-		gen, err := built.Workload()
+		cfg, err := built.SimConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
-		canon := scenario.DefaultSim()
-		if built.Scenario.Sim != nil {
-			canon = *built.Scenario.Sim
-		}
-		want, err := multibus.Simulate(built.Network, gen, facadeOptions(canon)...)
+		want, err := multibus.Simulate(built.Network, cfg.Workload, facadeOptions(built.Sim())...)
 		if err != nil {
 			t.Fatalf("%+v: façade: %v", s, err)
 		}

@@ -22,23 +22,11 @@ func (k *KahanSum) Add(v float64) {
 // Value returns the compensated total.
 func (k *KahanSum) Value() float64 { return k.sum + k.c }
 
-// Reset clears the accumulator back to zero.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-// Sum returns the compensated sum of vs.
-func Sum(vs ...float64) float64 {
-	var k KahanSum
-	for _, v := range vs {
-		k.Add(v)
-	}
-	return k.Value()
 }
 
 // Mean returns the arithmetic mean of vs, or 0 for an empty slice.

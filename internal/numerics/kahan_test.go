@@ -28,28 +28,6 @@ func TestKahanSumManySmall(t *testing.T) {
 	}
 }
 
-func TestKahanReset(t *testing.T) {
-	var k KahanSum
-	k.Add(42)
-	k.Reset()
-	if k.Value() != 0 {
-		t.Errorf("after Reset, Value = %v, want 0", k.Value())
-	}
-	k.Add(3)
-	if k.Value() != 3 {
-		t.Errorf("after Reset+Add(3), Value = %v, want 3", k.Value())
-	}
-}
-
-func TestSumVariadic(t *testing.T) {
-	if got := Sum(); got != 0 {
-		t.Errorf("Sum() = %v, want 0", got)
-	}
-	if got := Sum(1, 2, 3, 4); got != 10 {
-		t.Errorf("Sum(1..4) = %v, want 10", got)
-	}
-}
-
 func TestMeanAndVariance(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)

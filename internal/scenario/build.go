@@ -145,27 +145,41 @@ func (m Model) BuildWorkload(n, mods int, r float64) (workload.Generator, error)
 	if err != nil {
 		return nil, err
 	}
-	return c.buildWorkload(n, mods, r)
+	if err := c.simulable(n, mods); err != nil {
+		return nil, err
+	}
+	var h *hrm.Hierarchy
+	if c.Kind != ModelHotSpot {
+		if h, err = c.build(mods); err != nil {
+			return nil, err
+		}
+	}
+	return c.workload(n, mods, r, h)
 }
 
-func (m Model) buildWorkload(n, mods int, r float64) (workload.Generator, error) {
+// simulable enforces the constraints of the canonical model's simulator
+// workload: hier and Das–Bhuyan need N = M, hotspot M ≥ 2.
+func (m Model) simulable(n, mods int) error {
+	switch {
+	case (m.Kind == ModelHier || m.Kind == ModelDasBhuyan) && n != mods:
+		return fmt.Errorf("%w: %s workload needs N == M, got %d×%d", ErrUnsatisfiable, m.Kind, n, mods)
+	case m.Kind == ModelHotSpot && mods < 2:
+		return fmt.Errorf("%w: hotspot workload needs M ≥ 2, got M = %d", ErrUnsatisfiable, mods)
+	}
+	return nil
+}
+
+// workload constructs the simulator workload of the canonical,
+// simulable model; h is its built request model, read only for the hier
+// and Das–Bhuyan kinds.
+func (m Model) workload(n, mods int, r float64, h *hrm.Hierarchy) (workload.Generator, error) {
 	switch m.Kind {
 	case ModelUniform:
 		return workload.NewUniform(n, mods, r)
 	case ModelHotSpot:
 		return workload.NewHotSpot(n, mods, r, m.HotModule, m.HotFraction)
-	case ModelHier, ModelDasBhuyan:
-		if n != mods {
-			return nil, fmt.Errorf("%w: %s workload needs N == M, got %d×%d",
-				ErrUnsatisfiable, m.Kind, n, mods)
-		}
-		h, err := m.build(mods)
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewHierarchical(h, r)
 	default:
-		return nil, fmt.Errorf("%w: unknown model.kind %q", ErrInvalid, m.Kind)
+		return workload.NewHierarchical(h, r)
 	}
 }
 
@@ -201,12 +215,13 @@ func (b *Built) CanAnalyze() error {
 	return nil
 }
 
-// CanSimulate reports whether the scenario is a valid simulation point.
+// CanSimulate reports whether the scenario is a valid simulation point:
+// not the crossbar curve, and within its workload's constraints.
 func (b *Built) CanSimulate() error {
 	if b.Crossbar {
 		return fmt.Errorf("%w: crossbar is an analytic reference curve and cannot be simulated", ErrInvalid)
 	}
-	return nil
+	return b.Scenario.Model.simulable(b.Network.N(), b.Network.M())
 }
 
 // AnalyzeKey is the cache key for the closed-form evaluation of this
@@ -244,14 +259,18 @@ func (b *Built) SweepPointKey(axis string, withSim bool) string {
 	return cache.SweepPointKey(axis, nfp, mfp, b.Scenario.R, withSim, p.Cycles, p.Seed)
 }
 
-// simParams renders the canonical sim block (or, absent one, the
-// canonical defaults) as cache key parameters.
-func (b *Built) simParams() cache.SimParams {
-	s := b.Scenario.Sim
-	if s == nil {
-		def := DefaultSim()
-		s = &def
+// Sim returns the canonical simulator knobs the scenario runs and keys
+// with: its own sim block, or DefaultSim() when it has none.
+func (b *Built) Sim() Sim {
+	if b.Scenario.Sim != nil {
+		return *b.Scenario.Sim
 	}
+	return DefaultSim()
+}
+
+// simParams renders the canonical sim knobs as cache key parameters.
+func (b *Built) simParams() cache.SimParams {
+	s := b.Sim()
 	return cache.SimParams{
 		Cycles:        s.Cycles,
 		Warmup:        s.Warmup,
@@ -263,31 +282,11 @@ func (b *Built) simParams() cache.SimParams {
 	}
 }
 
-// Workload constructs the simulator workload for this scenario.
-func (b *Built) Workload() (workload.Generator, error) {
-	return b.Scenario.Model.buildWorkload(b.Network.N(), b.Network.M(), b.Scenario.R)
-}
-
-// SimConfig assembles the simulator configuration for this scenario:
-// topology, workload, and the canonical sim knobs. It is the one way
-// the serving stack configures a run; the multibus façade builds the
-// same engine config from its public options, and compute's
-// TestLocalSimulateMatchesFacade pins the two runs identical.
-func (b *Built) SimConfig() (sim.Config, error) {
-	if err := b.CanSimulate(); err != nil {
-		return sim.Config{}, err
-	}
-	gen, err := b.Workload()
-	if err != nil {
-		return sim.Config{}, err
-	}
-	s := b.Scenario.Sim
-	if s == nil {
-		def := DefaultSim()
-		s = &def
-	}
+// EngineConfig is the one mapping of the knobs onto a simulator run of
+// gen on nw. It leaves Assigner nil: the engine classifies nw.
+func (s Sim) EngineConfig(nw *topology.Network, gen workload.Generator) sim.Config {
 	cfg := sim.Config{
-		Topology:            b.Network,
+		Topology:            nw,
 		Workload:            gen,
 		Cycles:              s.Cycles,
 		Warmup:              s.Warmup,
@@ -301,7 +300,26 @@ func (b *Built) SimConfig() (sim.Config, error) {
 	if s.RoundRobin {
 		cfg.Stage1Policy = arbiter.PolicyRoundRobin
 	}
-	return cfg, nil
+	return cfg
+}
+
+// SimConfig assembles the scenario's simulator run from what Build made
+// (network, request model, and Structure for the stage-2 assigner, so
+// nothing is classified again) and the canonical knobs. The façade
+// configures the same run from its options; compute's
+// TestLocalSimulateMatchesFacade pins the two identical. Each config
+// serves one run: its assigner carries round-robin state.
+func (b *Built) SimConfig() (sim.Config, error) {
+	if err := b.CanSimulate(); err != nil {
+		return sim.Config{}, err
+	}
+	gen, err := b.Scenario.Model.workload(b.Network.N(), b.Network.M(), b.Scenario.R, b.Model)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := b.Sim().EngineConfig(b.Network, gen)
+	cfg.Assigner, err = arbiter.ForStructure(b.Structure)
+	return cfg, err
 }
 
 // fnv64a accumulates 64-bit words into a 64-bit FNV-1a hash, matching

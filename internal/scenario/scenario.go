@@ -187,7 +187,7 @@ func (s Scenario) Canonical() (Scenario, error) {
 	}
 	out := Scenario{Network: nw, Model: model, R: s.R}
 	if s.Sim != nil {
-		cs, err := s.Sim.canonical()
+		cs, err := s.Sim.Canonical()
 		if err != nil {
 			return Scenario{}, err
 		}
@@ -408,10 +408,10 @@ func HierClusters(modules int) int {
 	}
 }
 
-// canonical normalizes the simulator knobs to their effective defaults,
+// Canonical normalizes the simulator knobs to their effective defaults,
 // so a scenario that spells the defaults out and one that omits them
 // share a cache key.
-func (s Sim) canonical() (Sim, error) {
+func (s Sim) Canonical() (Sim, error) {
 	c := s
 	if c.Cycles == 0 {
 		c.Cycles = 20000
@@ -445,7 +445,7 @@ func (s Sim) canonical() (Sim, error) {
 // with every default spelled out. A scenario without a sim block
 // simulates (and keys) exactly as one carrying DefaultSim().
 func DefaultSim() Sim {
-	c, _ := Sim{}.canonical() // the zero Sim always canonicalizes
+	c, _ := Sim{}.Canonical() // the zero Sim always canonicalizes
 	return c
 }
 

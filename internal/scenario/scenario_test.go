@@ -419,8 +419,8 @@ func TestBuildConstructsExpectedShapes(t *testing.T) {
 	if b.Model == nil {
 		t.Fatal("dasbhuyan model missing")
 	}
-	if _, err := b.Workload(); err != nil {
-		t.Errorf("Workload: %v", err)
+	if _, err := b.SimConfig(); err != nil {
+		t.Errorf("SimConfig: %v", err)
 	}
 	xb, err := (Scenario{Network: Network{Scheme: "crossbar", N: 16, B: 16}, Model: Model{Kind: "hier"}, R: 1}).Build()
 	if err != nil {

@@ -29,8 +29,6 @@ type admission struct {
 	// in seconds; it feeds the Retry-After hint on shed responses.
 	avgHold float64
 	holds   int64
-
-	now func() time.Time // injectable for tests
 }
 
 // admitWaiter is one queued Acquire; ready closes when capacity is
@@ -54,7 +52,6 @@ func newAdmission(capacity int64, maxQueue int) *admission {
 		capacity: capacity,
 		queue:    list.New(),
 		maxQueue: maxQueue,
-		now:      time.Now,
 	}
 }
 
@@ -86,7 +83,7 @@ func (a *admission) poolSize(weight int64) int {
 // or ctx.Err() when the context ends before capacity is granted.
 func (a *admission) Acquire(ctx context.Context, weight int64) (release func(), wait time.Duration, err error) {
 	weight = a.clampWeight(weight)
-	start := a.now()
+	start := time.Now()
 	a.mu.Lock()
 	// Fast path: capacity free and nobody queued ahead (FIFO fairness —
 	// a newcomer must not jump waiters even if it would fit).
@@ -106,15 +103,15 @@ func (a *admission) Acquire(ctx context.Context, weight int64) (release func(), 
 
 	select {
 	case <-w.ready:
-		return a.releaseFunc(weight, a.now()), a.now().Sub(start), nil
+		return a.releaseFunc(weight, time.Now()), time.Since(start), nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		if w.admitted {
 			// The grant raced the cancellation: the units are ours, but
 			// the request is dead. Give them straight back.
-			a.releaseLocked(weight, a.now(), a.now())
+			a.releaseLocked(weight, time.Now(), time.Now())
 			a.mu.Unlock()
-			return nil, a.now().Sub(start), ctx.Err()
+			return nil, time.Since(start), ctx.Err()
 		}
 		wasFront := a.queue.Front() == el
 		a.queue.Remove(el)
@@ -124,7 +121,7 @@ func (a *admission) Acquire(ctx context.Context, weight int64) (release func(), 
 			a.grantLocked()
 		}
 		a.mu.Unlock()
-		return nil, a.now().Sub(start), ctx.Err()
+		return nil, time.Since(start), ctx.Err()
 	}
 }
 
@@ -133,7 +130,7 @@ func (a *admission) releaseFunc(weight int64, acquiredAt time.Time) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			now := a.now()
+			now := time.Now()
 			a.mu.Lock()
 			a.releaseLocked(weight, acquiredAt, now)
 			a.mu.Unlock()

@@ -577,11 +577,6 @@ func (s *Server) simulateJob(built *scenario.Built) (scenarioJob, error) {
 	if err := checkBuiltSimWork(built); err != nil {
 		return scenarioJob{}, err
 	}
-	// Workload construction is re-run by the backend; building it here
-	// keeps unsatisfiable workloads failing fast as 4xx before the gate.
-	if _, err := built.Workload(); err != nil {
-		return scenarioJob{}, err
-	}
 	return scenarioJob{built.SimulateKey(), simulateWeight(built), func(ctx context.Context) (any, error) {
 		return s.backend.Simulate(ctx, built)
 	}}, nil
@@ -691,12 +686,20 @@ func (s *Server) sweepSpec(req SweepRequest, route string) (sweep.Spec, error) {
 	}
 	weight := int64(1)
 	if spec.WithSim {
-		// Grid points take the default warm-up, a tenth of the cycles.
-		cycles, maxN := simGrid(spec)
-		if err := checkSimWork(cycles/10, cycles, maxN); err != nil {
+		// Every grid point runs the grid's canonical sim; the largest N
+		// is the costliest point.
+		sim, err := scenario.Sim{Cycles: spec.SimCycles, Seed: spec.Seed}.Canonical()
+		if err != nil {
 			return sweep.Spec{}, err
 		}
-		weight = simWeight(cycles, maxN)
+		maxN := 1
+		for _, n := range spec.Ns {
+			maxN = max(maxN, n)
+		}
+		if err := checkSimWork(sim.Warmup, sim.Cycles, maxN); err != nil {
+			return sweep.Spec{}, err
+		}
+		weight = simWeight(sim.Cycles, maxN)
 	}
 	// As many workers as the costliest point fits in admission, so the
 	// grid never queues behind, or sheds, its own points.

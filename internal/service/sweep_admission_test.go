@@ -155,9 +155,11 @@ func newOneSlotServer(t *testing.T) (s *Server, hold func()) {
 }
 
 // TestBusySweepAnswersWithoutAdmission: with the only slot held, a
-// sweep that needs no compute is still answered on its merits — an
-// invalid grid is the client's 400, never a retryable 429, and a grid
-// whose points are all resident is a 200 served from the cache.
+// sweep or simulation that needs no compute is still answered on its
+// merits — an invalid grid or an unsimulatable scenario (a hier
+// workload with N ≠ M, a hotspot with one module) is the client's 400,
+// never a retryable 429, and a grid whose points are all resident is a
+// 200 served from the cache.
 func TestBusySweepAnswersWithoutAdmission(t *testing.T) {
 	const resident = `{"ns":[8,16],"bs":[2,4],"rs":[0.5,1.0],"schemes":["full"]}`
 	want := postJSON(t, newTestServer(t, Options{}).Handler(), "/v1/sweep", resident)
@@ -168,18 +170,20 @@ func TestBusySweepAnswersWithoutAdmission(t *testing.T) {
 	}
 	hold()
 	for _, tc := range []struct {
-		name, body string
-		want       int
+		name, path, body string
+		want             int
 	}{
-		{"negative simCycles", `{"ns":[16],"bs":[8],"rs":[0.5],"schemes":["full"],"withSim":true,"simCycles":-5}`, http.StatusBadRequest},
-		{"hotspot model", `{"ns":[16],"bs":[8],"rs":[0.5],"schemes":["full"],"models":[{"kind":"hotspot"}]}`, http.StatusBadRequest},
-		{"every combination skipped", `{"ns":[4],"bs":[8],"rs":[0.5],"schemes":["full"]}`, http.StatusBadRequest},
-		{"all points resident", resident, http.StatusOK},
+		{"negative simCycles", "/v1/sweep", `{"ns":[16],"bs":[8],"rs":[0.5],"schemes":["full"],"withSim":true,"simCycles":-5}`, http.StatusBadRequest},
+		{"hotspot model", "/v1/sweep", `{"ns":[16],"bs":[8],"rs":[0.5],"schemes":["full"],"models":[{"kind":"hotspot"}]}`, http.StatusBadRequest},
+		{"every combination skipped", "/v1/sweep", `{"ns":[4],"bs":[8],"rs":[0.5],"schemes":["full"]}`, http.StatusBadRequest},
+		{"all points resident", "/v1/sweep", resident, http.StatusOK},
+		{"hier simulate with N≠M", "/v1/simulate", `{"network":{"scheme":"full","n":8,"m":16,"b":4},"model":{"kind":"hier"},"r":0.5}`, http.StatusBadRequest},
+		{"hotspot simulate with M=1", "/v1/simulate", `{"network":{"scheme":"full","n":4,"m":1,"b":1},"model":{"kind":"hotspot"},"r":0.5}`, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := postJSON(t, h, "/v1/sweep", tc.body)
+			rec := postJSON(t, h, tc.path, tc.body)
 			if rec.Code != tc.want {
-				t.Fatalf("sweep with the slot held = %d, want %d: %s", rec.Code, tc.want, rec.Body)
+				t.Fatalf("%s with the slot held = %d, want %d: %s", tc.path, rec.Code, tc.want, rec.Body)
 			}
 			if tc.want == http.StatusOK && !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 				t.Errorf("resident sweep body differs from a cold server's:\n%s\n%s", rec.Body, want.Body)

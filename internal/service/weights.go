@@ -6,7 +6,6 @@ import (
 
 	"multibus/internal/compute"
 	"multibus/internal/scenario"
-	"multibus/internal/sweep"
 )
 
 // Admission weights are estimated work, derived from the *canonical*
@@ -65,23 +64,14 @@ func checkSimWork(warmup, cycles, n int) error {
 
 // checkBuiltSimWork applies checkSimWork to a built simulate scenario.
 func checkBuiltSimWork(built *scenario.Built) error {
-	sim := simOf(built)
+	sim := built.Sim()
 	return checkSimWork(sim.Warmup, sim.Cycles, built.Network.N())
-}
-
-// simOf returns a built scenario's canonical simulator knobs: its own,
-// or the defaults a scenario without a sim block simulates with.
-func simOf(built *scenario.Built) scenario.Sim {
-	if built.Scenario.Sim != nil {
-		return *built.Scenario.Sim
-	}
-	return scenario.DefaultSim()
 }
 
 // simulateWeight estimates one simulation's admission cost from its
 // canonical cycle count and network size.
 func simulateWeight(built *scenario.Built) int64 {
-	return simWeight(simOf(built).Cycles, built.Network.N())
+	return simWeight(built.Sim().Cycles, built.Network.N())
 }
 
 // simWeight is the admission cost of simulating cycles cycles on n
@@ -98,18 +88,4 @@ func pointWeight(jb compute.PointJob) int64 {
 		return simulateWeight(jb.Built)
 	}
 	return 1
-}
-
-// simGrid returns a simulated sweep's canonical per-point cycle count
-// and its largest N: the dimensions of its costliest point.
-func simGrid(spec sweep.Spec) (cycles, maxN int) {
-	cycles = spec.SimCycles
-	if cycles <= 0 {
-		cycles = scenario.DefaultSim().Cycles
-	}
-	maxN = 1
-	for _, n := range spec.Ns {
-		maxN = max(maxN, n)
-	}
-	return cycles, maxN
 }

@@ -84,12 +84,3 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 			a.Bandwidth, a.Accepted, b.Bandwidth, b.Accepted)
 	}
 }
-
-func TestConfigErrRefused(t *testing.T) {
-	cfg := contextTestConfig(t, 1000)
-	sentinel := errors.New("parked option error")
-	cfg.Err = sentinel
-	if _, err := Run(cfg); !errors.Is(err, sentinel) {
-		t.Fatalf("Run with Config.Err = %v, want the parked error", err)
-	}
-}

@@ -63,8 +63,11 @@ type Config struct {
 	Topology *topology.Network
 	Workload workload.Generator
 
-	// Assigner overrides the stage-2 bus assigner; by default the
-	// scheme-appropriate assigner is chosen via arbiter.ForTopology.
+	// Assigner is the stage-2 bus assigner; nil classifies Topology and
+	// picks the scheme's assigner via arbiter.ForTopology. An assigner
+	// carries round-robin state, so a config that sets one serves one
+	// run (scenario.Built.SimConfig sets the assigner of its built
+	// classification).
 	Assigner arbiter.BusAssigner
 	// Stage1Policy is the memory-arbiter tie-break (default
 	// PolicyRandom, the paper's assumption).
@@ -91,11 +94,6 @@ type Config struct {
 	// bus is held only for the accepting cycle (the transfer), so bus
 	// capacity is unchanged.
 	ModuleServiceCycles int
-	// Err records a configuration-building failure (the multibus façade's
-	// option validators park bad option values here, since an option
-	// cannot return an error itself). Run refuses any config with Err
-	// set, returning it unchanged so errors.Is matching survives.
-	Err error
 }
 
 // Result carries the measured statistics of a run.
@@ -162,9 +160,6 @@ type runPlan struct {
 // (the allocation-regression guard steps a bare engine).
 func newEngine(cfg Config) (*engine, runPlan, error) {
 	var plan runPlan
-	if cfg.Err != nil {
-		return nil, plan, cfg.Err
-	}
 	if cfg.Topology == nil || cfg.Workload == nil {
 		return nil, plan, fmt.Errorf("%w: topology and workload are required", ErrBadConfig)
 	}

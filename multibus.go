@@ -293,67 +293,69 @@ func checkModelDims(nw *Network, model RequestModel) error {
 type SimResult = sim.Result
 
 // SimOption configures Simulate. An option given an out-of-range value
-// does not panic or silently misbehave: it records a typed error
+// does not panic or silently misbehave: it returns a typed error
 // (wrapping [ErrInvalidOption]) that Simulate returns before running
 // anything.
-type SimOption func(*sim.Config)
+type SimOption func(*sim.Config) error
 
-// optionErr parks an invalid-option error on the config; Simulate and
-// SimulateReplicated surface it before running. Multiple bad options
-// accumulate via errors.Join, all matchable against ErrInvalidOption.
-func optionErr(c *sim.Config, format string, args ...any) {
-	c.Err = errors.Join(c.Err, fmt.Errorf("%w: "+format, append([]any{ErrInvalidOption}, args...)...))
+// optionErr is the error of an option given an out-of-range value;
+// Simulate and SimulateReplicated join those of every option before
+// running, all matchable against ErrInvalidOption.
+func optionErr(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidOption}, args...)...)
 }
 
 // WithCycles sets the number of measured cycles (default 20000).
 // cycles must be ≥ 1.
 func WithCycles(cycles int) SimOption {
-	return func(c *sim.Config) {
+	return func(c *sim.Config) error {
 		if cycles < 1 {
-			optionErr(c, "WithCycles(%d): cycles must be ≥ 1", cycles)
-			return
+			return optionErr("WithCycles(%d): cycles must be ≥ 1", cycles)
 		}
 		c.Cycles = cycles
+		return nil
 	}
 }
 
 // WithWarmup sets the warmup cycles run before measurement (default
 // cycles/10). cycles must be ≥ 0.
 func WithWarmup(cycles int) SimOption {
-	return func(c *sim.Config) {
+	return func(c *sim.Config) error {
 		if cycles < 0 {
-			optionErr(c, "WithWarmup(%d): warmup must be ≥ 0", cycles)
-			return
+			return optionErr("WithWarmup(%d): warmup must be ≥ 0", cycles)
 		}
 		c.Warmup = cycles
+		return nil
 	}
 }
 
 // WithSeed fixes the RNG seed (default 1); runs are reproducible per
 // seed.
-func WithSeed(seed int64) SimOption { return func(c *sim.Config) { c.Seed = seed } }
+func WithSeed(seed int64) SimOption { return func(c *sim.Config) error { c.Seed = seed; return nil } }
 
 // WithResubmit makes blocked processors hold and re-issue their request
 // (the realistic regime; the paper's assumption 5 drops blocked
 // requests).
-func WithResubmit() SimOption { return func(c *sim.Config) { c.Mode = sim.ModeResubmit } }
+func WithResubmit() SimOption {
+	return func(c *sim.Config) error { c.Mode = sim.ModeResubmit; return nil }
+}
 
 // WithRoundRobinMemoryArbiters switches stage-1 memory arbitration from
 // the paper's random selection to round-robin.
 func WithRoundRobinMemoryArbiters() SimOption {
-	return func(c *sim.Config) { c.Stage1Policy = arbiter.PolicyRoundRobin }
+	return func(c *sim.Config) error { c.Stage1Policy = arbiter.PolicyRoundRobin; return nil }
 }
 
 // WithBatches sets the number of batch-means batches used for the
 // bandwidth confidence interval (default 20). n must be ≥ 2 (a
 // confidence interval needs at least two batches).
 func WithBatches(n int) SimOption {
-	return func(c *sim.Config) {
+	return func(c *sim.Config) error {
 		if n < 2 {
-			optionErr(c, "WithBatches(%d): batches must be ≥ 2", n)
-			return
+			return optionErr("WithBatches(%d): batches must be ≥ 2", n)
 		}
 		c.Batches = n
+		return nil
 	}
 }
 
@@ -362,12 +364,12 @@ func WithBatches(n int) SimOption {
 // requests arriving at a busy module are blocked — the "referenced
 // module might be busy" interference of the paper's §II. k must be ≥ 1.
 func WithModuleServiceCycles(k int) SimOption {
-	return func(c *sim.Config) {
+	return func(c *sim.Config) error {
 		if k < 1 {
-			optionErr(c, "WithModuleServiceCycles(%d): service cycles must be ≥ 1", k)
-			return
+			return optionErr("WithModuleServiceCycles(%d): service cycles must be ≥ 1", k)
 		}
 		c.ModuleServiceCycles = k
+		return nil
 	}
 }
 
@@ -398,10 +400,11 @@ func buildSimConfig(nw *Network, w Workload, opts []SimOption) (sim.Config, erro
 		return sim.Config{}, fmt.Errorf("%w: Simulate requires a network and a workload", ErrNilArgument)
 	}
 	cfg := sim.Config{Topology: nw, Workload: w}
+	var errs error
 	for _, opt := range opts {
-		opt(&cfg)
+		errs = errors.Join(errs, opt(&cfg))
 	}
-	return cfg, cfg.Err
+	return cfg, errs
 }
 
 // CostSummary carries the Table I cost metrics of a network.
